@@ -2,8 +2,9 @@
 
 Model tables and drift certificates (`model`), the backward optimality-
 equation solver (`dp`), exact thinning simulation with statistical identity
-checks (`sim`), a dense two-phase simplex (`lp_core`), occupation-measure
-linear programming with Lagrangian duality (`occupation`), and a CLI (`cli`).
+checks (`sim`), a dense two-phase simplex (`lp_core`), the occupation-measure
+LP solved by column generation over deterministic Markov policies, with its
+Lagrangian dual (`occupation`), and a CLI (`cli`).
 """
 
 from .model import (CtmdpModel, DriftCertificate, MarkovPolicy, Violation,

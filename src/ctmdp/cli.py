@@ -11,6 +11,7 @@ infeasible program, violated bound), 2 usage or parse failure.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -43,9 +44,11 @@ def _parse_bounds(entries):
     for entry in entries or ():
         try:
             key, value = entry.split("=", 1)
-            pairs[int(key)] = float(value)
+            pairs[int(key)] = bound = float(value)
         except ValueError as exc:
             raise ModelFormatError(f"bad --d entry {entry!r}, want n=value") from exc
+        if not math.isfinite(bound):
+            raise ModelFormatError(f"bad --d entry {entry!r}, the bound must be finite")
     if not pairs:
         return []
     n_max = max(pairs)
@@ -166,6 +169,7 @@ def cmd_constrain(args) -> int:
     certificate = occupation.lagrangian_dual(
         model, grid, primal_value=result.solution.objective)
     result.occupation.write_csv(model, os.path.join(args.out, "occupation.csv"))
+    certificate.write_samples_csv(os.path.join(args.out, "dual_samples.csv"))
     residual = occupation.check_characterization(model, grid, result.occupation)
     lines = {
         "lp_status": result.solution.status,
@@ -175,6 +179,8 @@ def cmd_constrain(args) -> int:
         "gap": certificate.gap,
         "gap_continuum": certificate.gap_continuum,
         "lp_pivots": result.solution.n_pivots,
+        "dual_solves": certificate.n_solves,
+        "cg_columns": result.n_columns,
         "lp_primal_residual": result.solution.primal_residual,
         "characterization_residual": residual,
         "dual_feasibility_min_slack": certificate.feasibility_min_slack,

@@ -99,6 +99,8 @@ class CtmdpModel:
         if bounds.shape != (costs.shape[0] - 1,):
             raise ModelFormatError(
                 f"{bounds.size} constraint bounds for {costs.shape[0]} cost tables")
+        if not np.all(np.isfinite(bounds)):
+            raise ModelFormatError(f"constraint_bounds must be finite, got {bounds.tolist()}")
         if gamma.shape != (n,) or w.shape != (n,):
             raise ModelFormatError("initial_dist and weight must have one entry per state")
         if not self.horizon > 0:

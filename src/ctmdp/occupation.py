@@ -3,27 +3,28 @@
 The time-state-action measure of a Markov policy is discretized to cell
 masses y(k, i, a) >= 0 with unit total per time cell, so that expected costs
 are dt * sum c y. Feasible measures of the constrained problem are exactly
-the solutions of a dense LP whose flow rows are the explicit-Euler forward
-equation; the same discrete problem seen from the multiplier side is a
-concave dual maximized by scalarized backward solves, which gives two
-independent routes to the constrained optimum.
+the solutions of an LP whose flow rows are the explicit-Euler forward
+equation of a discrete-time chain, so its optimum mixes at most N+1
+deterministic Markov policies. Column generation finds them: a master LP
+with N+1 rows mixes the policies found so far, and an Euler backward solve
+prices the next. The master's duals maximize the concave Lagrangian dual,
+whose value from that solve certifies the optimum. The assembled LP
+(build_constrained_lp) is the reference the tests solve by dense simplex.
 """
 
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .dp import TimeGrid, scalarize_costs, solve_backward
+from .dp import TimeGrid, ValueGrid, scalarize_costs, solve_backward
 from .model import CtmdpModel, MarkovPolicy
 from . import lp_core
 
 MASS_EPS = 1e-12       # cells below this total mass disintegrate to uniform
-CELL_NORM_TOL = 1e-9   # per-cell mass must equal 1 within this
 
 
 @dataclass(frozen=True)
@@ -158,11 +159,6 @@ def uniform_occupation(model: CtmdpModel, grid: TimeGrid) -> OccupationGrid:
 # -- constrained linear program ----------------------------------------------
 
 
-def lp_column(model: CtmdpModel, grid: TimeGrid, cell: int, pair: int) -> int:
-    """Column index of y(cell, pair) in the assembled LP (cell-major layout)."""
-    return cell * model.n_pairs + pair
-
-
 def build_constrained_lp(model: CtmdpModel, grid: TimeGrid) -> lp_core.LpProblem:
     """Assemble the constrained problem as a dense equality-form LP.
 
@@ -170,6 +166,8 @@ def build_constrained_lp(model: CtmdpModel, grid: TimeGrid) -> lp_core.LpProblem
     Rows: initial marginal sum_a y(0,i,a) = gamma(i); flow rows
     sum_a y(k+1,j,a) = sum_a y(k,j,a) + dt sum_(i,a) q(j|i,a) y(k,i,a);
     cost rows dt * sum c_n y + x_n = d_n. Objective dt * sum c_0 y.
+    solve_constrained reaches the same optimum without assembling this
+    matrix; the assembled form is the reference it is tested against.
     """
     if model.n_constraints < 1:
         raise ValueError("constrained LP needs at least one constraint cost")
@@ -208,42 +206,100 @@ def build_constrained_lp(model: CtmdpModel, grid: TimeGrid) -> lp_core.LpProblem
 
 
 def _euler_forward_masses(model: CtmdpModel, grid: TimeGrid,
-                          action_by_state: np.ndarray) -> np.ndarray:
-    """Exact per-cell masses of a stationary deterministic policy under the
-    LP's own Euler flow; the LP's flow rows hold with equality for these."""
-    n_cells = grid.n_steps
-    dt = grid.dt
-    ka = model.action_offsets[:-1] + action_by_state
-    P = np.eye(model.n_states) + dt * model.rate_rows[ka]  # (n_s, n_s) row-stochastic
-    y = np.zeros((n_cells, model.n_pairs))
-    p = model.initial_dist.astype(float).copy()
-    for k in range(n_cells):
-        y[k, ka] = p
-        p = P.T @ p
+                          action_index: np.ndarray) -> np.ndarray:
+    """Masses of a deterministic Markov policy, cell k playing action_index[k],
+    under the LP's own Euler flow; the LP's flow rows hold with equality."""
+    pairs = model.action_offsets[:-1] + action_index  # (n_cells, n_states)
+    y = np.zeros((grid.n_steps, model.n_pairs))
+    p = model.initial_dist.astype(float)
+    for k in range(grid.n_steps):
+        y[k, pairs[k]] = p
+        p = p + grid.dt * (p @ model.rate_rows[pairs[k]])
     return y
 
 
-def _feasibility_hint(model: CtmdpModel, grid: TimeGrid):
-    """Basis guess from the policy minimizing the summed constraint costs
-    pointwise. Returns None when that policy is not feasible for the LP."""
-    con = model.costs[1:].sum(axis=0)
-    padded = np.where(model.pad_mask, con[model.pad_index], np.inf)
-    act = np.argmin(padded, axis=1)
-    y = _euler_forward_masses(model, grid, act)
-    costs = grid.dt * (y @ model.costs[1:].T).sum(axis=0)
-    if np.any(costs > model.constraint_bounds):
-        return None
-    n_cells = grid.n_steps
-    cols = (np.arange(n_cells)[:, None] * model.n_pairs
-            + (model.action_offsets[:-1] + act)[None, :]).ravel()
-    slacks = n_cells * model.n_pairs + np.arange(model.n_constraints)
-    return np.concatenate([cols, slacks])
+# -- column generation over deterministic Markov policies ---------------------
+
+CG_TOL = 1e-10  # stop once gamma.g_u(0) >= v - CG_TOL * (1 + |v|)
+
+
+class _ColumnGeneration(NamedTuple):
+    status: str                   # optimal, infeasible, budget_exhausted, pivot_limit
+    masses: np.ndarray | None     # mixed masses of the last feasible master
+    multipliers: np.ndarray       # u of the last master
+    values: ValueGrid | None      # Euler value table of the last pricing solve
+    samples: tuple                # (u, D(u), objective of the master that gave u)
+    n_solves: int
+    n_columns: int
+    n_pivots: int
+
+
+def _column_generation(model: CtmdpModel, grid: TimeGrid, max_solves: int,
+                       pivot_cap: int = lp_core.DEFAULT_PIVOT_CAP) -> _ColumnGeneration:
+    """Dantzig-Wolfe solve of the constrained LP over deterministic Markov policies.
+
+    The LP's feasible set is the convex hull of the Euler masses of such
+    policies. Each round reads the convexity dual v and the multipliers u
+    off the restricted master and prices one policy with an Euler backward
+    solve, weights (1, u) in phase 2 and (0, u) in phase 1. Cell k plays the
+    argmin recorded at node k + 1, the action of the Euler step from k + 1
+    to k. The loop stops once gamma.g_u(0) >= v - tol: optimal within tol in
+    phase 2, infeasible in phase 1. See notes/decisions.md.
+    """
+    grid.check_stability(model)
+    gamma, bounds = model.initial_dist, model.constraint_bounds
+    u = np.zeros(model.n_constraints)
+    v, theta, values, phase1 = None, None, None, False
+    objective = np.inf  # of the master that produced u; no master yet
+    columns, samples, seen = [], [], set()
+    pivots = solves = 0
+    status = "budget_exhausted"
+    while solves < max_solves:
+        weights = np.concatenate([[0.0 if phase1 else 1.0], u])
+        values, policy = solve_backward(model, grid, cost_weights=weights,
+                                        integrator="euler")
+        solves += 1
+        price = float(gamma @ values.at_start())
+        if not phase1:
+            samples.append((tuple(map(float, u)), price - float(u @ bounds), objective))
+        actions = policy.action_index[1:]
+        if v is not None and (price >= v - CG_TOL * (1.0 + abs(v))
+                              or actions.tobytes() in seen):
+            status = "infeasible" if phase1 else "optimal"
+            break
+        seen.add(actions.tobytes())
+        columns.append(_euler_forward_masses(model, grid, actions))
+
+        # restricted master: convexity row plus one row per constraint; if the
+        # columns cannot meet the bounds, phase 1 minimizes the summed violation
+        table = grid.dt * np.array([model.costs @ y.sum(axis=0) for y in columns]).T
+        K, N = table.shape[1], bounds.size
+        for phase1 in (False, True):
+            extra = N if phase1 else 0
+            sol = lp_core.solve_lp(lp_core.LpProblem(
+                c=np.concatenate([np.zeros(K), np.ones(N)]) if phase1 else table[0],
+                A_eq=np.concatenate([np.ones(K), np.zeros(extra)])[None, :], b_eq=[1.0],
+                A_ub=np.hstack([table[1:], -np.eye(N)[:, :extra]]), b_ub=bounds),
+                pivot_cap=pivot_cap - pivots)
+            pivots += sol.n_pivots
+            if sol.status != "infeasible":
+                break
+        if sol.status != "optimal":
+            status = sol.status
+            break
+        v, u = float(sol.y[0]), np.maximum(-sol.y[1:], 0.0)
+        if not phase1:
+            objective, theta = sol.objective, sol.x
+    masses = None if theta is None else sum(t * y for t, y in zip(theta, columns) if t > 0)
+    return _ColumnGeneration(status, masses, u, values, tuple(samples),
+                             solves, len(columns), pivots)
 
 
 class ConstrainedResult(NamedTuple):
     solution: lp_core.LpSolution
     occupation: OccupationGrid | None
     policy: MarkovPolicy | None
+    n_columns: int
 
 
 def disintegrate(model: CtmdpModel, grid: TimeGrid, masses: np.ndarray) -> MarkovPolicy:
@@ -261,58 +317,81 @@ def disintegrate(model: CtmdpModel, grid: TimeGrid, masses: np.ndarray) -> Marko
     return MarkovPolicy.randomized(probs)
 
 
-def solve_constrained(model: CtmdpModel, grid: TimeGrid,
-                      pivot_cap: int = lp_core.DEFAULT_PIVOT_CAP,
-                      use_hint: bool = True) -> ConstrainedResult:
-    """Solve the constrained LP and disintegrate the optimal measure.
+def _lp_solution(model: CtmdpModel, grid: TimeGrid, cg: _ColumnGeneration) -> lp_core.LpSolution:
+    """The full LP's solution from a converged column generation, unassembled.
 
-    A warm-start basis built from the pointwise most-feasible policy is
-    tried first (Phase 1 is skipped when it is feasible); the simplex result
-    does not depend on the start. Non-optimal LP statuses are passed through
-    with empty occupation and policy.
+    x is the mixed masses plus slacks; y is the final Lagrangian's Euler value
+    table on cells 0..n-1, then -u. Residuals come from the Euler flow
+    recurrence and the reduced costs dt (c_0 + u.c) + (I + dt q) g(k+1) - g(k).
     """
-    problem = build_constrained_lp(model, grid)
-    hint = _feasibility_hint(model, grid) if use_hint else None
-    sol = lp_core.solve_lp(problem, pivot_cap=pivot_cap, basis_hint=hint)
-    if sol.status != "optimal":
-        return ConstrainedResult(sol, None, None)
-    masses = sol.x[:grid.n_steps * model.n_pairs].reshape(grid.n_steps, model.n_pairs)
-    masses = np.maximum(masses, 0.0)
-    eta = OccupationGrid(grid=grid, masses=masses)
-    return ConstrainedResult(sol, eta, disintegrate(model, grid, masses))
+    dt, R, u, y = grid.dt, model.rate_rows, cg.multipliers, cg.masses
+    bounds = model.constraint_bounds
+    spent = dt * (model.costs[1:] @ y.sum(axis=0))
+    slack = np.maximum(bounds - spent, 0.0)
+    x = np.concatenate([y.ravel(), slack])
+    objective = float(dt * np.sum(y @ model.costs[0]))
+
+    marginal = np.add.reduceat(y, model.action_offsets[:-1], axis=1)
+    flow = marginal[:-1] + dt * (y[:-1] @ R)
+    primal_residual = max(float(np.max(np.abs(marginal[0] - model.initial_dist))),
+                          float(np.max(np.abs(marginal[1:] - flow), initial=0.0)),
+                          float(np.max(np.abs(spent + slack - bounds))),
+                          float(np.max(-x)))
+
+    g = cg.values.values
+    cbar = scalarize_costs(model, np.concatenate([[1.0], u]))
+    reduced = dt * cbar + g[1:, model.pair_state] + dt * (g[1:] @ R.T) - g[:-1, model.pair_state]
+    dual_objective = float(model.initial_dist @ g[0] - u @ bounds)
+    complementarity = max(float(np.max(np.abs(reduced * y))), float(np.max(u * slack)))
+    return lp_core.LpSolution(
+        "optimal", x, np.concatenate([g[:-1].ravel(), -u]), objective, cg.n_pivots,
+        primal_residual, abs(objective - dual_objective), complementarity)
+
+
+def solve_constrained(model: CtmdpModel, grid: TimeGrid,
+                      pivot_cap: int = lp_core.DEFAULT_PIVOT_CAP) -> ConstrainedResult:
+    """Solve the constrained LP by column generation and disintegrate the optimum.
+
+    The LpSolution is that of the full LP (build_constrained_lp), which is
+    never assembled; pivot_cap bounds the master pivots summed over rounds.
+    Non-optimal statuses (infeasible, budget_exhausted, pivot_limit) are
+    passed through with empty occupation and policy.
+    """
+    if model.n_constraints < 1:
+        raise ValueError("constrained LP needs at least one constraint cost")
+    cg = _column_generation(model, grid, DualSearchConfig().max_evals, pivot_cap)
+    if cg.status != "optimal":
+        sol = lp_core.LpSolution(cg.status, None, None, None, cg.n_pivots)
+        return ConstrainedResult(sol, None, None, cg.n_columns)
+    return ConstrainedResult(_lp_solution(model, grid, cg), OccupationGrid(grid, cg.masses),
+                             disintegrate(model, grid, cg.masses), cg.n_columns)
 
 
 # -- Lagrangian dual ----------------------------------------------------------
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
 
 @dataclass(frozen=True)
 class DualSearchConfig:
-    """Search budget and tolerances for maximizing the dual function."""
+    """Budget of pricing (backward) solves per column-generation run."""
 
-    u_max_initial: float = 1.0
-    expansion_factor: float = 4.0
-    max_expansions: int = 30
-    u_tol: float = 1e-9
-    value_tol: float = 1e-11
     max_evals: int = 400
-    max_sweeps: int = 25
 
 
 @dataclass(frozen=True)
 class DualCertificate:
     """Outcome of the dual maximization, with the duality gap report.
 
-    dual_value uses the backward solver stepped with the same explicit-Euler
+    dual_value is D(u) = gamma.g_u(0) - u.d from an Euler pricing solve, the
     scheme the LP's flow rows encode, so weak duality against the LP optimum
-    holds by construction and gap measures only search and simplex error.
+    holds by construction and gap measures only the column-generation stop.
     dual_value_continuum re-evaluates the maximizer with the RK4 stepping;
     gap_continuum therefore carries the O(dt) discretization of the LP and
-    shrinks under grid refinement. h_grid is the dual variable reconstructed
-    from the scalarized solve (its tail integrals are taken in closed form,
-    which is exact for the reconstruction and keeps the pointwise feasibility
-    check free of finite-difference noise).
+    shrinks under grid refinement. samples holds, per phase-2 pricing solve,
+    (u, D(u), objective of the master that produced u; inf before the first).
+    h_grid is the dual variable reconstructed from the scalarized solve (its
+    tail integrals are taken in closed form, which is exact for the
+    reconstruction and keeps the pointwise feasibility check free of
+    finite-difference noise).
     """
 
     multipliers: np.ndarray
@@ -329,6 +408,15 @@ class DualCertificate:
     status: str
     n_solves: int
 
+    def write_samples_csv(self, path) -> None:
+        """One row per sample: iterate, u_1..u_N, D(u), master objective."""
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["iterate", *(f"u{n}" for n in range(1, len(self.multipliers) + 1)),
+                             "dual", "master_objective"])
+            for t, (u, dual, master) in enumerate(self.samples):
+                writer.writerow([t, *(f"{x:.17g}" for x in (*u, dual, master))])
+
 
 def _dual_value_fn(model: CtmdpModel, grid: TimeGrid, integrator: str):
     gamma = model.initial_dist
@@ -342,139 +430,41 @@ def _dual_value_fn(model: CtmdpModel, grid: TimeGrid, integrator: str):
     return D
 
 
-def _golden_max(f, lo: float, hi: float, u_tol: float, budget) -> float:
-    a, b = lo, hi
-    x1 = b - _GOLDEN * (b - a)
-    x2 = a + _GOLDEN * (b - a)
-    f1, f2 = f(x1), f(x2)
-    while b - a > u_tol and budget.left() > 0:
-        if f1 >= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _GOLDEN * (b - a)
-            f1 = f(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _GOLDEN * (b - a)
-            f2 = f(x2)
-    return x1 if f1 >= f2 else x2
-
-
-class _Budget:
-    def __init__(self, n):
-        self.n = n
-
-    def left(self):
-        return self.n
-
-    def spend(self):
-        self.n -= 1
-
-
-def _line_max(f, u, direction, cfg, budget) -> np.ndarray:
-    """Golden-section maximization of f along u + t*direction, t clipped so
-    the multipliers stay nonnegative."""
-    direction = np.asarray(direction, dtype=float)
-    moving = direction > 0
-    t_lo = float(np.max(-u[moving] / direction[moving])) if np.any(moving) else 0.0
-
-    def scalar(t):
-        return f(np.maximum(u + t * direction, 0.0))
-
-    t_hi = t_lo + cfg.u_max_initial
-    for _ in range(cfg.max_expansions):
-        if budget.left() <= 0:
-            break
-        probe = t_lo + _GOLDEN * (t_hi - t_lo)
-        if scalar(t_hi) <= scalar(probe):
-            break
-        t_hi = t_lo + (t_hi - t_lo) * cfg.expansion_factor
-    best = _golden_max(scalar, t_lo, t_hi, cfg.u_tol * max(1.0, t_hi - t_lo), budget)
-    if scalar(best) < f(u):
-        return u
-    return np.maximum(u + best * direction, 0.0)
-
-
 def lagrangian_dual(model: CtmdpModel, grid: TimeGrid,
                     u_search: DualSearchConfig | None = None,
                     primal_value: float | None = None) -> DualCertificate:
     """Maximize the concave dual over nonnegative multipliers.
 
-    One multiplier uses bracketed golden section; several use projected
-    coordinate ascent (each section is one backward solve, and the dual is
-    concave, so no subgradient machinery is needed). When the search budget
-    runs out the best certificate found so far is returned with status
-    "budget_exhausted". The primal value comes from solve_constrained unless
-    supplied by the caller.
+    The multipliers are the column-generation master's duals, which maximize
+    D once pricing finds no improving policy. The iterate with the largest
+    D(u) is reported, with status "budget_exhausted" if u_search.max_evals
+    pricing solves ran out first. The primal value is the master's objective
+    unless supplied by the caller.
     """
-    N = model.n_constraints
-    if N < 1:
+    if model.n_constraints < 1:
         raise ValueError("dual path needs at least one constraint cost")
-    cfg = u_search or DualSearchConfig()
+    cg = _column_generation(model, grid, (u_search or DualSearchConfig()).max_evals)
+    if cg.status == "infeasible":
+        raise RuntimeError("constrained LP is infeasible; no primal value to certify against")
+    u_best, dual_value, _ = max(cg.samples, key=lambda s: s[1])
+    u = np.array(u_best)
+    if primal_value is None and cg.masses is not None:
+        primal_value = float(grid.dt * np.sum(cg.masses @ model.costs[0]))
 
-    budget = _Budget(cfg.max_evals)
-    samples: list[tuple[tuple, float]] = []
-    cache: dict[tuple, float] = {}
-    d_euler = _dual_value_fn(model, grid, "euler")
-
-    def D(u: np.ndarray) -> float:
-        key = tuple(np.round(u, 15))
-        if key not in cache:
-            budget.spend()
-            cache[key] = d_euler(np.asarray(u, dtype=float))
-            samples.append((key, cache[key]))
-        return cache[key]
-
-    u = np.zeros(N)
-    d0 = D(u)
-    if N == 1:
-        u = _line_max(D, u, np.ones(1), cfg, budget)
-        status = "converged" if budget.left() > 0 else "budget_exhausted"
-    else:
-        # coordinate sweeps plus a joint all-ones probe: the joint direction
-        # escapes nonsmooth corners where every single coordinate stalls
-        # (e.g. constraints that only pay off together)
-        status = "budget_exhausted"
-        directions = [np.eye(N)[n] for n in range(N)] + [np.ones(N)]
-        for _ in range(cfg.max_sweeps):
-            before = D(u)
-            for direction in directions:
-                if budget.left() <= 0:
-                    break
-                u = _line_max(D, u, direction, cfg, budget)
-            if budget.left() <= 0:
-                break
-            if D(u) - before <= cfg.value_tol * (1.0 + abs(before)):
-                status = "converged"
-                break
-    if d0 >= D(u):
-        u = np.zeros(N)  # slack constraints: the exact maximizer is 0
-
-    dual_value = D(u)
     weights = np.concatenate([[1.0], u])
     vg, _ = solve_backward(model, grid, cost_weights=weights, integrator="rk4")
     dual_continuum = float(model.initial_dist @ vg.at_start()
                            - u @ model.constraint_bounds)
 
-    if primal_value is None:
-        result = solve_constrained(model, grid)
-        if result.solution.status != "optimal":
-            raise RuntimeError(f"constrained LP is {result.solution.status}; "
-                               "no primal value to certify against")
-        primal_value = result.solution.objective
-
     # reconstruct the dual variable from the scalarized solve and check the
     # pointwise feasibility inequality of the dual program on every node
-    T = model.horizon
     cbar = scalarize_costs(model, weights)
-    R = model.rate_rows
-    drift = vg.values @ R.T                      # (n_nodes, n_pairs)
-    vals = T * (cbar[None, :] + drift)
-    mins = np.minimum.reduceat(vals, model.action_offsets[:-1], axis=1)
-    h_grid = mins                                 # h(t_k, i) = T * min_a {...}
+    drift = vg.values @ model.rate_rows.T        # (n_nodes, n_pairs)
+    vals = model.horizon * (cbar[None, :] + drift)
+    h_grid = np.minimum.reduceat(vals, model.action_offsets[:-1], axis=1)  # T * min_a {...}
     slack = vals - h_grid[:, model.pair_state]
-    tol = 1e-6 * (model.weight ** 2)[model.pair_state]
-    min_slack = float(np.min(slack + tol))        # >= 0 means every point passes
     w2 = model.weight ** 2
+    min_slack = float(np.min(slack + 1e-6 * w2[model.pair_state]))  # >= 0: every point passes
     h_w2_norm = float(np.max(np.abs(h_grid) / w2[None, :]))
 
     return DualCertificate(
@@ -484,10 +474,10 @@ def lagrangian_dual(model: CtmdpModel, grid: TimeGrid,
         primal_value=primal_value,
         gap=None if primal_value is None else primal_value - dual_value,
         gap_continuum=None if primal_value is None else primal_value - dual_continuum,
-        samples=tuple(samples),
+        samples=cg.samples,
         h_grid=h_grid,
         h_w2_norm=h_w2_norm,
         feasibility_min_slack=float(np.min(slack)),
         feasibility_ok=min_slack >= 0.0,
-        status=status,
-        n_solves=len(cache))
+        status="converged" if cg.status == "optimal" else cg.status,
+        n_solves=cg.n_solves)

@@ -3,11 +3,14 @@
 Everything here deliberately avoids the library's own integrators: policy
 evaluation goes through matrix exponentials (scipy), transient probabilities
 through expm as well, and small LPs through brute-force vertex enumeration.
+The one-multiplier Lagrangian dual is maximized by bracketed golden section,
+the search the library ran before it moved to column generation.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 from scipy.linalg import expm
@@ -101,6 +104,44 @@ def lp_vertex_optimum(c, A_eq=None, b_eq=None, A_ub=None, b_ub=None, tol=1e-9):
     if best is None:
         return "infeasible", None, None
     return "optimal", best, best_x
+
+
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def golden_section_max(f, lo: float, hi: float, tol: float) -> float:
+    """Maximizer of a unimodal f on [lo, hi] to within tol."""
+    a, b = lo, hi
+    x1 = b - _GOLDEN * (b - a)
+    x2 = a + _GOLDEN * (b - a)
+    f1, f2 = f(x1), f(x2)
+    while b - a > tol:
+        if f1 >= f2:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - _GOLDEN * (b - a)
+            f1 = f(x1)
+        else:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + _GOLDEN * (b - a)
+            f2 = f(x2)
+    return x1 if f1 >= f2 else x2
+
+
+def golden_dual_max(D, u_max: float = 1.0, expansion: float = 4.0,
+                    tol: float = 1e-10) -> tuple[float, float]:
+    """Maximize a concave function of one multiplier u >= 0.
+
+    The bracket [0, hi] grows until D no longer rises towards hi, then golden
+    section closes it; u = 0 wins when nothing beats it (slack constraint).
+    Returns (u*, D(u*)).
+    """
+    hi = u_max
+    for _ in range(60):
+        if D(hi) <= D(_GOLDEN * hi):
+            break
+        hi *= expansion
+    u = golden_section_max(D, 0.0, hi, tol * max(1.0, hi))
+    return (u, D(u)) if D(u) > D(0.0) else (0.0, D(0.0))
 
 
 def random_instance(rng: np.random.Generator, max_states: int = 6,

@@ -61,6 +61,25 @@ class TestExitCodes:
     def test_constrain_without_constraints_is_usage_error(self, tmp_path):
         assert main(["constrain", *preset_args("--steps", "50", out=tmp_path)]) == 2
 
+    @pytest.mark.parametrize("entry", ["1=nan", "1=inf"])
+    def test_non_finite_bound_flag_is_usage_error(self, tmp_path, capsys, entry):
+        code = main(["constrain", *preset_args("--d", entry, "--steps", "50",
+                                               out=tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "--d" in err and "finite" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("bound", ["NaN", "Infinity"])
+    def test_non_finite_bound_in_model_file_is_usage_error(self, tmp_path, capsys, bound):
+        path = tmp_path / "model.json"
+        path.write_text('{"states": 1, "actions_per_state": [[[0.0], [1.0]]], '
+                        '"rates": [[[0.0], [0.0]]], "costs": [[[1.0, 0.0]], [[0.0, 2.0]]], '
+                        f'"horizon": 1.0, "constraint_bounds": [{bound}]}}')
+        code = main(["constrain", "--model", str(path), "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "constraint_bounds" in err and "finite" in err
+
 
 class TestOutputs:
     def test_solve_writes_value_policy_and_report(self, tmp_path, capsys):
@@ -106,6 +125,25 @@ class TestOutputs:
         assert report["lp_status"] == "optimal"
         assert float(report["gap"]) <= 1e-3
         assert (out / "occupation.csv").exists()
+
+    def test_constrain_writes_dual_counters_and_samples(self, tmp_path):
+        # one state, c0 = (1, 0), c1 = (0, 2), d1 = 1: the unconstrained
+        # column, the constraint-only column, then the certifying solve
+        doc = {"states": 1, "actions_per_state": [[[0.0], [1.0]]],
+               "rates": [[[0.0], [0.0]]], "costs": [[[1.0, 0.0]], [[0.0, 2.0]]],
+               "horizon": 1.0, "constraint_bounds": [1.0]}
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "run"
+        assert main(["constrain", "--model", str(path), "--steps", "32",
+                     "--out", str(out)]) == 0
+        report = dict(line.split("=", 1) for line in
+                      (out / "report.txt").read_text().splitlines())
+        assert report["dual_solves"] == "3"
+        assert report["cg_columns"] == "2"
+        rows = (out / "dual_samples.csv").read_text().splitlines()
+        assert rows[0] == "iterate,u1,dual,master_objective"
+        assert rows[1:] == ["0,0,0,inf", f"1,0.5,{report['dual']},{report['primal']}"]
 
     def test_simulate_writes_estimates(self, tmp_path):
         out = tmp_path / "run"

@@ -1,15 +1,20 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
 from ctmdp.dp import TimeGrid, solve_backward
+from ctmdp.lp_core import solve_lp
 from ctmdp.model import CtmdpModel, MarkovPolicy, make_birth_death
-from ctmdp.occupation import (DualSearchConfig, build_constrained_lp,
+from ctmdp.occupation import (DualSearchConfig, _dual_value_fn, build_constrained_lp,
                               check_characterization, default_test_functions,
                               disintegrate, lagrangian_dual, occupation_of_policy,
                               solve_constrained, uniform_occupation)
 from ctmdp.sim import mc_value
-from oracles import (euler_masses_of_kernel, expm_transient, random_instance,
-                     random_policy)
+from oracles import (euler_masses_of_kernel, expm_transient, golden_dual_max,
+                     random_instance, random_policy)
+from test_acceptance import slater_birth_death
 
 
 def two_state_chain(horizon=1.0):
@@ -27,6 +32,27 @@ def one_state_mixing(d1=1.0):
         rates=[[[0.0], [0.0]]],
         costs=[[[1.0, 0.0]], [[0.0, 2.0]]],
         horizon=1.0, constraint_bounds=[d1])
+
+
+def random_constrained(seed, n_constraints, n_steps):
+    """Seeded random instance bounded by the uniform policy's constraint costs,
+    which makes it feasible; whether a bound binds depends on the seed."""
+    rng = np.random.default_rng(seed)
+    base = random_instance(rng, max_states=4, max_actions=3,
+                           n_costs=n_constraints + 1, horizon=1.0)
+    grid = TimeGrid(1.0, n_steps)
+    kernel = MarkovPolicy.uniform(base, grid.n_nodes).kernel(base)
+    y = euler_masses_of_kernel(base, grid.n_steps, kernel)
+    bounds = grid.dt * (base.costs[1:] @ y.sum(axis=0))
+    return dataclasses.replace(base, constraint_bounds=bounds), grid
+
+
+# under seed 7 every bound binds, for one constraint and for two
+CG_CASES = {
+    "criterion7": lambda: (slater_birth_death(), TimeGrid(1.0, 250)),
+    "random_n1": lambda: random_constrained(7, 1, 60),
+    "random_n2": lambda: random_constrained(7, 2, 60),
+}
 
 
 class TestOccupationOfPolicy:
@@ -383,7 +409,9 @@ class TestLagrangianDual:
     def test_budget_exhaustion_reports_best_found(self):
         model = one_state_mixing(d1=1.0)
         grid = TimeGrid(1.0, 32)
-        cfg = DualSearchConfig(max_evals=5)
+        # column generation certifies this instance in three pricing solves
+        # (two columns, then the certificate), so two stop it short
+        cfg = DualSearchConfig(max_evals=2)
         cert = lagrangian_dual(model, grid, u_search=cfg)
         assert cert.status == "budget_exhausted"
         assert cert.n_solves <= 7  # the few probes it was allowed
@@ -423,3 +451,52 @@ class TestLagrangianDual:
         model = one_state_mixing(d1=-0.1)
         with pytest.raises(RuntimeError, match="infeasible"):
             lagrangian_dual(model, TimeGrid(1.0, 8))
+
+
+class TestColumnGeneration:
+    @pytest.mark.parametrize("case", sorted(CG_CASES))
+    def test_matches_the_dense_simplex(self, case):
+        model, grid = CG_CASES[case]()
+        problem = build_constrained_lp(model, grid)
+        ref = solve_lp(problem)
+        res = solve_constrained(model, grid)
+        assert ref.status == res.solution.status == "optimal"
+        assert res.solution.objective == pytest.approx(ref.objective, abs=1e-9)
+        n = grid.n_steps * model.n_pairs
+        ref_masses = ref.x[:n].reshape(grid.n_steps, model.n_pairs)
+        for k in range(1, model.n_constraints + 1):
+            assert res.occupation.expected_cost(model, k) == pytest.approx(
+                grid.dt * float(np.sum(ref_masses @ model.costs[k])), abs=1e-9)
+        x, y = res.solution.x, res.solution.y
+        assert np.abs(problem.A_eq @ x - problem.b_eq).max() <= 1e-10
+        assert np.all(x >= 0.0)
+        # y is dual feasible for the assembled LP and closes the gap
+        assert np.min(problem.c - problem.A_eq.T @ y) >= -1e-9
+        assert float(problem.b_eq @ y) == pytest.approx(res.solution.objective, abs=1e-9)
+
+    @pytest.mark.parametrize("case", ["one_state", "criterion7", "random_n1"])
+    def test_multiplier_matches_golden_section(self, case):
+        model, grid = {
+            "one_state": lambda: (one_state_mixing(d1=1.0), TimeGrid(1.0, 64)),
+            "criterion7": lambda: (slater_birth_death(), TimeGrid(1.0, 120)),
+            "random_n1": CG_CASES["random_n1"],
+        }[case]()
+        D = _dual_value_fn(model, grid, "euler")
+        u_ref, d_ref = golden_dual_max(lambda u: D(np.array([u])))
+        cert = lagrangian_dual(model, grid)
+        assert cert.status == "converged"
+        assert cert.multipliers[0] == pytest.approx(u_ref, abs=1e-6)
+        assert cert.dual_value == pytest.approx(d_ref, abs=1e-9)
+
+    @pytest.mark.parametrize("case", ["criterion7", "random_n2"])
+    def test_iterates_keep_weak_duality_and_master_descent(self, case):
+        model, grid = CG_CASES[case]()
+        cert = lagrangian_dual(model, grid)
+        D = _dual_value_fn(model, grid, "euler")
+        masters = [master for _, _, master in cert.samples]
+        assert masters[0] == math.inf  # u = 0 is priced before any master exists
+        assert all(b <= a for a, b in zip(masters, masters[1:]))
+        for u, dual, _ in cert.samples:
+            assert dual <= cert.primal_value + 1e-12
+            assert dual == pytest.approx(D(np.array(u)), abs=1e-12)
+        assert cert.n_solves >= len(cert.samples)
