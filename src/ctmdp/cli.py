@@ -60,6 +60,18 @@ def _parse_bounds(entries):
     return [pairs[n] for n in range(1, n_max + 1)]
 
 
+def _state_flag(model: CtmdpModel, flag: str, value) -> int:
+    """A state index given on the command line, range-checked."""
+    try:
+        state = int(value)
+    except ValueError as exc:
+        raise ModelFormatError(f"{flag} {value!r} is not a state index") from exc
+    if not 0 <= state < model.n_states:
+        raise ModelFormatError(
+            f"{flag} {state} is out of range; the model has states 0..{model.n_states - 1}")
+    return state
+
+
 def _resolve_model(args) -> tuple[CtmdpModel, DriftCertificate | None]:
     if args.model and args.preset:
         raise ModelFormatError("give --model or --preset, not both")
@@ -200,6 +212,9 @@ def cmd_constrain(args) -> int:
 
 def cmd_simulate(args) -> int:
     model, cert = _resolve_model(args)
+    i0 = _state_flag(model, "--i0", args.i0)
+    subset = ([_state_flag(model, "--subset", s) for s in args.subset.split(",")]
+              if args.subset else [i0])
     if validate_model(model):
         print("model fails validation; run the validate subcommand", file=sys.stderr)
         return DOMAIN_ERROR
@@ -213,9 +228,7 @@ def cmd_simulate(args) -> int:
     except dp.GridStabilityError as exc:
         print(f"{exc}", file=sys.stderr)
         return DOMAIN_ERROR
-    i0 = args.i0
     t_check = args.t_check if args.t_check is not None else model.horizon
-    subset = [int(s) for s in args.subset.split(",")] if args.subset else [i0]
 
     path = sim.simulate(model, policy, i0, args.seed)
     path.write_csv(model, os.path.join(args.out, "trajectory.csv"))

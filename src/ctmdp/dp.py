@@ -9,7 +9,6 @@ evaluated by the same integrator with the min replaced by the policy kernel.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -78,28 +77,33 @@ class ValueGrid:
         return self.values[0]
 
     def write_csv(self, path) -> None:
+        """Rows (state, t_k, value), state-major, in csv.writer's dialect."""
+        nodes = _node_strings(self.grid)
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["state", "t", "value"])
-            nodes = self.grid.nodes
-            for i in range(self.values.shape[1]):
-                for k in range(self.values.shape[0]):
-                    writer.writerow([i, f"{nodes[k]:.12g}", f"{self.values[k, i]:.17g}"])
+            fh.write("state,t,value\r\n")
+            for i, column in enumerate(self.values.T.tolist()):
+                fh.write("".join(f"{i},{t},{v:.17g}\r\n" for t, v in zip(nodes, column)))
+
+
+def _node_strings(grid: TimeGrid) -> list[str]:
+    return [f"{t:.12g}" for t in grid.nodes.tolist()]
 
 
 def write_policy_csv(model: CtmdpModel, grid: TimeGrid, policy: MarkovPolicy, path) -> None:
     """Rows (state, t_k, action components) for a deterministic policy."""
     if policy.kind != "deterministic":
         raise ValueError("CSV export is for deterministic policies")
-    dim = model.action_points.shape[1]
+    idx = policy.action_index
+    if np.any((idx < 0) | (idx >= np.diff(model.action_offsets))):
+        raise IndexError("policy action index out of range for the model")
+    nodes = _node_strings(grid)
+    points = ["".join(f",{x:.17g}" for x in point) for point in model.action_points.tolist()]
+    pairs = (model.action_offsets[:-1] + idx).T.tolist()  # (n_states, n_nodes)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["state", "t"] + [f"a{d}" for d in range(dim)])
-        nodes = grid.nodes
-        for i in range(model.n_states):
-            for k in range(policy.n_nodes):
-                point = model.action_points[model.pair_index(i, int(policy.action_index[k, i]))]
-                writer.writerow([i, f"{nodes[k]:.12g}"] + [f"{x:.17g}" for x in point])
+        fh.write(",".join(["state", "t"] + [f"a{d}" for d in range(model.action_points.shape[1])])
+                 + "\r\n")
+        for i, row in enumerate(pairs):
+            fh.write("".join(f"{i},{t}{points[ka]}\r\n" for t, ka in zip(nodes, row)))
 
 
 def scalarize_costs(model: CtmdpModel, cost_weights=None) -> np.ndarray:
@@ -171,21 +175,14 @@ def solve_backward(model: CtmdpModel, grid: TimeGrid, cost_weights=None,
     return ValueGrid(grid=grid, values=g), MarkovPolicy.deterministic(policy)
 
 
-def _policy_step_tables(model: CtmdpModel, kernel_row: np.ndarray, cost_row: np.ndarray):
-    """Aggregate one kernel row into a mean cost vector and mean generator."""
-    starts = model.action_offsets[:-1]
-    cb = np.add.reduceat(kernel_row * cost_row, starts)
-    Qb = np.add.reduceat(kernel_row[:, None] * model.rate_rows, starts, axis=0)
-    return cb, Qb
-
-
 def evaluate_policy(model: CtmdpModel, grid: TimeGrid, policy: MarkovPolicy,
                     cost_index: int = 0, integrator: str = "rk4") -> ValueGrid:
     """Backward evaluation of a fixed Markov policy for one cost table.
 
     Same stepping as solve_backward with the min replaced by the policy's
     kernel average; randomized kernels average both cost and generator. The
-    policy must live on this grid's nodes.
+    average is taken after the pair-level mat-vec R @ y, so no mean generator
+    is formed. The policy must live on this grid's nodes.
     """
     grid.check_stability(model)
     if policy.n_nodes != grid.n_nodes:
@@ -193,22 +190,28 @@ def evaluate_policy(model: CtmdpModel, grid: TimeGrid, policy: MarkovPolicy,
     if not 0 <= cost_index < model.costs.shape[0]:
         raise ValueError(f"no cost table {cost_index}")
     kernel = policy.kernel(model)
-    cost_row = model.costs[cost_index]
+    starts = model.action_offsets[:-1]
+    costs = np.add.reduceat(kernel * model.costs[cost_index], starts, axis=1)
+    R = model.rate_rows
     dt = grid.dt
 
     g = np.zeros((grid.n_nodes, model.n_states))
     with np.errstate(over="ignore", invalid="ignore"):  # caught by isfinite below
         for k in range(grid.n_steps - 1, -1, -1):
-            cb, Qb = _policy_step_tables(model, kernel[k], cost_row)
+            row, cb = kernel[k], costs[k]
+
+            def f(v):
+                return cb + np.add.reduceat(row * (R @ v), starts)
+
             y = g[k + 1]
             if integrator == "rk4":
-                k1 = cb + Qb @ y
-                k2 = cb + Qb @ (y + 0.5 * dt * k1)
-                k3 = cb + Qb @ (y + 0.5 * dt * k2)
-                k4 = cb + Qb @ (y + dt * k3)
+                k1 = f(y)
+                k2 = f(y + 0.5 * dt * k1)
+                k3 = f(y + 0.5 * dt * k2)
+                k4 = f(y + dt * k3)
                 g[k] = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             elif integrator == "euler":
-                g[k] = y + dt * (cb + Qb @ y)
+                g[k] = y + dt * f(y)
             else:
                 raise ValueError(f"unknown integrator {integrator!r}")
             if not np.all(np.isfinite(g[k])):

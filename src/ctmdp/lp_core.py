@@ -16,7 +16,6 @@ Intended for desk-scale dense instances; there is no sparsity machinery.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -161,14 +160,8 @@ class _Simplex:
         # unreachable
 
 
-def solve_lp(problem: LpProblem, pivot_cap: int = DEFAULT_PIVOT_CAP,
-             basis_hint: Sequence[int] | None = None) -> LpSolution:
-    """Solve a dense LP; see the module docstring for method and guarantees.
-
-    basis_hint optionally names one standard-form column per row (original
-    variables first, then one slack per inequality row). A hint is used only
-    if it forms a nonsingular, feasible basis; otherwise Phase 1 runs as usual.
-    """
+def solve_lp(problem: LpProblem, pivot_cap: int = DEFAULT_PIVOT_CAP) -> LpSolution:
+    """Solve a dense LP; see the module docstring for method and guarantees."""
     n = problem.n_vars
     m_eq = problem.b_eq.size
     m_ub = problem.b_ub.size
@@ -200,63 +193,45 @@ def solve_lp(problem: LpProblem, pivot_cap: int = DEFAULT_PIVOT_CAP,
     c_std = np.concatenate([problem.c, np.zeros(m_ub)])
     engine = _Simplex(A, b, pivot_cap)
 
-    basis = None
-    Binv = None
+    # Phase 1: artificial identity basis, minimize total infeasibility
+    A_art = np.concatenate([A, np.eye(m)], axis=1)
+    c1 = np.concatenate([np.zeros(n_std), np.ones(m)])
+    basis = np.arange(n_std, n_std + m, dtype=np.int64)
+    engine.A = A_art
+    status, basis, Binv, x_B = engine.run(c1, basis, np.eye(m))
+    if status == "pivot_limit":
+        return LpSolution("pivot_limit", None, None, None, engine.pivots)
+    infeas = float(x_B[basis >= n_std].sum()) if np.any(basis >= n_std) else 0.0
+    if infeas > FEAS_TOL * (1.0 + float(np.abs(b).max(initial=0.0))):
+        return LpSolution("infeasible", None, None, None, engine.pivots)
+
+    # pivot out any zero-level artificials; drop rows that turn out redundant
     drop_rows: list[int] = []
-    if basis_hint is not None:
-        hint = np.asarray(basis_hint, dtype=np.int64)
-        if (hint.shape == (m,) and np.unique(hint).size == m
-                and hint.min() >= 0 and hint.max() < n_std):
-            try:
-                cand = np.linalg.inv(A[:, hint])
-            except np.linalg.LinAlgError:
-                cand = None
-            if cand is not None:
-                x_cand = cand @ b
-                if float(x_cand.min()) >= -FEAS_TOL:
-                    basis = hint.copy()
-                    Binv = cand
-
-    if basis is None:
-        # Phase 1: artificial identity basis, minimize total infeasibility
-        A_art = np.concatenate([A, np.eye(m)], axis=1)
-        c1 = np.concatenate([np.zeros(n_std), np.ones(m)])
-        basis = np.arange(n_std, n_std + m, dtype=np.int64)
-        engine.A = A_art
-        status, basis, Binv, x_B = engine.run(c1, basis, np.eye(m))
-        if status == "pivot_limit":
-            return LpSolution("pivot_limit", None, None, None, engine.pivots)
-        infeas = float(x_B[basis >= n_std].sum()) if np.any(basis >= n_std) else 0.0
-        if infeas > FEAS_TOL * (1.0 + float(np.abs(b).max(initial=0.0))):
-            return LpSolution("infeasible", None, None, None, engine.pivots)
-
-        # pivot out any zero-level artificials; drop rows that turn out redundant
-        drop_rows = []
-        for r in np.flatnonzero(basis >= n_std):
-            u = Binv[r] @ A
-            pool = np.flatnonzero(np.abs(u) > FEAS_TOL)
-            pool = pool[~np.isin(pool, basis)]
-            if pool.size:
-                j = int(pool[0])
-                d = Binv @ A_art[:, j]
-                piv_row = Binv[r] / d[r]
-                Binv -= np.outer(d, piv_row)
-                Binv[r] = piv_row
-                basis[r] = j
-            else:
-                drop_rows.append(int(r))
-        if drop_rows:
-            keep = np.setdiff1d(np.arange(m), drop_rows)
-            A = A[keep]
-            b = b[keep]
-            scale = scale[keep]
-            flip = flip[keep]
-            basis = basis[keep]
-            m = keep.size
-            Binv = np.linalg.inv(A[:, basis])
-        engine.A = A
-        engine.b = b
-        engine.m = m
+    for r in np.flatnonzero(basis >= n_std):
+        u = Binv[r] @ A
+        pool = np.flatnonzero(np.abs(u) > FEAS_TOL)
+        pool = pool[~np.isin(pool, basis)]
+        if pool.size:
+            j = int(pool[0])
+            d = Binv @ A_art[:, j]
+            piv_row = Binv[r] / d[r]
+            Binv -= np.outer(d, piv_row)
+            Binv[r] = piv_row
+            basis[r] = j
+        else:
+            drop_rows.append(int(r))
+    if drop_rows:
+        keep = np.setdiff1d(np.arange(m), drop_rows)
+        A = A[keep]
+        b = b[keep]
+        scale = scale[keep]
+        flip = flip[keep]
+        basis = basis[keep]
+        m = keep.size
+        Binv = np.linalg.inv(A[:, basis])
+    engine.A = A
+    engine.b = b
+    engine.m = m
 
     status, basis, Binv, x_B = engine.run(c_std, basis, Binv)
     if status in ("pivot_limit", "unbounded"):

@@ -562,8 +562,11 @@ def _initial_dist_from(doc: dict, n: int):
     if "initial_dist" in doc and "initial_state" in doc:
         raise ModelFormatError("give initial_dist or initial_state, not both")
     if "initial_state" in doc:
+        state = doc["initial_state"]
+        if isinstance(state, bool) or not isinstance(state, int) or not 0 <= state < n:
+            raise ModelFormatError(f"initial_state {state!r} is not a state index in 0..{n - 1}")
         gamma = np.zeros(n)
-        gamma[int(doc["initial_state"])] = 1.0
+        gamma[state] = 1.0
         return gamma
     if "initial_dist" in doc:
         return np.asarray(doc["initial_dist"], dtype=float)

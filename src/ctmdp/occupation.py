@@ -81,7 +81,6 @@ def occupation_of_policy(model: CtmdpModel, grid: TimeGrid,
     """
     grid.check_stability(model)
     kernel = _kernel_on_grid(model, grid, policy)
-    starts = model.action_offsets[:-1]
     R = model.rate_rows
     dt = grid.dt
 
@@ -90,11 +89,14 @@ def occupation_of_policy(model: CtmdpModel, grid: TimeGrid,
     for k in range(grid.n_steps):
         row = kernel[k]
         y[k] = p[model.pair_state] * row
-        QbT = np.add.reduceat(row[:, None] * R, starts, axis=0).T
-        k1 = QbT @ p
-        k2 = QbT @ (p + 0.5 * dt * k1)
-        k3 = QbT @ (p + 0.5 * dt * k2)
-        k4 = QbT @ (p + dt * k3)
+
+        def f(v):  # Qbar^T v, spread over the pairs and pushed through R
+            return (v[model.pair_state] * row) @ R
+
+        k1 = f(p)
+        k2 = f(p + 0.5 * dt * k1)
+        k3 = f(p + 0.5 * dt * k2)
+        k4 = f(p + dt * k3)
         p = p + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         np.maximum(p, 0.0, out=p)
         p /= p.sum()
@@ -126,27 +128,24 @@ def check_characterization(model: CtmdpModel, grid: TimeGrid, eta: OccupationGri
     tail quadrature of g, must match the marginal side
     dt * sum_k sum_i g(i,t_k) ybar(k,i) - sum_i gamma(i) int g(i,.) dt.
     Measures produced by a consistent forward solve leave O(dt); measures
-    that ignore the dynamics do not.
+    that ignore the dynamics do not. Summing by parts in time turns both
+    sides into one inner product of g with a table W built once from eta
+    (derivation in notes/decisions.md), so each test function costs O(size).
     """
     if eta.n_cells != grid.n_steps:
         raise ValueError("occupation grid does not match the time grid")
     if test_functions is None:
         test_functions = default_test_functions(model, grid)
     dt = grid.dt
-    R = model.rate_rows
-    marginal = eta.state_marginal(model)
-    gamma = model.initial_dist
+    W = (dt * dt * np.cumsum(eta.masses @ model.rate_rows, axis=0)
+         - dt * eta.state_marginal(model) + dt * model.initial_dist)
 
     worst = 0.0
     for g in test_functions:
         g = np.asarray(g, dtype=float)
-        if g.shape != (grid.n_steps, model.n_states):
-            raise ValueError(f"test function shape {g.shape}, expected "
-                             f"{(grid.n_steps, model.n_states)}")
-        tail = dt * np.flip(np.cumsum(np.flip(g, axis=0), axis=0), axis=0)  # G(., t_k)
-        lhs = dt * float(np.sum(eta.masses * (tail @ R.T)))
-        rhs = dt * float(np.sum(g * marginal)) - float(gamma @ (dt * g.sum(axis=0)))
-        worst = max(worst, abs(lhs - rhs))
+        if g.shape != W.shape:
+            raise ValueError(f"test function shape {g.shape}, expected {W.shape}")
+        worst = max(worst, abs(float(np.vdot(g, W))))
     return worst
 
 

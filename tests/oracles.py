@@ -5,10 +5,17 @@ evaluation goes through matrix exponentials (scipy), transient probabilities
 through expm as well, and small LPs through brute-force vertex enumeration.
 The one-multiplier Lagrangian dual is maximized by bracketed golden section,
 the search the library ran before it moved to column generation.
+
+The rest are the library's earlier formulas, kept as references for the
+reassociated ones that replaced them: RK4 policy evaluation and forward
+occupation through a dense mean generator per step, the characterization
+residual with one tail quadrature per test function, and the csv.writer
+exports of the value and policy tables.
 """
 
 from __future__ import annotations
 
+import csv
 import itertools
 import math
 
@@ -199,3 +206,84 @@ def euler_masses_of_kernel(model: CtmdpModel, n_cells: int,
         Qb = np.add.reduceat(kernel[k][:, None] * model.rate_rows, starts, axis=0)
         p = p + dt * (Qb.T @ p)
     return y
+
+
+def dense_policy_value(model: CtmdpModel, grid, policy: MarkovPolicy,
+                       cost_index: int = 0, integrator: str = "rk4") -> np.ndarray:
+    """Backward RK4 (or Euler) evaluation through the mean generator Qb of each
+    cell's kernel row. Returns values on the nodes, shape (n_nodes, n_s)."""
+    kernel = policy.kernel(model)
+    dt = grid.dt
+    g = np.zeros((grid.n_nodes, model.n_states))
+    for k in range(grid.n_steps - 1, -1, -1):
+        cb, Qb = kernel_tables(model, kernel[k], model.costs[cost_index])
+        y = g[k + 1]
+        if integrator == "euler":
+            g[k] = y + dt * (cb + Qb @ y)
+            continue
+        k1 = cb + Qb @ y
+        k2 = cb + Qb @ (y + 0.5 * dt * k1)
+        k3 = cb + Qb @ (y + 0.5 * dt * k2)
+        k4 = cb + Qb @ (y + dt * k3)
+        g[k] = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return g
+
+
+def dense_occupation_masses(model: CtmdpModel, grid, policy: MarkovPolicy) -> np.ndarray:
+    """Forward RK4 cell masses p(i, t_k) kernel(a | i, t_k) through Qb^T,
+    clipped and renormalized per step like the library."""
+    kernel = policy.kernel(model)
+    dt = grid.dt
+    p = model.initial_dist.astype(float).copy()
+    y = np.zeros((grid.n_steps, model.n_pairs))
+    for k in range(grid.n_steps):
+        y[k] = p[model.pair_state] * kernel[k]
+        QbT = kernel_tables(model, kernel[k], model.costs[0])[1].T
+        k1 = QbT @ p
+        k2 = QbT @ (p + 0.5 * dt * k1)
+        k3 = QbT @ (p + 0.5 * dt * k2)
+        k4 = QbT @ (p + dt * k3)
+        p = p + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        np.maximum(p, 0.0, out=p)
+        p /= p.sum()
+    return y
+
+
+def tail_characterization_residual(model: CtmdpModel, grid, masses: np.ndarray,
+                                   test_functions) -> float:
+    """Max over test tables g of |generator side - marginal side|, with the tail
+    quadrature G(., t_k) = dt sum_{l >= k} g(., t_l) formed for each g."""
+    dt = grid.dt
+    R = model.rate_rows
+    marginal = np.add.reduceat(masses, model.action_offsets[:-1], axis=1)
+    worst = 0.0
+    for g in test_functions:
+        tail = dt * np.flip(np.cumsum(np.flip(g, axis=0), axis=0), axis=0)
+        lhs = dt * float(np.sum(masses * (tail @ R.T)))
+        rhs = dt * float(np.sum(g * marginal)) - float(model.initial_dist @ (dt * g.sum(axis=0)))
+        worst = max(worst, abs(lhs - rhs))
+    return worst
+
+
+def csv_writer_value_table(value_grid, path) -> None:
+    """value.csv through csv.writer: header, then state-major rows."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["state", "t", "value"])
+        nodes = value_grid.grid.nodes
+        for i in range(value_grid.values.shape[1]):
+            for k in range(value_grid.values.shape[0]):
+                writer.writerow([i, f"{nodes[k]:.12g}", f"{value_grid.values[k, i]:.17g}"])
+
+
+def csv_writer_policy_table(model: CtmdpModel, grid, policy: MarkovPolicy, path) -> None:
+    """policy.csv through csv.writer: one row of action components per node."""
+    dim = model.action_points.shape[1]
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["state", "t"] + [f"a{d}" for d in range(dim)])
+        nodes = grid.nodes
+        for i in range(model.n_states):
+            for k in range(policy.n_nodes):
+                point = model.action_points[model.pair_index(i, int(policy.action_index[k, i]))]
+                writer.writerow([i, f"{nodes[k]:.12g}"] + [f"{x:.17g}" for x in point])

@@ -80,6 +80,39 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "constraint_bounds" in err and "finite" in err
 
+    @pytest.mark.parametrize("flags", [["--i0", "99"], ["--i0", "-1"], ["--subset", "0,99"],
+                                       ["--subset", "-1"], ["--subset", "0,x"]])
+    def test_state_flag_out_of_range_is_usage_error(self, tmp_path, capsys, flags):
+        code = main(["simulate", *preset_args("--steps", "50", "--replicates", "100",
+                                              *flags, out=tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert flags[0] in err and "Traceback" not in err
+        assert not (tmp_path / "report.txt").exists()
+
+    @pytest.mark.parametrize("state", ["5", "-1", "1.5", "true"])
+    def test_initial_state_out_of_range_is_usage_error(self, tmp_path, capsys, state):
+        path = tmp_path / "model.json"
+        path.write_text('{"states": 2, "actions_per_state": [[[0.0]], [[0.0]]], '
+                        '"rates": [[[-1.0, 1.0]], [[1.0, -1.0]]], "costs": [[[0.0], [1.0]]], '
+                        f'"horizon": 1.0, "initial_state": {state}}}')
+        code = main(["simulate", "--model", str(path), "--steps", "50",
+                     "--replicates", "100", "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "initial_state" in err and "Traceback" not in err
+
+    def test_initial_state_in_range_is_a_point_mass(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text('{"preset": "birth_death", "lambda": 1.0, "mu": 2.0, "m": 4, '
+                        '"initial_state": 3}')
+        assert main(["solve", "--model", str(path), "--steps", "100",
+                     "--out", str(tmp_path)]) == 0
+        report = (tmp_path / "report.txt").read_text()
+        values = (tmp_path / "value.csv").read_text().splitlines()
+        g3 = next(line for line in values if line.startswith("3,0,")).split(",")[2]
+        assert f"value_initial_dist={g3}\n" in report
+
 
 class TestOutputs:
     def test_solve_writes_value_policy_and_report(self, tmp_path, capsys):

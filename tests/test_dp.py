@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from ctmdp.dp import (GridStabilityError, TimeGrid, check_value_envelope,
-                      evaluate_policy, solve_backward, truncation_error_bound)
+from ctmdp.dp import (GridStabilityError, TimeGrid, ValueGrid, check_value_envelope,
+                      evaluate_policy, solve_backward, truncation_error_bound,
+                      write_policy_csv)
 from ctmdp.model import (CtmdpModel, MarkovPolicy, auto_certificate,
                          birth_death_certificate, cost_bound_from_tables,
                          certify_drift, make_birth_death)
-from oracles import expm_policy_value, random_instance, random_policy
+from oracles import (csv_writer_policy_table, csv_writer_value_table, dense_policy_value,
+                     expm_policy_value, random_instance, random_policy)
 
 TWO_STATE_EXACT = 0.5 - (1.0 - math.exp(-2.0)) / 4.0  # integral of (1-e^{-2t})/2
 
@@ -19,6 +21,27 @@ def two_state_chain():
         rates=[[[-1.0, 1.0]], [[1.0, -1.0]]],
         costs=[[[0.0], [1.0]]],
         horizon=1.0, weight=[1.0, 2.0])
+
+
+def reassociation_case(name):
+    """(model, grid, policy) on which a reassociated formula meets its dense
+    oracle: seeded random instances under randomized kernels, and birth-death
+    m=20 under its optimal policy and under a randomized kernel."""
+    if name.startswith("random"):
+        rng = np.random.default_rng(int(name[len("random"):]))
+        model = random_instance(rng, max_states=6, max_actions=3, n_costs=2)
+        grid = TimeGrid(model.horizon, 60)
+        return model, grid, random_policy(rng, model, grid.n_nodes, randomized=True)
+    model = make_birth_death(1.0, 2.0, m=20, grid=3, initial_dist=np.full(20, 0.05))
+    grid = TimeGrid(1.0, TimeGrid(1.0, 1).required_steps(model))
+    if name == "birth_death20_optimal":
+        return model, grid, solve_backward(model, grid)[1]
+    return model, grid, random_policy(np.random.default_rng(3), model, grid.n_nodes,
+                                      randomized=True)
+
+
+REASSOCIATION_CASES = ["random0", "random1", "random2", "random3",
+                       "birth_death20_optimal", "birth_death20_random"]
 
 
 class TestTimeGrid:
@@ -185,6 +208,15 @@ class TestEvaluatePolicy:
             evaluate_policy(model, grid, MarkovPolicy.uniform(model, grid.n_nodes),
                             cost_index=5)
 
+    @pytest.mark.parametrize("integrator", ["rk4", "euler"])
+    @pytest.mark.parametrize("case", REASSOCIATION_CASES)
+    def test_matches_the_dense_generator_oracle(self, case, integrator):
+        model, grid, policy = reassociation_case(case)
+        for cost_index in range(model.costs.shape[0]):
+            got = evaluate_policy(model, grid, policy, cost_index, integrator).values
+            want = dense_policy_value(model, grid, policy, cost_index, integrator)
+            assert np.max(np.abs(got - want)) <= 1e-13 * max(1.0, np.max(np.abs(want)))
+
     def test_policy_grid_mismatch_rejected(self):
         model = two_state_chain()
         _, policy = solve_backward(model, TimeGrid(1.0, 10))
@@ -233,7 +265,54 @@ class TestCsvExports:
         lines = vpath.read_text().strip().splitlines()
         assert lines[0] == "state,t,value"
         assert len(lines) == 1 + 2 * grid.n_nodes
-        from ctmdp.dp import write_policy_csv
         ppath = tmp_path / "policy.csv"
         write_policy_csv(model, grid, policy, ppath)
         assert ppath.read_text().startswith("state,t,a0")
+
+
+def tiny_and_negative_model(horizon):
+    """Two states whose costs and action points are negative, subnormal or
+    signed zeros, so the exported values and components are too."""
+    return CtmdpModel.from_tables(
+        actions_per_state=[[(-1e-300, 2.5e-17), (-0.0, -3.25)], [(5e-324, 0.1)]],
+        rates=[[[-1.0, 1.0], [-0.5, 0.5]], [[2.0, -2.0]]],
+        costs=[[[-1e-300, -7.125], [3e-310]]],
+        horizon=horizon)
+
+
+class TestCsvByteIdentity:
+    """The string-joined writers emit the bytes csv.writer does."""
+
+    @pytest.mark.parametrize("case", ["birth_death_2d", "tiny_negative", "horizon_0.7"])
+    def test_value_and_policy_match_csv_writer(self, tmp_path, case):
+        if case == "birth_death_2d":
+            model = make_birth_death(1.0, 2.0, m=6, grid=3)
+            grid = TimeGrid(1.0, 40)
+        elif case == "tiny_negative":
+            model = tiny_and_negative_model(1.0)
+            grid = TimeGrid(1.0, 16)
+        else:
+            model = make_birth_death(1.0, 2.0, m=4, grid=2, horizon=0.7)
+            grid = TimeGrid(0.7, 30)
+        values, policy = solve_backward(model, grid)
+        if case == "tiny_negative":
+            # a subnormal and a signed zero in the table, both actions of state 0
+            table = values.values.copy()
+            table[-1] = [-0.0, 5e-324]
+            values = ValueGrid(grid, table)
+            assert np.min(values.values) < 0.0
+            policy = MarkovPolicy.deterministic(
+                np.stack([np.arange(grid.n_nodes) % 2, np.zeros(grid.n_nodes, int)], axis=1))
+        values.write_csv(tmp_path / "value.csv")
+        csv_writer_value_table(values, tmp_path / "value_ref.csv")
+        write_policy_csv(model, grid, policy, tmp_path / "policy.csv")
+        csv_writer_policy_table(model, grid, policy, tmp_path / "policy_ref.csv")
+        assert (tmp_path / "value.csv").read_bytes() == (tmp_path / "value_ref.csv").read_bytes()
+        assert (tmp_path / "policy.csv").read_bytes() == (tmp_path / "policy_ref.csv").read_bytes()
+
+    def test_out_of_range_action_index_rejected(self, tmp_path):
+        model = two_state_chain()
+        grid = TimeGrid(1.0, 4)
+        with pytest.raises(IndexError):
+            write_policy_csv(model, grid, MarkovPolicy.constant(model, 1, grid.n_nodes),
+                             tmp_path / "policy.csv")

@@ -116,20 +116,6 @@ class TestOptimalityCertificates:
             n_eq = problem.b_eq.size
             assert np.all(sol.y[n_eq:] <= 1e-9)
 
-    def test_basis_hint_shortens_the_run(self):
-        # pinned system: the identity basis is feasible and optimal
-        n = 8
-        A = np.eye(n)
-        b = np.ones(n)
-        c = np.arange(1.0, n + 1.0)
-        with_hint = solve_lp(LpProblem(c=c, A_eq=A, b_eq=b),
-                             basis_hint=np.arange(n))
-        assert with_hint.status == "optimal" and with_hint.n_pivots == 0
-        bad_hint = solve_lp(LpProblem(c=c, A_eq=A, b_eq=b),
-                            basis_hint=np.zeros(n, dtype=int))  # singular: ignored
-        assert bad_hint.status == "optimal"
-        assert bad_hint.objective == pytest.approx(with_hint.objective, abs=1e-10)
-
 
 class TestLpFormatExport:
     def test_file_mentions_every_block(self, tmp_path):

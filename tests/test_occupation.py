@@ -12,9 +12,11 @@ from ctmdp.occupation import (DualSearchConfig, _dual_value_fn, build_constraine
                               disintegrate, lagrangian_dual, occupation_of_policy,
                               solve_constrained, uniform_occupation)
 from ctmdp.sim import mc_value
-from oracles import (euler_masses_of_kernel, expm_transient, golden_dual_max,
-                     random_instance, random_policy)
+from oracles import (dense_occupation_masses, euler_masses_of_kernel, expm_transient,
+                     golden_dual_max, random_instance, random_policy,
+                     tail_characterization_residual)
 from test_acceptance import slater_birth_death
+from test_dp import REASSOCIATION_CASES, reassociation_case
 
 
 def two_state_chain(horizon=1.0):
@@ -107,8 +109,28 @@ class TestOccupationOfPolicy:
             assert abs(eta_pinned.expected_cost(pinned, 0) - est.mean) \
                 <= 4.0 * est.se + 5e-3
 
+    @pytest.mark.parametrize("case", REASSOCIATION_CASES)
+    def test_matches_the_dense_generator_oracle(self, case):
+        model, grid, policy = reassociation_case(case)
+        got = occupation_of_policy(model, grid, policy).masses
+        assert np.max(np.abs(got - dense_occupation_masses(model, grid, policy))) <= 1e-13
+
 
 class TestCharacterization:
+    @pytest.mark.parametrize("case", REASSOCIATION_CASES)
+    def test_matches_the_tail_quadrature_oracle(self, case):
+        model, grid, policy = reassociation_case(case)
+        rng = np.random.default_rng(11)
+        shape = (grid.n_steps, model.n_states)
+        families = (default_test_functions(model, grid),
+                    [rng.normal(size=shape), rng.uniform(-1.0, 1.0, size=shape) ** 3,
+                     np.outer(np.linspace(1.0, 0.0, grid.n_steps), model.weight)])
+        for eta in (occupation_of_policy(model, grid, policy), uniform_occupation(model, grid)):
+            for tests in families:
+                got = check_characterization(model, grid, eta, tests)
+                want = tail_characterization_residual(model, grid, eta.masses, tests)
+                assert abs(got - want) <= 1e-12 * want
+
     def test_constant_test_function_balances_exactly(self):
         model = two_state_chain()
         grid = TimeGrid(1.0, 200)
