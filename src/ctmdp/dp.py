@@ -135,42 +135,54 @@ def _min_operator(model: CtmdpModel, cbar: np.ndarray):
     return f
 
 
+def _stage_min(model: CtmdpModel, cbar: np.ndarray):
+    """Return f(g) -> per-state min of c(i,a) + q(.|i,a) . g, without argmins."""
+    R = model.rate_rows
+    starts = model.action_offsets[:-1]
+    return lambda g: np.minimum.reduceat(cbar + R @ g, starts)
+
+
 def solve_backward(model: CtmdpModel, grid: TimeGrid, cost_weights=None,
                    integrator: str = "rk4") -> tuple[ValueGrid, MarkovPolicy]:
     """Integrate the optimality equation backward; return value and argmin policy.
 
-    The argmin is re-resolved at every RK4 stage and recorded at each node
-    from a final evaluation on that node's value vector (ties break to the
-    lowest action index). ``integrator='euler'`` switches to a single forward
-    Euler stage per step; the occupation-measure LP is the discrete dual of
-    exactly that scheme, so its Lagrangian probes use it for a matched pair.
+    The min is re-resolved at every RK4 stage, which needs only its value;
+    the argmin is recorded at each node from a final evaluation on that
+    node's value vector (ties break to the lowest action index).
+    ``integrator='euler'`` switches to a single forward Euler stage per step;
+    the occupation-measure LP is the discrete dual of exactly that scheme, so
+    its Lagrangian probes use it for a matched pair.
     """
     grid.check_stability(model)
     cbar = scalarize_costs(model, cost_weights)
-    f = _min_operator(model, cbar)
+    f = _stage_min(model, cbar)
+    node = _min_operator(model, cbar)
     dt = grid.dt
 
     g = np.zeros((grid.n_nodes, model.n_states))
     policy = np.zeros((grid.n_nodes, model.n_states), dtype=np.int64)
-    _, policy[grid.n_steps] = f(g[grid.n_steps])
+    mins, policy[grid.n_steps] = node(g[grid.n_steps])
+    if not np.all(np.isfinite(mins)):  # e.g. a state with an empty action set
+        state = int(np.argmin(np.isfinite(mins)))
+        raise NumericsError(f"non-finite minimum at node {grid.n_steps} "
+                            f"(t={grid.n_steps * dt:.6g}) in state {state}")
 
     with np.errstate(over="ignore", invalid="ignore"):  # caught by isfinite below
         for k in range(grid.n_steps - 1, -1, -1):
             y = g[k + 1]
             if integrator == "rk4":
-                k1, _ = f(y)
-                k2, _ = f(y + 0.5 * dt * k1)
-                k3, _ = f(y + 0.5 * dt * k2)
-                k4, _ = f(y + dt * k3)
+                k1 = f(y)
+                k2 = f(y + 0.5 * dt * k1)
+                k3 = f(y + 0.5 * dt * k2)
+                k4 = f(y + dt * k3)
                 g[k] = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             elif integrator == "euler":
-                k1, _ = f(y)
-                g[k] = y + dt * k1
+                g[k] = y + dt * f(y)
             else:
                 raise ValueError(f"unknown integrator {integrator!r}")
             if not np.all(np.isfinite(g[k])):
                 raise NumericsError(f"non-finite value at node {k} (t={k * dt:.6g})")
-            _, policy[k] = f(g[k])
+            _, policy[k] = node(g[k])
 
     return ValueGrid(grid=grid, values=g), MarkovPolicy.deterministic(policy)
 

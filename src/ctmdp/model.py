@@ -193,7 +193,10 @@ class CtmdpModel:
         points = np.zeros((len(pts), dim))
         for k, vec in enumerate(pts):
             points[k, :len(vec)] = vec
-        rate_rows = np.vstack([np.asarray(rates[i], dtype=float).reshape(len(actions_per_state[i]), n)
+        if len(rates) != n:
+            missing = f"; state {len(rates)} has no rate rows" if len(rates) < n else ""
+            raise ModelFormatError(f"rates has {len(rates)} entries for {n} states{missing}")
+        rate_rows = np.vstack([_rate_rows_of(rates[i], i, len(actions_per_state[i]), n)
                                for i in range(n)])
         cost_arr = np.vstack([np.concatenate([np.asarray(ci, dtype=float).reshape(-1) for ci in table])
                               for table in costs]) if costs else np.zeros((1, len(pts)))
@@ -207,6 +210,18 @@ class CtmdpModel:
                    constraint_bounds=np.asarray(constraint_bounds, dtype=float),
                    horizon=float(horizon), initial_dist=gamma, weight=w,
                    truncation_level=truncation_level)
+
+
+def _rate_rows_of(rows, i: int, n_actions: int, n: int) -> np.ndarray:
+    """State i's rate rows as an (n_actions, n) array, or a ModelFormatError."""
+    try:
+        arr = np.asarray(rows, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ModelFormatError(f"rates for state {i} are not a numeric table: {exc}") from exc
+    if arr.size != n_actions * n:
+        raise ModelFormatError(f"rates for state {i} have shape {arr.shape}, expected "
+                               f"{n_actions} row(s) of {n} rates, one per action")
+    return arr.reshape(n_actions, n)
 
 
 def validate_model(model: CtmdpModel) -> list[Violation]:

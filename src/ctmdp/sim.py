@@ -166,21 +166,87 @@ def simulate(model: CtmdpModel, policy: MarkovPolicy, i0: int, seed) -> Trajecto
                       action_indices=np.asarray(actions, dtype=np.int64))
 
 
-def _prefix_integral(table: np.ndarray, dt_cells: float):
-    """Cumulative integral of a piecewise-constant (cell, state) table."""
+def _integral_fn(table: np.ndarray, dt_cells: float, t_end: float):
+    """F(state, u): integral of table(., state) over [0, min(u, t_end)], u >= 0.
+
+    The table is piecewise constant on the cells, so F is a cumulative sum at
+    the cell boundary plus a partial cell. The cumulative sums and the table
+    share one (state, cell) layout, so one flat index reads both.
+    """
     n_cells, n_states = table.shape
     pre = np.zeros((n_states, n_cells + 1))
     pre[:, 1:] = np.cumsum(table.T, axis=1) * dt_cells
-    return pre
+    value = np.zeros((n_states, n_cells + 1))
+    value[:, :n_cells] = table.T
+    pre, value = pre.ravel(), value.ravel()
+    end = min(max(t_end, 0.0), n_cells * dt_cells)
+
+    def integral(state: np.ndarray, u: np.ndarray) -> np.ndarray:
+        u = np.minimum(u, end)
+        cell = (u / dt_cells).astype(np.int64)
+        np.minimum(cell, n_cells - 1, out=cell)
+        at = state * (n_cells + 1) + cell
+        return pre.take(at) + (u - cell * dt_cells) * value.take(at)
+
+    return integral
 
 
-def _integral_to(pre: np.ndarray, table: np.ndarray, dt_cells: float,
-                 state: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Integral of table(., state) from 0 to u along constant-state stretches."""
-    n_cells = table.shape[0]
-    u = np.clip(u, 0.0, n_cells * dt_cells)
-    cell = np.clip((u / dt_cells).astype(np.int64), 0, n_cells - 1)
-    return pre[state, cell] + (u - cell * dt_cells) * table[cell, state]
+@dataclass(frozen=True)
+class _JumpTable:
+    """Per-pair tables for choosing the target of an accepted jump.
+
+    ``normalized[ka]`` is the off-diagonal row of pair ka divided by
+    |q(i|i,a)| and ``fallback[ka]`` its argmax. The cumulative sum of that row
+    is flat between nonzero entries, so the count of its entries below u is
+    ``lead * (0 < u)`` plus, over the row's nonzero slots s,
+    ``width[s] * (cum[s] < u)``. ``lead`` is the first nonzero column,
+    ``width[s]`` the number of columns from slot s up to the next slot (or
+    the row end) and ``cum[s]`` the running sum at slot s. Unused slots have
+    width 0.
+    """
+
+    diag: np.ndarray        # (n_pairs,) |q(i|i,a)|
+    normalized: np.ndarray  # (n_pairs, n_states)
+    fallback: np.ndarray    # (n_pairs,)
+    lead: np.ndarray        # (n_pairs,)
+    cum: np.ndarray         # (n_slots, n_pairs)
+    width: np.ndarray       # (n_slots, n_pairs)
+
+
+def _jump_table(model: CtmdpModel) -> _JumpTable:
+    n = model.n_states
+    pairs = np.arange(model.n_pairs)
+    diag = np.abs(model.rate_rows[pairs, model.pair_state])
+    rows = model.rate_rows.copy()
+    rows[pairs, model.pair_state] = 0.0
+    rows /= np.where(diag > 0.0, diag, 1.0)[:, None]  # diag = 0 pairs never jump
+    nonzero = rows != 0.0
+    n_slots = int(nonzero.sum(axis=1).max(initial=0))
+    # each row's nonzero columns in order, padded with n
+    cols = np.argsort(~nonzero, axis=1, kind="stable")[:, :n_slots]
+    cols = np.where(np.take_along_axis(nonzero, cols, axis=1), cols, n)
+    bounds = np.column_stack([cols, np.full(model.n_pairs, n)])
+    cum = np.take_along_axis(np.cumsum(rows, axis=1), np.minimum(cols, n - 1), axis=1)
+    return _JumpTable(diag=diag, normalized=rows, fallback=np.argmax(rows, axis=1),
+                      lead=bounds[:, 0], cum=np.ascontiguousarray(cum.T),
+                      width=np.ascontiguousarray(np.diff(bounds, axis=1).T))
+
+
+def _jump_targets(jumps: _JumpTable, ka: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Target state of each accepted jump from pair ka at uniform draw u.
+
+    Equal to counting the entries of ``cumsum(normalized[ka]) < u``, clipped
+    to the last state, with the argmax fallback when that entry has no mass.
+    """
+    j = jumps.lead.take(ka) * (0.0 < u)
+    for cum, width in zip(jumps.cum, jumps.width):
+        j += (cum.take(ka) < u) * width.take(ka)
+    n_states = jumps.normalized.shape[1]
+    np.minimum(j, n_states - 1, out=j)
+    bad = jumps.normalized.take(ka * n_states + j) <= 0.0
+    if np.any(bad):
+        j[bad] = jumps.fallback.take(ka[bad])
+    return j
 
 
 def _run_batch(model: CtmdpModel, policy: MarkovPolicy, i0: int, n_paths: int,
@@ -191,95 +257,104 @@ def _run_batch(model: CtmdpModel, policy: MarkovPolicy, i0: int, n_paths: int,
     pathwise integrals over [0, min(t_end, T)] are returned, one column each.
     capture_time: if set, also return the state each path holds at that time.
     All randomness is drawn from the single counter-based stream ``rng`` with
-    a consumption pattern that is a pure function of the seed.
+    a consumption pattern that is a pure function of the seed: each round
+    draws the proposal clocks of the live paths in ascending path id, then,
+    for those still short of the horizon, the action draws (randomized
+    policies) and the acceptance draws, then the target draws of the
+    accepted ones.
+
+    Only live paths are held, compacted in path-id order; a path's outputs
+    are written once, in the round it reaches the horizon. Each integrand
+    carries its integral up to the start of the current stretch, which is the
+    previous round's value at the stretch end unless the path jumped. See
+    notes/decisions.md for why this reproduces the full-width loop bit for bit.
     """
     cells, dt_cells = _policy_cells(model, policy)
     n_cells = cells.shape[0]
+    n_states = model.n_states
     T = model.horizon
-    R = model.rate_rows
     offsets = model.action_offsets
     q_star = model.q_star
+    clock_rate = np.where(q_star > 0, q_star, 1.0)
+    absorbing = q_star <= 0.0
     randomized = policy.kind == "randomized"
-    pad, mask = model.pad_index, model.pad_mask
+    pad, mask, n_actions = model.pad_index, model.pad_mask, np.diff(offsets)
+    if not randomized:
+        pair_at = (offsets[:-1] + policy.action_index[:n_cells]).ravel()
+    jumps = _jump_table(model)
+    integrals = [_integral_fn(np.asarray(tab), dt_cells, min(float(t_end), T))
+                 for tab, t_end in integrands]
 
-    tables = [np.ascontiguousarray(tab) for tab, _ in integrands]
-    ends = [min(float(t_end), T) for _, t_end in integrands]
-    prefixes = [_prefix_integral(tab, dt_cells) for tab in tables]
+    acc_out = np.zeros((n_paths, len(integrands)))
+    captured = np.full(n_paths, -1, dtype=np.int64)
 
+    ids = np.arange(n_paths)
     t = np.zeros(n_paths)
     state = np.full(n_paths, int(i0), dtype=np.int64)
-    done = np.zeros(n_paths, dtype=bool)
-    captured = np.full(n_paths, -1, dtype=np.int64)
-    acc = np.zeros((n_paths, len(integrands)))
+    acc = [np.zeros(n_paths) for _ in integrals]
+    start = [F(state, t) for F in integrals]
 
     max_rounds = _MAX_ROUNDS_SLACK + int(20 * model.max_q_star * T)
     for _ in range(max_rounds):
-        idx = np.flatnonzero(~done)
-        if idx.size == 0:
+        if ids.size == 0:
             break
-        s = state[idx]
-        qs = q_star[s]
-        draws = rng.exponential(1.0, size=idx.size)
-        with np.errstate(divide="ignore"):
-            t_new = np.where(qs > 0.0, t[idx] + draws / np.where(qs > 0, qs, 1.0), np.inf)
+        t_new = t + rng.exponential(1.0, size=ids.size) / clock_rate.take(state)
+        t_new[absorbing.take(state)] = np.inf
 
         if capture_time is not None:
-            hit = (captured[idx] < 0) & (t[idx] <= capture_time) & (capture_time < t_new)
-            captured[idx[hit]] = s[hit]
+            hit = (t <= capture_time) & (capture_time < t_new)
+            captured[ids[hit]] = state[hit]
 
         hi = np.minimum(t_new, T)
-        for m, (pre, tab, t_end) in enumerate(zip(prefixes, tables, ends)):
-            lo_m = np.minimum(t[idx], t_end)
-            hi_m = np.minimum(hi, t_end)
-            acc[idx, m] += (_integral_to(pre, tab, dt_cells, s, hi_m)
-                            - _integral_to(pre, tab, dt_cells, s, lo_m))
+        for m, F in enumerate(integrals):
+            end = F(state, hi)
+            acc[m] += end - start[m]
+            start[m] = end
 
         finished = t_new >= T
-        done[idx[finished]] = True
-        t[idx] = hi
+        if finished.any():
+            out = ids[finished]
+            for m in range(len(acc)):
+                acc_out[out, m] = acc[m][finished]
+            if capture_time is not None:
+                held = captured[out]
+                captured[out] = np.where(held < 0, state[finished], held)
+            keep = np.flatnonzero(~finished)
+            ids, t, state = ids.take(keep), hi.take(keep), state.take(keep)
+            acc = [a.take(keep) for a in acc]
+            start = [f.take(keep) for f in start]
+            if ids.size == 0:
+                break
+        else:
+            t = hi
 
-        live = idx[~finished]
-        if live.size == 0:
-            continue
-        s_live = state[live]
-        t_live = t[live]
-        cell = _cell_of(t_live, dt_cells, n_cells)
+        cell = _cell_of(t, dt_cells, n_cells)
         if randomized:
-            rows = cells[cell[:, None], pad[s_live]]
-            rows = np.where(mask[s_live], rows, 0.0)
-            u = rng.random(live.size) * rows.sum(axis=1)
+            rows = cells[cell[:, None], pad[state]]
+            rows = np.where(mask[state], rows, 0.0)
+            u = rng.random(ids.size) * rows.sum(axis=1)
             local = (np.cumsum(rows, axis=1) < u[:, None]).sum(axis=1)
-            local = np.minimum(local, np.diff(offsets)[s_live] - 1)
+            local = np.minimum(local, n_actions[state] - 1)
             chosen = rows[np.arange(rows.shape[0]), local]
             off = chosen <= 0.0  # boundary draws may land on a zero-mass action
             if np.any(off):
                 local[off] = np.argmax(rows[off], axis=1)
+            ka = offsets[state] + local
         else:
-            local = policy.action_index[cell, s_live]
-        ka = offsets[s_live] + local
+            ka = pair_at.take(cell * n_states + state)
 
-        diag = np.abs(R[ka, s_live])
-        accept = rng.random(live.size) * q_star[s_live] < diag
-        if not np.any(accept):
+        accept = rng.random(ids.size) * q_star.take(state) < jumps.diag.take(ka)
+        jumped = np.flatnonzero(accept)
+        if jumped.size == 0:
             continue
-        jump_from = live[accept]
-        rows = R[ka[accept]].copy()
-        rows[np.arange(rows.shape[0]), state[jump_from]] = 0.0
-        rows /= diag[accept][:, None]
-        u2 = rng.random(rows.shape[0])
-        j = (np.cumsum(rows, axis=1) < u2[:, None]).sum(axis=1)
-        j = np.minimum(j, model.n_states - 1)
-        bad = rows[np.arange(rows.shape[0]), j] <= 0.0
-        if np.any(bad):
-            j[bad] = np.argmax(rows[bad], axis=1)
-        state[jump_from] = j
-    if not done.all():
+        j = _jump_targets(jumps, ka.take(jumped), rng.random(jumped.size))
+        state[jumped] = j
+        t_jump = t.take(jumped)
+        for m, F in enumerate(integrals):
+            start[m][jumped] = F(j, t_jump)
+    if ids.size:
         raise RuntimeError("batch thinning did not finish within the round cap")
-
-    if capture_time is not None:
-        remaining = captured < 0
-        captured[remaining] = state[remaining]
-    return acc, captured
+    return acc_out, captured
 
 
 def mc_value(model: CtmdpModel, policy: MarkovPolicy, i0: int, cost_index: int,

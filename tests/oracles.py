@@ -9,8 +9,9 @@ the search the library ran before it moved to column generation.
 The rest are the library's earlier formulas, kept as references for the
 reassociated ones that replaced them: RK4 policy evaluation and forward
 occupation through a dense mean generator per step, the characterization
-residual with one tail quadrature per test function, and the csv.writer
-exports of the value and policy tables.
+residual with one tail quadrature per test function, the csv.writer
+exports of the value and policy tables, and the full-width thinning batch
+that gathers a dense rate row per accepted jump.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from ctmdp.model import CtmdpModel, MarkovPolicy
+from ctmdp.sim import _MAX_ROUNDS_SLACK, _cell_of, _policy_cells
 
 
 def kernel_tables(model: CtmdpModel, kernel_row: np.ndarray, cost_row: np.ndarray):
@@ -287,3 +289,144 @@ def csv_writer_policy_table(model: CtmdpModel, grid, policy: MarkovPolicy, path)
             for k in range(policy.n_nodes):
                 point = model.action_points[model.pair_index(i, int(policy.action_index[k, i]))]
                 writer.writerow([i, f"{nodes[k]:.12g}"] + [f"{x:.17g}" for x in point])
+
+
+def _prefix_integral(table: np.ndarray, dt_cells: float):
+    """Cumulative integral of a piecewise-constant (cell, state) table."""
+    n_cells, n_states = table.shape
+    pre = np.zeros((n_states, n_cells + 1))
+    pre[:, 1:] = np.cumsum(table.T, axis=1) * dt_cells
+    return pre
+
+
+def _integral_to(pre: np.ndarray, table: np.ndarray, dt_cells: float,
+                 state: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Integral of table(., state) from 0 to u along constant-state stretches."""
+    n_cells = table.shape[0]
+    u = np.clip(u, 0.0, n_cells * dt_cells)
+    cell = np.clip((u / dt_cells).astype(np.int64), 0, n_cells - 1)
+    return pre[state, cell] + (u - cell * dt_cells) * table[cell, state]
+
+
+def dense_run_batch(model: CtmdpModel, policy: MarkovPolicy, i0: int, n_paths: int,
+                    rng, integrands=(), capture_time: float | None = None):
+    """Vectorized thinning over a batch of paths.
+
+    integrands: sequence of (table (n_cells, n_states), t_end) pairs whose
+    pathwise integrals over [0, min(t_end, T)] are returned, one column each.
+    capture_time: if set, also return the state each path holds at that time.
+    All randomness is drawn from the single counter-based stream ``rng`` with
+    a consumption pattern that is a pure function of the seed.
+    """
+    cells, dt_cells = _policy_cells(model, policy)
+    n_cells = cells.shape[0]
+    T = model.horizon
+    R = model.rate_rows
+    offsets = model.action_offsets
+    q_star = model.q_star
+    randomized = policy.kind == "randomized"
+    pad, mask = model.pad_index, model.pad_mask
+
+    tables = [np.ascontiguousarray(tab) for tab, _ in integrands]
+    ends = [min(float(t_end), T) for _, t_end in integrands]
+    prefixes = [_prefix_integral(tab, dt_cells) for tab in tables]
+
+    t = np.zeros(n_paths)
+    state = np.full(n_paths, int(i0), dtype=np.int64)
+    done = np.zeros(n_paths, dtype=bool)
+    captured = np.full(n_paths, -1, dtype=np.int64)
+    acc = np.zeros((n_paths, len(integrands)))
+
+    max_rounds = _MAX_ROUNDS_SLACK + int(20 * model.max_q_star * T)
+    for _ in range(max_rounds):
+        idx = np.flatnonzero(~done)
+        if idx.size == 0:
+            break
+        s = state[idx]
+        qs = q_star[s]
+        draws = rng.exponential(1.0, size=idx.size)
+        with np.errstate(divide="ignore"):
+            t_new = np.where(qs > 0.0, t[idx] + draws / np.where(qs > 0, qs, 1.0), np.inf)
+
+        if capture_time is not None:
+            hit = (captured[idx] < 0) & (t[idx] <= capture_time) & (capture_time < t_new)
+            captured[idx[hit]] = s[hit]
+
+        hi = np.minimum(t_new, T)
+        for m, (pre, tab, t_end) in enumerate(zip(prefixes, tables, ends)):
+            lo_m = np.minimum(t[idx], t_end)
+            hi_m = np.minimum(hi, t_end)
+            acc[idx, m] += (_integral_to(pre, tab, dt_cells, s, hi_m)
+                            - _integral_to(pre, tab, dt_cells, s, lo_m))
+
+        finished = t_new >= T
+        done[idx[finished]] = True
+        t[idx] = hi
+
+        live = idx[~finished]
+        if live.size == 0:
+            continue
+        s_live = state[live]
+        t_live = t[live]
+        cell = _cell_of(t_live, dt_cells, n_cells)
+        if randomized:
+            rows = cells[cell[:, None], pad[s_live]]
+            rows = np.where(mask[s_live], rows, 0.0)
+            u = rng.random(live.size) * rows.sum(axis=1)
+            local = (np.cumsum(rows, axis=1) < u[:, None]).sum(axis=1)
+            local = np.minimum(local, np.diff(offsets)[s_live] - 1)
+            chosen = rows[np.arange(rows.shape[0]), local]
+            off = chosen <= 0.0  # boundary draws may land on a zero-mass action
+            if np.any(off):
+                local[off] = np.argmax(rows[off], axis=1)
+        else:
+            local = policy.action_index[cell, s_live]
+        ka = offsets[s_live] + local
+
+        diag = np.abs(R[ka, s_live])
+        accept = rng.random(live.size) * q_star[s_live] < diag
+        if not np.any(accept):
+            continue
+        jump_from = live[accept]
+        rows = R[ka[accept]].copy()
+        rows[np.arange(rows.shape[0]), state[jump_from]] = 0.0
+        rows /= diag[accept][:, None]
+        u2 = rng.random(rows.shape[0])
+        j = (np.cumsum(rows, axis=1) < u2[:, None]).sum(axis=1)
+        j = np.minimum(j, model.n_states - 1)
+        bad = rows[np.arange(rows.shape[0]), j] <= 0.0
+        if np.any(bad):
+            j[bad] = np.argmax(rows[bad], axis=1)
+        state[jump_from] = j
+    if not done.all():
+        raise RuntimeError("batch thinning did not finish within the round cap")
+
+    if capture_time is not None:
+        remaining = captured < 0
+        captured[remaining] = state[remaining]
+    return acc, captured
+
+
+def argmin_stage_solve_backward(model: CtmdpModel, grid, cost_weights=None,
+                                integrator: str = "rk4"):
+    """Backward DP whose RK4/Euler stages take the padded argmin as well as
+    the min; returns (values (n_nodes, n_s), node policy (n_nodes, n_s))."""
+    from ctmdp.dp import _min_operator, scalarize_costs
+    f = _min_operator(model, scalarize_costs(model, cost_weights))
+    dt = grid.dt
+    g = np.zeros((grid.n_nodes, model.n_states))
+    policy = np.zeros((grid.n_nodes, model.n_states), dtype=np.int64)
+    _, policy[grid.n_steps] = f(g[grid.n_steps])
+    for k in range(grid.n_steps - 1, -1, -1):
+        y = g[k + 1]
+        if integrator == "rk4":
+            k1, _ = f(y)
+            k2, _ = f(y + 0.5 * dt * k1)
+            k3, _ = f(y + 0.5 * dt * k2)
+            k4, _ = f(y + dt * k3)
+            g[k] = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        else:
+            k1, _ = f(y)
+            g[k] = y + dt * k1
+        _, policy[k] = f(g[k])
+    return g, policy

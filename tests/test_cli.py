@@ -102,6 +102,23 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "initial_state" in err and "Traceback" not in err
 
+    def test_rates_shorter_than_states_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "model.json"
+        path.write_text('{"states": 2, "actions_per_state": [[[0.0]], [[0.0]]], '
+                        '"rates": [[[-1.0, 1.0]]], "costs": [[[0.0], [1.0]]], "horizon": 1.0}')
+        assert main(["validate", "--model", str(path), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "rates" in err and "state 1" in err
+
+    def test_rate_row_of_wrong_width_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "model.json"
+        path.write_text('{"states": 2, "actions_per_state": [[[0.0]], [[0.0]]], '
+                        '"rates": [[[-1.0, 1.0, 0.0]], [[1.0, -1.0]]], '
+                        '"costs": [[[0.0], [1.0]]], "horizon": 1.0}')
+        assert main(["validate", "--model", str(path), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "rates" in err and "state 0" in err and "reshape" not in err
+
     def test_initial_state_in_range_is_a_point_mass(self, tmp_path):
         path = tmp_path / "model.json"
         path.write_text('{"preset": "birth_death", "lambda": 1.0, "mu": 2.0, "m": 4, '

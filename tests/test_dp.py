@@ -9,8 +9,9 @@ from ctmdp.dp import (GridStabilityError, TimeGrid, ValueGrid, check_value_envel
 from ctmdp.model import (CtmdpModel, MarkovPolicy, auto_certificate,
                          birth_death_certificate, cost_bound_from_tables,
                          certify_drift, make_birth_death)
-from oracles import (csv_writer_policy_table, csv_writer_value_table, dense_policy_value,
-                     expm_policy_value, random_instance, random_policy)
+from oracles import (argmin_stage_solve_backward, csv_writer_policy_table,
+                     csv_writer_value_table, dense_policy_value, expm_policy_value,
+                     random_instance, random_policy)
 
 TWO_STATE_EXACT = 0.5 - (1.0 - math.exp(-2.0)) / 4.0  # integral of (1-e^{-2t})/2
 
@@ -153,6 +154,38 @@ class TestSolveBackward:
         assert np.abs(rk4.values - eul.values).max() < 5e-3
         with pytest.raises(ValueError):
             solve_backward(model, TimeGrid(1.0, 400), integrator="heun")
+
+    @pytest.mark.parametrize("integrator", ["rk4", "euler"])
+    @pytest.mark.parametrize("case", ["random0", "random1", "random2", "two-costs",
+                                      "birth-death", "ties"])
+    def test_stage_min_matches_the_argmin_oracle(self, case, integrator):
+        weights = None
+        if case.startswith("random"):
+            model = random_instance(np.random.default_rng(40 + int(case[-1])))
+        elif case == "two-costs":
+            model = random_instance(np.random.default_rng(7), n_costs=2)
+            weights = (1.0, 0.75)
+        elif case == "birth-death":
+            model = make_birth_death(1.0, 2.0, m=20, grid=3)
+        else:
+            model = CtmdpModel.from_tables(
+                actions_per_state=[[0.0, 1.0, 2.0], [0.0, 1.0]],
+                rates=[[[-1.0, 1.0], [-1.0, 1.0], [0.0, 0.0]], [[0.0, 0.0], [2.0, -2.0]]],
+                costs=[[[0.0, 0.0, 0.0], [0.0, -0.0]]], horizon=1.0)
+        grid = TimeGrid(model.horizon, 2 * TimeGrid(model.horizon, 1).required_steps(model))
+        values, policy = solve_backward(model, grid, cost_weights=weights, integrator=integrator)
+        g, nodes = argmin_stage_solve_backward(model, grid, weights, integrator)
+        assert np.array_equal(values.values, g)
+        assert np.array_equal(np.signbit(values.values), np.signbit(g))
+        assert np.array_equal(policy.action_index, nodes)
+
+    def test_empty_action_set_aborts_with_diagnostic(self):
+        from ctmdp.dp import NumericsError
+        model = CtmdpModel(n_states=2, action_offsets=[0, 1, 1], action_points=[[0.0]],
+                           rate_rows=[[0.0, 0.0]], costs=[[1.0]], constraint_bounds=[],
+                           horizon=1.0, initial_dist=[1.0, 0.0], weight=[1.0, 1.0])
+        with pytest.raises(NumericsError, match="node"):
+            solve_backward(model, TimeGrid(1.0, 4))
 
 
 class TestEvaluatePolicy:

@@ -6,8 +6,10 @@ import pytest
 from ctmdp.dp import TimeGrid, solve_backward
 from ctmdp.model import (CtmdpModel, MarkovPolicy, birth_death_certificate,
                          cost_bound_from_tables, certify_drift, make_birth_death)
-from ctmdp.sim import (check_forward_kolmogorov, check_weight_bound,
+from ctmdp.sim import (_jump_table, _jump_targets, _run_batch, check_forward_kolmogorov,
+                       check_weight_bound, kernel_cost_cells, kernel_set_rate_cells,
                        mc_value, simulate)
+from oracles import dense_run_batch, random_instance, random_policy
 
 TWO_STATE_EXACT = 0.5 - (1.0 - math.exp(-2.0)) / 4.0
 
@@ -236,3 +238,138 @@ class TestWeightBound:
         for seed in range(20):
             path = simulate(model, pol, 3, seed=seed)
             assert path.states.max() <= model.n_states - 1
+
+
+def assert_batch_matches_dense(model, policy, i0, n_paths, seed, integrands=(),
+                               capture_time=None):
+    """The compacted batch and the full-width oracle: equal arrays, equal
+    random-stream position afterwards."""
+    rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+    acc_a, cap_a = _run_batch(model, policy, i0, n_paths, rng_a, integrands, capture_time)
+    acc_b, cap_b = dense_run_batch(model, policy, i0, n_paths, rng_b, integrands, capture_time)
+    assert acc_a.dtype == acc_b.dtype and cap_a.dtype == cap_b.dtype
+    assert np.array_equal(acc_a, acc_b)
+    assert np.array_equal(cap_a, cap_b)
+    assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+
+def absorbing_model():
+    # state 2 has q* = 0; state 1 holds one zero-rate action next to a fast one
+    return CtmdpModel.from_tables(
+        actions_per_state=[[0.0, 1.0], [0.0, 1.0], [0.0]],
+        rates=[[[-2.0, 1.5, 0.5], [-0.5, 0.0, 0.5]],
+               [[0.0, 0.0, 0.0], [3.0, -4.0, 1.0]],
+               [[0.0, 0.0, 0.0]]],
+        costs=[[[1.0, 0.5], [2.0, -1.0], [0.25]]], horizon=1.5)
+
+
+def batch_cases():
+    cases = []
+    for seed in range(4):
+        rng = np.random.default_rng(300 + seed)
+        model = random_instance(rng)
+        cases.append((f"random{seed}-det", model, random_policy(rng, model, 9)))
+        cases.append((f"random{seed}-rand", model, random_policy(rng, model, 9, randomized=True)))
+    model = absorbing_model()
+    cases.append(("absorbing-det", model, MarkovPolicy.constant(model, [0, 0, 0], n_nodes=5)))
+    cases.append(("absorbing-rand", model, MarkovPolicy.uniform(model, n_nodes=7)))
+    model = make_birth_death(1.0, 2.0, m=20, grid=3)
+    _, optimal = solve_backward(model, TimeGrid(model.horizon, 200))
+    cases.append(("birth-death-optimal", model, optimal))
+    cases.append(("birth-death-uniform", model, MarkovPolicy.uniform(model, n_nodes=11)))
+    return cases
+
+
+class TestBatchMatchesDenseOracle:
+    CASES = [pytest.param(model, policy, id=name) for name, model, policy in batch_cases()]
+
+    @pytest.mark.parametrize("model,policy", CASES)
+    def test_cost_integral_to_the_horizon(self, model, policy):
+        table = kernel_cost_cells(model, policy, 0)
+        assert_batch_matches_dense(model, policy, 0, 3000, 17,
+                                   integrands=[(table, model.horizon)])
+
+    @pytest.mark.parametrize("model,policy", CASES)
+    def test_early_end_and_interior_capture(self, model, policy):
+        T = model.horizon
+        rates = kernel_set_rate_cells(model, policy, {0, model.n_states - 1})
+        costs = kernel_cost_cells(model, policy, 0)
+        for i0 in (0, model.n_states - 1):
+            assert_batch_matches_dense(model, policy, i0, 2000, (23, i0),
+                                       integrands=[(rates, 0.4 * T), (costs, T)],
+                                       capture_time=0.6 * T)
+
+    @pytest.mark.parametrize("model,policy", CASES)
+    def test_capture_at_the_horizon_only(self, model, policy):
+        assert_batch_matches_dense(model, policy, 1, 2000, 29, capture_time=model.horizon)
+
+    def test_absorbing_start_holds(self):
+        model = absorbing_model()
+        pol = MarkovPolicy.uniform(model, n_nodes=3)
+        table = kernel_cost_cells(model, pol, 0)
+        acc, cap = _run_batch(model, pol, 2, 50, np.random.default_rng(0),
+                              [(table, model.horizon)], capture_time=1.0)
+        assert np.all(cap == 2) and np.all(acc[:, 0] == acc[0, 0])
+        assert_batch_matches_dense(model, pol, 2, 50, 0, [(table, model.horizon)], 1.0)
+
+
+def dense_jump_count(model, ka, u):
+    """The full-row target choice: count of cumsum(row / diag) entries below u,
+    clipped to the last state, argmax where the chosen entry has no mass."""
+    i = model.pair_state[ka]
+    rows = model.rate_rows[ka].copy()
+    rows[np.arange(rows.shape[0]), i] = 0.0
+    rows /= np.abs(model.rate_rows[ka, i])[:, None]
+    j = (np.cumsum(rows, axis=1) < u[:, None]).sum(axis=1)
+    j = np.minimum(j, model.n_states - 1)
+    bad = rows[np.arange(rows.shape[0]), j] <= 0.0
+    j[bad] = np.argmax(rows[bad], axis=1)
+    return j
+
+
+def slot_search_models():
+    rng = np.random.default_rng(5)
+    yield make_birth_death(1.0, 2.0, m=20, grid=3)
+    yield absorbing_model()
+    for _ in range(3):
+        yield random_instance(rng)
+    # state 0's normalized row sums to 0.9999999999999997, below the largest
+    # uniform draw; state 1 has a row with negative off-diagonal entries
+    yield CtmdpModel.from_tables(
+        actions_per_state=[[0.0], [0.0, 1.0], [0.0], [0.0], [0.0], [0.0]],
+        rates=[[[-(0.1 + 0.9 + 0.1 + 0.1 + 0.1), 0.1, 0.9, 0.1, 0.1, 0.1]],
+               [[0.0, -1.0, 0.0, 0.0, 0.0, 1.0], [2.0, -1.0, -0.5, -0.5, 0.0, 0.0]],
+               [[0.0, 0.0, -1.0, 1.0, 0.0, 0.0]], [[1.0, 0.0, 0.0, -1.0, 0.0, 0.0]],
+               [[0.0, 0.0, 0.0, 0.0, 0.0, 0.0]], [[0.0, 0.0, 3.0, 0.0, 0.0, -3.0]]],
+        costs=[[[0.0], [0.0, 0.0], [0.0], [0.0], [0.0], [0.0]]], horizon=1.0)
+
+
+class TestJumpSlotSearch:
+    @pytest.mark.parametrize("model", list(slot_search_models()),
+                             ids=["birth-death", "absorbing", "random0", "random1",
+                                  "random2", "handmade"])
+    def test_equals_the_dense_count(self, model):
+        jumps = _jump_table(model)
+        ka_all = np.flatnonzero(jumps.diag > 0.0)
+        for ka in ka_all:
+            row = np.cumsum(jumps.normalized[ka])
+            us = np.concatenate([[0.0, np.nextafter(0.0, 1.0), 0.5, np.nextafter(1.0, 0.0)],
+                                 row, np.nextafter(row, -np.inf), np.nextafter(row, np.inf)])
+            us = us[(us >= 0.0) & (us < 1.0)]
+            kas = np.full(us.size, ka)
+            assert np.array_equal(_jump_targets(jumps, kas, us), dense_jump_count(model, kas, us))
+
+    def test_zero_draw_and_draw_above_the_row_sum(self):
+        model = list(slot_search_models())[-1]
+        jumps = _jump_table(model)
+        for ka in np.flatnonzero(jumps.diag > 0.0):
+            total = np.cumsum(jumps.normalized[ka])[-1]
+            us = np.array([0.0, np.nextafter(total, np.inf), 2.0])
+            kas = np.full(3, ka)
+            assert np.array_equal(_jump_targets(jumps, kas, us), dense_jump_count(model, kas, us))
+        # pair 0's row sums below one, so a draw in [0, 1) can pass its end
+        total = np.cumsum(jumps.normalized[0])[-1]
+        assert total < 1.0
+        u = np.array([np.nextafter(total, np.inf)])
+        assert u[0] < 1.0
+        assert _jump_targets(jumps, np.array([0]), u)[0] == model.n_states - 1
