@@ -120,69 +120,55 @@ def scalarize_costs(model: CtmdpModel, cost_weights=None) -> np.ndarray:
     return weights @ model.costs
 
 
-def _min_operator(model: CtmdpModel, cbar: np.ndarray):
-    """Return f(g) -> per-state min of c(i,a) + q(.|i,a) . g, plus argmins."""
-    R = model.rate_rows
-    pad, mask = model.pad_index, model.pad_mask
-
-    def f(g: np.ndarray):
-        vals = cbar + R @ g
-        padded = np.where(mask, vals[pad], np.inf)
-        local = np.argmin(padded, axis=1)  # first minimum: lowest action index
-        idx = np.arange(padded.shape[0])
-        return padded[idx, local], local
-
-    return f
-
-
-def _stage_min(model: CtmdpModel, cbar: np.ndarray):
-    """Return f(g) -> per-state min of c(i,a) + q(.|i,a) . g, without argmins."""
-    R = model.rate_rows
-    starts = model.action_offsets[:-1]
-    return lambda g: np.minimum.reduceat(cbar + R @ g, starts)
-
-
 def solve_backward(model: CtmdpModel, grid: TimeGrid, cost_weights=None,
                    integrator: str = "rk4") -> tuple[ValueGrid, MarkovPolicy]:
     """Integrate the optimality equation backward; return value and argmin policy.
 
-    The min is re-resolved at every RK4 stage, which needs only its value;
-    the argmin is recorded at each node from a final evaluation on that
-    node's value vector (ties break to the lowest action index).
+    The min is re-resolved at every RK4 stage, which needs only its value.
+    Each node's rate product cbar + R @ g is formed once: the node's argmin
+    (ties break to the lowest action index) and the first stage of the next
+    step both come from it (notes/decisions.md).
     ``integrator='euler'`` switches to a single forward Euler stage per step;
     the occupation-measure LP is the discrete dual of exactly that scheme, so
     its Lagrangian probes use it for a matched pair.
     """
     grid.check_stability(model)
     cbar = scalarize_costs(model, cost_weights)
-    f = _stage_min(model, cbar)
-    node = _min_operator(model, cbar)
+    R, starts = model.rate_rows, model.action_offsets[:-1]
+    pad, mask = model.pad_index, model.pad_mask
     dt = grid.dt
+
+    def f(g: np.ndarray) -> np.ndarray:
+        return np.minimum.reduceat(cbar + R @ g, starts)
 
     g = np.zeros((grid.n_nodes, model.n_states))
     policy = np.zeros((grid.n_nodes, model.n_states), dtype=np.int64)
-    mins, policy[grid.n_steps] = node(g[grid.n_steps])
+    vals = cbar + R @ g[grid.n_steps]
+    padded = np.where(mask, vals[pad], np.inf)
+    mins = padded.min(axis=1)
     if not np.all(np.isfinite(mins)):  # e.g. a state with an empty action set
         state = int(np.argmin(np.isfinite(mins)))
         raise NumericsError(f"non-finite minimum at node {grid.n_steps} "
                             f"(t={grid.n_steps * dt:.6g}) in state {state}")
+    policy[grid.n_steps] = np.argmin(padded, axis=1)  # first minimum: lowest action
 
     with np.errstate(over="ignore", invalid="ignore"):  # caught by isfinite below
         for k in range(grid.n_steps - 1, -1, -1):
             y = g[k + 1]
+            k1 = np.minimum.reduceat(vals, starts)  # vals holds cbar + R @ y
             if integrator == "rk4":
-                k1 = f(y)
                 k2 = f(y + 0.5 * dt * k1)
                 k3 = f(y + 0.5 * dt * k2)
                 k4 = f(y + dt * k3)
                 g[k] = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             elif integrator == "euler":
-                g[k] = y + dt * f(y)
+                g[k] = y + dt * k1
             else:
                 raise ValueError(f"unknown integrator {integrator!r}")
             if not np.all(np.isfinite(g[k])):
                 raise NumericsError(f"non-finite value at node {k} (t={k * dt:.6g})")
-            _, policy[k] = node(g[k])
+            vals = cbar + R @ g[k]
+            policy[k] = np.argmin(np.where(mask, vals[pad], np.inf), axis=1)
 
     return ValueGrid(grid=grid, values=g), MarkovPolicy.deterministic(policy)
 

@@ -267,20 +267,3 @@ def solve_lp(problem: LpProblem, pivot_cap: int = DEFAULT_PIVOT_CAP) -> LpSoluti
 
     return LpSolution("optimal", x, y_full, objective, engine.pivots,
                       primal_residual, duality_gap, comp)
-
-
-def write_lp_format(problem: LpProblem, path) -> None:
-    """Write the problem in CPLEX LP text format for external cross-checks."""
-    def expr(row):
-        terms = [f"{'+' if v >= 0 else '-'} {abs(v):.17g} x{j}"
-                 for j, v in enumerate(row) if v != 0.0]
-        return " ".join(terms) if terms else "0 x0"
-
-    lines = ["Minimize", f" obj: {expr(problem.c)}", "Subject To"]
-    for r in range(problem.b_eq.size):
-        lines.append(f" eq{r}: {expr(problem.A_eq[r])} = {problem.b_eq[r]:.17g}")
-    for r in range(problem.b_ub.size):
-        lines.append(f" ub{r}: {expr(problem.A_ub[r])} <= {problem.b_ub[r]:.17g}")
-    lines += ["Bounds"] + [f" 0 <= x{j}" for j in range(problem.n_vars)] + ["End", ""]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines))

@@ -568,8 +568,22 @@ def _reject_unknown(d: dict, allowed: set, where: str):
         raise ModelFormatError(f"unknown field(s) {sorted(unknown)} in {where}")
 
 
+def _require(value, kind: type, what: str):
+    """value itself if it has the JSON type a field needs, else a ModelFormatError."""
+    if not isinstance(value, kind):
+        shape = "a list" if kind is list else "an object"
+        raise ModelFormatError(f"{what} must be {shape}, got {type(value).__name__}")
+    return value
+
+
+def _require_lists(doc: dict, keys) -> None:
+    for key in keys:
+        if key in doc:
+            _require(doc[key], list, key)
+
+
 def _cost_fn_from_term(term: dict) -> Callable[[int, float, float], float]:
-    _reject_unknown(term, _COST_TERM_KEYS, "cost term")
+    _reject_unknown(_require(term, dict, "cost term"), _COST_TERM_KEYS, "cost term")
     return linear_cost(**{k: float(v) for k, v in term.items()})
 
 
@@ -594,12 +608,13 @@ def model_from_dict(doc: dict) -> tuple[CtmdpModel, DriftCertificate | None]:
         raise ModelFormatError("model document must be a JSON object")
     cert = None
     if "drift_certificate" in doc:
-        block = doc["drift_certificate"]
+        block = _require(doc["drift_certificate"], dict, "drift_certificate")
         _reject_unknown(block, _CERT_KEYS_JSON, "drift_certificate")
         cert = DriftCertificate(**{k: float(v) for k, v in block.items()})
 
     if doc.get("preset") == "birth_death":
         _reject_unknown(doc, _PRESET_KEYS, "preset model")
+        _require_lists(doc, ("costs", "constraint_bounds", "initial_dist"))
         m = int(doc["m"])
         cost_fns = [_cost_fn_from_term(t) for t in doc.get("costs", [{"i": 1.0}])]
         model = make_birth_death(
@@ -620,6 +635,11 @@ def model_from_dict(doc: dict) -> tuple[CtmdpModel, DriftCertificate | None]:
     for key in ("states", "actions_per_state", "rates", "costs", "horizon"):
         if key not in doc:
             raise ModelFormatError(f"missing required field {key!r}")
+    _require_lists(doc, ("actions_per_state", "rates", "costs", "constraint_bounds",
+                         "initial_dist", "weight"))
+    for key in ("actions_per_state", "costs"):
+        for idx, entry in enumerate(doc[key]):
+            _require(entry, list, f"{key}[{idx}]")
     n = int(doc["states"])
     if len(doc["actions_per_state"]) != n:
         raise ModelFormatError("actions_per_state length must equal states")

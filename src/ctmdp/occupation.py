@@ -15,12 +15,13 @@ whose value from that solve certifies the optimum. The assembled LP
 from __future__ import annotations
 
 import csv
+import weakref
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .dp import TimeGrid, ValueGrid, scalarize_costs, solve_backward
+from .dp import TimeGrid, ValueGrid, _node_strings, scalarize_costs, solve_backward
 from .model import CtmdpModel, MarkovPolicy
 from . import lp_core
 
@@ -52,17 +53,19 @@ class OccupationGrid:
         return float(np.max(np.abs(self.masses.sum(axis=1) - 1.0)))
 
     def write_csv(self, model: CtmdpModel, path) -> None:
-        dim = model.action_points.shape[1]
-        nodes = self.grid.nodes
+        """Rows (cell, t_k, state, action components, mass), cell-major, in
+        csv.writer's dialect."""
+        nodes = _node_strings(self.grid)
+        pairs = [f",{i}" + "".join(f",{x:.17g}" for x in point) + ","
+                 for i, point in zip(model.pair_state.tolist(), model.action_points.tolist())]
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["cell", "t", "state"] + [f"a{d}" for d in range(dim)] + ["mass"])
-            for k in range(self.n_cells):
-                for ka in range(model.n_pairs):
-                    writer.writerow(
-                        [k, f"{nodes[k]:.12g}", int(model.pair_state[ka])]
-                        + [f"{x:.17g}" for x in model.action_points[ka]]
-                        + [f"{self.masses[k, ka]:.17g}"])
+            fh.write(",".join(["cell", "t", "state"]
+                              + [f"a{d}" for d in range(model.action_points.shape[1])]
+                              + ["mass"]) + "\r\n")
+            for k, row in enumerate(self.masses):
+                head = f"{k},{nodes[k]}"
+                fh.write("".join(f"{head}{pair}{m:.17g}\r\n"
+                                 for pair, m in zip(pairs, row.tolist())))
 
 
 def _kernel_on_grid(model: CtmdpModel, grid: TimeGrid, policy: MarkovPolicy) -> np.ndarray:
@@ -103,20 +106,28 @@ def occupation_of_policy(model: CtmdpModel, grid: TimeGrid,
     return OccupationGrid(grid=grid, masses=y)
 
 
+def _indicator(shape: tuple, cells: slice, state: int) -> np.ndarray:
+    g = np.zeros(shape)
+    g[cells, state] = 1.0
+    return g
+
+
+def _iter_test_functions(model: CtmdpModel, grid: TimeGrid, n_time_bins: int = 4):
+    """The default test tables, one at a time (see default_test_functions).
+    No table outlives its turn in the caller's loop."""
+    n_cells = grid.n_steps
+    edges = np.linspace(0, n_cells, n_time_bins + 1).astype(int)
+    for i in range(model.n_states):
+        for b in range(n_time_bins):
+            yield _indicator((n_cells, model.n_states), slice(edges[b], edges[b + 1]), i)
+    yield np.tile(model.weight, (n_cells, 1))
+    yield np.tile(model.weight ** 2, (n_cells, 1))
+
+
 def default_test_functions(model: CtmdpModel, grid: TimeGrid,
                            n_time_bins: int = 4) -> list[np.ndarray]:
     """Indicators of (state, time-bin) cells plus the weight and its square."""
-    n_cells = grid.n_steps
-    edges = np.linspace(0, n_cells, n_time_bins + 1).astype(int)
-    out = []
-    for i in range(model.n_states):
-        for b in range(n_time_bins):
-            g = np.zeros((n_cells, model.n_states))
-            g[edges[b]:edges[b + 1], i] = 1.0
-            out.append(g)
-    out.append(np.tile(model.weight, (n_cells, 1)))
-    out.append(np.tile(model.weight ** 2, (n_cells, 1)))
-    return out
+    return list(_iter_test_functions(model, grid, n_time_bins))
 
 
 def check_characterization(model: CtmdpModel, grid: TimeGrid, eta: OccupationGrid,
@@ -131,14 +142,18 @@ def check_characterization(model: CtmdpModel, grid: TimeGrid, eta: OccupationGri
     that ignore the dynamics do not. Summing by parts in time turns both
     sides into one inner product of g with a table W built once from eta
     (derivation in notes/decisions.md), so each test function costs O(size).
+    The default family is built one table at a time, so the check holds at
+    most a few (cells x states) tables whatever the number of states.
     """
     if eta.n_cells != grid.n_steps:
         raise ValueError("occupation grid does not match the time grid")
     if test_functions is None:
-        test_functions = default_test_functions(model, grid)
+        test_functions = _iter_test_functions(model, grid)
     dt = grid.dt
-    W = (dt * dt * np.cumsum(eta.masses @ model.rate_rows, axis=0)
-         - dt * eta.state_marginal(model) + dt * model.initial_dist)
+    W = np.cumsum(eta.masses @ model.rate_rows, axis=0)
+    W *= dt * dt
+    W -= dt * eta.state_marginal(model)
+    W += dt * model.initial_dist
 
     worst = 0.0
     for g in test_functions:
@@ -294,6 +309,30 @@ def _column_generation(model: CtmdpModel, grid: TimeGrid, max_solves: int,
                              solves, len(columns), pivots)
 
 
+# One-slot handoff of a column-generation run from solve_constrained to the
+# next lagrangian_dual on the same problem: None or (weak model reference,
+# grid, max_solves, pivot_cap, run). Emptied by every lagrangian_dual, never
+# read by solve_constrained; see notes/decisions.md.
+_handoff: list = [None]
+
+
+def _leave_run(model: CtmdpModel, grid: TimeGrid, max_solves: int, pivot_cap: int,
+               cg: _ColumnGeneration) -> None:
+    for arr in (cg.masses, cg.multipliers, None if cg.values is None else cg.values.values):
+        if arr is not None:
+            arr.flags.writeable = False
+    _handoff[0] = (weakref.ref(model), grid, max_solves, pivot_cap, cg)
+
+
+def _take_run(model: CtmdpModel, grid: TimeGrid, max_solves: int,
+              pivot_cap: int = lp_core.DEFAULT_PIVOT_CAP) -> _ColumnGeneration:
+    """The run solve_constrained left for this problem, else a fresh one."""
+    slot, _handoff[0] = _handoff[0], None
+    if slot is not None and slot[0]() is model and slot[1:4] == (grid, max_solves, pivot_cap):
+        return slot[4]
+    return _column_generation(model, grid, max_solves, pivot_cap)
+
+
 class ConstrainedResult(NamedTuple):
     solution: lp_core.LpSolution
     occupation: OccupationGrid | None
@@ -355,10 +394,16 @@ def solve_constrained(model: CtmdpModel, grid: TimeGrid,
     never assembled; pivot_cap bounds the master pivots summed over rounds.
     Non-optimal statuses (infeasible, budget_exhausted, pivot_limit) are
     passed through with empty occupation and policy.
+
+    The loop always runs here. The finished run, with its arrays made
+    read-only, is left for the next lagrangian_dual on the same model object,
+    grid, budget and pivot cap, which certifies it without repeating the loop.
     """
     if model.n_constraints < 1:
         raise ValueError("constrained LP needs at least one constraint cost")
-    cg = _column_generation(model, grid, DualSearchConfig().max_evals, pivot_cap)
+    max_solves = DualSearchConfig().max_evals
+    cg = _column_generation(model, grid, max_solves, pivot_cap)
+    _leave_run(model, grid, max_solves, pivot_cap, cg)
     if cg.status != "optimal":
         sol = lp_core.LpSolution(cg.status, None, None, None, cg.n_pivots)
         return ConstrainedResult(sol, None, None, cg.n_columns)
@@ -439,10 +484,16 @@ def lagrangian_dual(model: CtmdpModel, grid: TimeGrid,
     D(u) is reported, with status "budget_exhausted" if u_search.max_evals
     pricing solves ran out first. The primal value is the master's objective
     unless supplied by the caller.
+
+    Right after solve_constrained on the same model object and grid, with the
+    same budget and the default pivot cap, the run that call finished is
+    taken over instead of repeated; the result is the same bit for bit, and
+    n_solves counts the pricing solves of that run. Any other call runs the
+    loop afresh.
     """
     if model.n_constraints < 1:
         raise ValueError("dual path needs at least one constraint cost")
-    cg = _column_generation(model, grid, (u_search or DualSearchConfig()).max_evals)
+    cg = _take_run(model, grid, (u_search or DualSearchConfig()).max_evals)
     if cg.status == "infeasible":
         raise RuntimeError("constrained LP is infeasible; no primal value to certify against")
     u_best, dual_value, _ = max(cg.samples, key=lambda s: s[1])

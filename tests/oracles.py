@@ -10,8 +10,9 @@ The rest are the library's earlier formulas, kept as references for the
 reassociated ones that replaced them: RK4 policy evaluation and forward
 occupation through a dense mean generator per step, the characterization
 residual with one tail quadrature per test function, the csv.writer
-exports of the value and policy tables, and the full-width thinning batch
-that gathers a dense rate row per accepted jump.
+exports of the value, policy and occupation tables, the full-width thinning
+batch that gathers a dense rate row per accepted jump, and the backward DP
+that takes the padded argmin at every stage.
 """
 
 from __future__ import annotations
@@ -291,6 +292,21 @@ def csv_writer_policy_table(model: CtmdpModel, grid, policy: MarkovPolicy, path)
                 writer.writerow([i, f"{nodes[k]:.12g}"] + [f"{x:.17g}" for x in point])
 
 
+def csv_writer_occupation_table(occupation, model: CtmdpModel, path) -> None:
+    """occupation.csv through csv.writer: one row per (cell, state-action pair)."""
+    dim = model.action_points.shape[1]
+    nodes = occupation.grid.nodes
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["cell", "t", "state"] + [f"a{d}" for d in range(dim)] + ["mass"])
+        for k in range(occupation.n_cells):
+            for ka in range(model.n_pairs):
+                writer.writerow(
+                    [k, f"{nodes[k]:.12g}", int(model.pair_state[ka])]
+                    + [f"{x:.17g}" for x in model.action_points[ka]]
+                    + [f"{occupation.masses[k, ka]:.17g}"])
+
+
 def _prefix_integral(table: np.ndarray, dt_cells: float):
     """Cumulative integral of a piecewise-constant (cell, state) table."""
     n_cells, n_states = table.shape
@@ -407,11 +423,26 @@ def dense_run_batch(model: CtmdpModel, policy: MarkovPolicy, i0: int, n_paths: i
     return acc, captured
 
 
+def _min_operator(model: CtmdpModel, cbar: np.ndarray):
+    """Return f(g) -> per-state min of c(i,a) + q(.|i,a) . g, plus argmins."""
+    R = model.rate_rows
+    pad, mask = model.pad_index, model.pad_mask
+
+    def f(g: np.ndarray):
+        vals = cbar + R @ g
+        padded = np.where(mask, vals[pad], np.inf)
+        local = np.argmin(padded, axis=1)  # first minimum: lowest action index
+        idx = np.arange(padded.shape[0])
+        return padded[idx, local], local
+
+    return f
+
+
 def argmin_stage_solve_backward(model: CtmdpModel, grid, cost_weights=None,
                                 integrator: str = "rk4"):
     """Backward DP whose RK4/Euler stages take the padded argmin as well as
     the min; returns (values (n_nodes, n_s), node policy (n_nodes, n_s))."""
-    from ctmdp.dp import _min_operator, scalarize_costs
+    from ctmdp.dp import scalarize_costs
     f = _min_operator(model, scalarize_costs(model, cost_weights))
     dt = grid.dt
     g = np.zeros((grid.n_nodes, model.n_states))

@@ -119,6 +119,19 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "rates" in err and "state 0" in err and "reshape" not in err
 
+    @pytest.mark.parametrize("field, value", [("rates", 5), ("costs", 3),
+                                              ("actions_per_state", 7)])
+    def test_non_list_table_field_is_usage_error(self, tmp_path, capsys, field, value):
+        doc = {"states": 2, "actions_per_state": [[[0.0]], [[0.0]]],
+               "rates": [[[-1.0, 1.0]], [[1.0, -1.0]]], "costs": [[[0.0], [1.0]]],
+               "horizon": 1.0}
+        doc[field] = value
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        assert main(["validate", "--model", str(path), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"{field} must be a list" in err and "Traceback" not in err
+
     def test_initial_state_in_range_is_a_point_mass(self, tmp_path):
         path = tmp_path / "model.json"
         path.write_text('{"preset": "birth_death", "lambda": 1.0, "mu": 2.0, "m": 4, '

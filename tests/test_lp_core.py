@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ctmdp.lp_core import LpProblem, solve_lp, write_lp_format
+from ctmdp.lp_core import LpProblem, solve_lp
 from oracles import lp_vertex_optimum
 
 
@@ -115,14 +115,3 @@ class TestOptimalityCertificates:
             sol = solve_lp(problem)
             n_eq = problem.b_eq.size
             assert np.all(sol.y[n_eq:] <= 1e-9)
-
-
-class TestLpFormatExport:
-    def test_file_mentions_every_block(self, tmp_path):
-        problem = LpProblem(c=[1.0, -2.0], A_eq=[[1.0, 1.0]], b_eq=[1.0],
-                            A_ub=[[1.0, 0.0]], b_ub=[0.75])
-        path = tmp_path / "problem.lp"
-        write_lp_format(problem, path)
-        text = path.read_text()
-        for token in ("Minimize", "Subject To", "eq0:", "ub0:", "Bounds", "End"):
-            assert token in text

@@ -1,22 +1,26 @@
 import dataclasses
+import gc
 import math
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
+from ctmdp import occupation
 from ctmdp.dp import TimeGrid, solve_backward
-from ctmdp.lp_core import solve_lp
+from ctmdp.lp_core import DEFAULT_PIVOT_CAP, solve_lp
 from ctmdp.model import CtmdpModel, MarkovPolicy, make_birth_death
-from ctmdp.occupation import (DualSearchConfig, _dual_value_fn, build_constrained_lp,
-                              check_characterization, default_test_functions,
-                              disintegrate, lagrangian_dual, occupation_of_policy,
-                              solve_constrained, uniform_occupation)
+from ctmdp.occupation import (DualSearchConfig, OccupationGrid, _dual_value_fn,
+                              build_constrained_lp, check_characterization,
+                              default_test_functions, disintegrate, lagrangian_dual,
+                              occupation_of_policy, solve_constrained, uniform_occupation)
 from ctmdp.sim import mc_value
-from oracles import (dense_occupation_masses, euler_masses_of_kernel, expm_transient,
-                     golden_dual_max, random_instance, random_policy,
-                     tail_characterization_residual)
+from oracles import (csv_writer_occupation_table, dense_occupation_masses,
+                     euler_masses_of_kernel, expm_transient, golden_dual_max,
+                     random_instance, random_policy, tail_characterization_residual)
 from test_acceptance import slater_birth_death
-from test_dp import REASSOCIATION_CASES, reassociation_case
+from test_dp import REASSOCIATION_CASES, reassociation_case, tiny_and_negative_model
 
 
 def two_state_chain(horizon=1.0):
@@ -55,6 +59,18 @@ CG_CASES = {
     "random_n1": lambda: random_constrained(7, 1, 60),
     "random_n2": lambda: random_constrained(7, 2, 60),
 }
+
+
+def characterization_case(case):
+    """(model, grid, measure): the criterion-7 LP optimum or the uniform
+    policy's measure on birth-death m=60 at its minimum stable step count."""
+    if case == "criterion7":
+        model, grid = slater_birth_death(), TimeGrid(1.0, 500)
+        return model, grid, solve_constrained(model, grid).occupation
+    model = make_birth_death(1.0, 2.0, m=60, grid=3)
+    grid = TimeGrid(1.0, TimeGrid(1.0, 1).required_steps(model))
+    return model, grid, occupation_of_policy(
+        model, grid, MarkovPolicy.uniform(model, grid.n_nodes))
 
 
 class TestOccupationOfPolicy:
@@ -185,6 +201,23 @@ class TestCharacterization:
         eta = occupation_of_policy(model, grid, MarkovPolicy.constant(model, 0, grid.n_nodes))
         with pytest.raises(ValueError):
             check_characterization(model, grid, eta, [np.zeros((3, 3))])
+
+    @pytest.mark.parametrize("case", ["criterion7", "birth_death_m60"])
+    def test_default_family_streamed_equals_the_list(self, case):
+        model, grid, eta = characterization_case(case)
+        listed = check_characterization(model, grid, eta, default_test_functions(model, grid))
+        assert check_characterization(model, grid, eta) == listed
+
+    def test_default_family_peak_memory_stays_under_four_tables(self):
+        model, grid, eta = characterization_case("birth_death_m60")
+        table_bytes = grid.n_steps * model.n_states * 8
+        tracemalloc.start()
+        try:
+            check_characterization(model, grid, eta)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * table_bytes, f"peak {peak} B, one table {table_bytes} B"
 
     def test_default_family_covers_states_and_weights(self):
         model = two_state_chain()
@@ -522,3 +555,132 @@ class TestColumnGeneration:
             assert dual <= cert.primal_value + 1e-12
             assert dual == pytest.approx(D(np.array(u)), abs=1e-12)
         assert cert.n_solves >= len(cert.samples)
+
+
+@pytest.fixture
+def empty_handoff():
+    occupation._handoff[0] = None
+    yield
+    occupation._handoff[0] = None
+
+
+@pytest.fixture
+def counted_solves(monkeypatch):
+    """Counts the backward solves the occupation module makes."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("integrator", "rk4"))
+        return solve_backward(*args, **kwargs)
+
+    monkeypatch.setattr(occupation, "solve_backward", counting)
+    return calls
+
+
+@pytest.mark.usefixtures("empty_handoff")
+class TestColumnGenerationHandoff:
+    """solve_constrained leaves its run for the next lagrangian_dual on the
+    same problem; every other call runs the loop itself."""
+
+    def test_dual_after_solve_takes_the_run(self, counted_solves):
+        model, grid = CG_CASES["random_n1"]()
+        solve_constrained(model, grid)
+        n_solves = len(counted_solves)
+        cert = lagrangian_dual(model, grid)
+        assert cert.n_solves == n_solves
+        assert len(counted_solves) == n_solves + 1  # the RK4 re-evaluation only
+        assert counted_solves[-1] == "rk4"
+        assert occupation._handoff == [None]
+
+    def test_second_solve_reruns_the_loop(self, counted_solves):
+        model, grid = CG_CASES["random_n1"]()
+        solve_constrained(model, grid)
+        n_solves = len(counted_solves)
+        solve_constrained(model, grid)
+        assert len(counted_solves) == 2 * n_solves
+
+    def test_the_slot_is_emptied_on_use(self, counted_solves):
+        model, grid = CG_CASES["random_n1"]()
+        solve_constrained(model, grid)
+        n_solves = len(counted_solves)
+        lagrangian_dual(model, grid)
+        lagrangian_dual(model, grid)
+        assert len(counted_solves) == 2 * n_solves + 2
+
+    @pytest.mark.parametrize("change", ["model", "grid", "max_evals", "pivot_cap"])
+    def test_a_different_key_reruns_the_loop(self, counted_solves, change):
+        model, grid = CG_CASES["random_n1"]()
+        dual_model, dual_grid, u_search = model, grid, None
+        pivot_cap = DEFAULT_PIVOT_CAP
+        if change == "model":
+            dual_model = dataclasses.replace(model)  # equal tables, another object
+        elif change == "grid":
+            dual_grid = TimeGrid(grid.horizon, grid.n_steps + 2)
+        elif change == "max_evals":
+            u_search = DualSearchConfig(max_evals=DualSearchConfig().max_evals - 1)
+        else:
+            pivot_cap -= 1
+        solve_constrained(model, grid, pivot_cap=pivot_cap)
+        n_solves = len(counted_solves)
+        cert = lagrangian_dual(dual_model, dual_grid, u_search)
+        assert len(counted_solves) == n_solves + cert.n_solves + 1
+        assert cert.n_solves > 0
+
+    @pytest.mark.parametrize("case", ["criterion7", "random_n2"])
+    def test_handed_over_certificate_equals_a_fresh_one(self, case):
+        model, grid = CG_CASES[case]()
+        fresh = lagrangian_dual(model, grid)
+        result = solve_constrained(model, grid)
+        handed = lagrangian_dual(model, grid, primal_value=result.solution.objective)
+        assert np.array_equal(handed.multipliers, fresh.multipliers)
+        assert handed.samples == fresh.samples  # exact float equality, inf included
+        assert handed.dual_value == fresh.dual_value
+        assert handed.dual_value_continuum == fresh.dual_value_continuum
+        assert np.array_equal(handed.h_grid, fresh.h_grid)
+        assert (handed.n_solves, handed.status) == (fresh.n_solves, fresh.status)
+        assert handed.primal_value == fresh.primal_value
+
+    def test_handed_out_arrays_are_read_only(self):
+        model, grid = CG_CASES["random_n1"]()
+        result = solve_constrained(model, grid)
+        cg = occupation._handoff[0][4]
+        for arr in (cg.masses, cg.multipliers, cg.values.values, result.occupation.masses):
+            assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            cg.masses[0, 0] = 1.0
+
+    def test_the_slot_keeps_no_model_alive(self):
+        model, grid = CG_CASES["random_n1"]()
+        solve_constrained(model, grid)
+        ref = weakref.ref(model)
+        del model
+        gc.collect()
+        assert ref() is None
+        assert occupation._handoff[0][0]() is None
+
+
+class TestOccupationCsvByteIdentity:
+    """The string-joined occupation writer emits the bytes csv.writer does."""
+
+    @pytest.mark.parametrize("case", ["criterion7", "birth_death_2d", "tiny_negative"])
+    def test_write_csv_matches_csv_writer(self, tmp_path, case):
+        if case == "criterion7":
+            model, grid = slater_birth_death(), TimeGrid(1.0, 500)
+            eta = solve_constrained(model, grid).occupation
+        elif case == "birth_death_2d":
+            model = make_birth_death(1.0, 2.0, m=6, grid=3, horizon=0.7)
+            grid = TimeGrid(0.7, 30)
+            eta = occupation_of_policy(model, grid, MarkovPolicy.uniform(model, grid.n_nodes))
+        else:
+            model = tiny_and_negative_model(1.0)
+            grid = TimeGrid(1.0, 16)
+            masses = occupation_of_policy(
+                model, grid, MarkovPolicy.uniform(model, grid.n_nodes)).masses.copy()
+            masses[0] = [-0.0, 5e-324, -1.25]   # signed zero, subnormal, negative
+            masses[-1] = [-3e-310, 0.0, 1e300]
+            eta = OccupationGrid(grid, masses)
+        assert model.action_points.shape[1] == 2
+        eta.write_csv(model, tmp_path / "occupation.csv")
+        csv_writer_occupation_table(eta, model, tmp_path / "occupation_ref.csv")
+        assert ((tmp_path / "occupation.csv").read_bytes()
+                == (tmp_path / "occupation_ref.csv").read_bytes())
