@@ -1,0 +1,72 @@
+"""SHA-256 digests of every file the five standard CLI runs write.
+
+Usage (from the root of a source checkout):
+
+    PYTHONPATH=src python3 scripts/cli_digest.py
+
+The ``ctmdp`` package is imported from ``PYTHONPATH``, so running this on two
+trees and diffing the outputs shows whether a change altered any CLI byte.
+Each run writes into its own directory under a temporary directory; its
+stdout is kept as ``stdout.txt`` beside the files it wrote. One line
+``<sha256>  <run>/<file>`` is printed per file, sorted by path. The script
+uses the standard library only and takes no flags.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+
+# Criterion-7 Slater model: birth-death lambda=1, mu=2, m=2, grid 5,
+# objective -i, constraint cost (a1 + lambda) / (2 lambda) <= 0.3.
+CRITERION7 = {"preset": "birth_death", "lambda": 1.0, "mu": 2.0, "m": 2, "grid": 5,
+              "horizon": 1.0, "costs": [{"i": -1.0}, {"const": 0.5, "a1": 0.5}],
+              "constraint_bounds": [0.3]}
+
+PRESET = ["--preset", "birth-death", "--lam", "1", "--mu", "2"]
+
+RUNS = {
+    "constrain-criterion7": ["constrain", "--model", "{model}", "--steps", "500"],
+    "constrain-m4-two-bounds": ["constrain", *PRESET, "--m", "4",
+                                "--d", "1=0.5", "--d", "2=0.4"],
+    "solve-m150": ["solve", *PRESET, "--m", "150", "--steps", "894"],
+    "solve-m20-agrid4": ["solve", *PRESET, "--m", "20", "--agrid", "4", "--horizon", "0.7"],
+    "simulate-m20": ["simulate", *PRESET, "--m", "20", "--replicates", "20000",
+                     "--subset", "0,3"],
+}
+
+MAIN = "import sys; from ctmdp.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        model = os.path.join(tmp, "criterion7.json")
+        with open(model, "w", encoding="utf-8") as fh:
+            json.dump(CRITERION7, fh)
+        lines = []
+        for name, argv in RUNS.items():
+            out = os.path.join(tmp, name)
+            os.mkdir(out)
+            args = [a.format(model=model) for a in argv] + ["--out", out]
+            proc = subprocess.run([sys.executable, "-c", MAIN, *args],
+                                  capture_output=True)
+            if proc.returncode not in (0, 1):
+                sys.stderr.write(proc.stderr.decode(errors="replace"))
+                print(f"{name}: exit {proc.returncode}", file=sys.stderr)
+                return 1
+            with open(os.path.join(out, "stdout.txt"), "wb") as fh:
+                fh.write(proc.stdout)
+            for file in sorted(os.listdir(out)):
+                with open(os.path.join(out, file), "rb") as fh:
+                    digest = hashlib.sha256(fh.read()).hexdigest()
+                lines.append(f"{digest}  {name}/{file}")
+        print("\n".join(sorted(lines, key=lambda s: s.split("  ", 1)[1])))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

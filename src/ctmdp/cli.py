@@ -97,18 +97,12 @@ def _ensure_certificate(model, cert):
 
 
 def _report(out_dir: str, lines: dict) -> None:
-    path = os.path.join(out_dir, "report.txt")
-    with open(path, "w", encoding="utf-8") as fh:
-        for key, value in lines.items():
-            if isinstance(value, float):
-                fh.write(f"{key}={value:.17g}\n")
-            else:
-                fh.write(f"{key}={value}\n")
-
-
-def _print_report(lines: dict) -> None:
-    for key, value in lines.items():
-        print(f"{key}={value:.17g}" if isinstance(value, float) else f"{key}={value}")
+    """Print the key=value lines and write the same text to report.txt."""
+    text = "".join(f"{key}={value:.17g}\n" if isinstance(value, float) else f"{key}={value}\n"
+                   for key, value in lines.items())
+    sys.stdout.write(text)
+    with open(os.path.join(out_dir, "report.txt"), "w", encoding="utf-8") as fh:
+        fh.write(text)
 
 
 def cmd_validate(args) -> int:
@@ -123,7 +117,6 @@ def cmd_validate(args) -> int:
         lines[f"cert_{key}_slack"] = cert.worst_violation[key]
     for v in violations[:20]:
         print(f"violation: {v.message}", file=sys.stderr)
-    _print_report(lines)
     _report(args.out, lines)
     return 0 if not violations and cert.all_satisfied else DOMAIN_ERROR
 
@@ -153,7 +146,6 @@ def cmd_solve(args) -> int:
         "certificate_source": source,
         "n_steps": args.steps,
     }
-    _print_report(lines)
     _report(args.out, lines)
     return 0 if envelope.ok else DOMAIN_ERROR
 
@@ -175,7 +167,6 @@ def cmd_constrain(args) -> int:
         return DOMAIN_ERROR
     if result.solution.status != "optimal":
         lines = {"lp_status": result.solution.status, "n_pivots": result.solution.n_pivots}
-        _print_report(lines)
         _report(args.out, lines)
         return DOMAIN_ERROR
     certificate = occupation.lagrangian_dual(
@@ -205,7 +196,6 @@ def cmd_constrain(args) -> int:
     for n in range(1, model.n_constraints + 1):
         lines[f"cost{n}"] = result.occupation.expected_cost(model, n)
         lines[f"d{n}"] = float(model.constraint_bounds[n - 1])
-    _print_report(lines)
     _report(args.out, lines)
     return 0
 
@@ -248,7 +238,6 @@ def cmd_simulate(args) -> int:
         "certificate_source": source,
         "policy": args.policy, "seed": args.seed,
     }
-    _print_report(lines)
     _report(args.out, lines)
     return 0 if fk.covers_zero(args.z) and wb.statistically_ok(args.z) else DOMAIN_ERROR
 

@@ -4,7 +4,8 @@ The value function g(i, s) satisfies -dg/ds = min_a { c(i,a) + sum_j g(j,s)
 q(j|i,a) } with g(., T) = 0. We integrate backward on a uniform node grid
 with classic RK4, re-resolving the min at every stage, and read the argmin
 off each node to get a deterministic Markov policy. A fixed policy is
-evaluated by the same integrator with the min replaced by the policy kernel.
+evaluated with the min replaced by the policy kernel. One stepper, _step,
+serves both backward loops and the forward loop of occupation_of_policy.
 """
 
 from __future__ import annotations
@@ -106,6 +107,36 @@ def write_policy_csv(model: CtmdpModel, grid: TimeGrid, policy: MarkovPolicy, pa
             fh.write("".join(f"{i},{t}{points[ka]}\r\n" for t, ka in zip(nodes, row)))
 
 
+def _step(f, y: np.ndarray, dt: float, integrator: str, k1=None) -> np.ndarray:
+    """One classic RK4 or Euler step of y' = f(y); k1, if given, is f(y)."""
+    if k1 is None:
+        k1 = f(y)
+    if integrator == "euler":
+        return y + dt * k1
+    if integrator != "rk4":
+        raise ValueError(f"unknown integrator {integrator!r}")
+    k2 = f(y + 0.5 * dt * k1)
+    k3 = f(y + 0.5 * dt * k2)
+    k4 = f(y + dt * k3)
+    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _check_finite(g: np.ndarray, dt: float) -> None:
+    """NumericsError at the last non-finite node of a backward table: the
+    first one its loop produced (notes/decisions.md)."""
+    bad = np.flatnonzero(~np.isfinite(g).all(axis=1))
+    if bad.size:
+        k = int(bad[-1])
+        raise NumericsError(f"non-finite value at node {k} (t={k * dt:.6g})")
+
+
+def _policy_kernel(model: CtmdpModel, grid: TimeGrid, policy: MarkovPolicy) -> np.ndarray:
+    """The policy's (n_nodes, n_pairs) kernel, once its nodes are grid's."""
+    if policy.n_nodes != grid.n_nodes:
+        raise ValueError(f"policy has {policy.n_nodes} nodes, grid has {grid.n_nodes}")
+    return policy.kernel(model)
+
+
 def scalarize_costs(model: CtmdpModel, cost_weights=None) -> np.ndarray:
     """Combine the cost tables with nonnegative weights (default: c_0 alone)."""
     if cost_weights is None:
@@ -152,23 +183,13 @@ def solve_backward(model: CtmdpModel, grid: TimeGrid, cost_weights=None,
                             f"(t={grid.n_steps * dt:.6g}) in state {state}")
     policy[grid.n_steps] = np.argmin(padded, axis=1)  # first minimum: lowest action
 
-    with np.errstate(over="ignore", invalid="ignore"):  # caught by isfinite below
+    with np.errstate(over="ignore", invalid="ignore"):  # caught by _check_finite below
         for k in range(grid.n_steps - 1, -1, -1):
-            y = g[k + 1]
-            k1 = np.minimum.reduceat(vals, starts)  # vals holds cbar + R @ y
-            if integrator == "rk4":
-                k2 = f(y + 0.5 * dt * k1)
-                k3 = f(y + 0.5 * dt * k2)
-                k4 = f(y + dt * k3)
-                g[k] = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            elif integrator == "euler":
-                g[k] = y + dt * k1
-            else:
-                raise ValueError(f"unknown integrator {integrator!r}")
-            if not np.all(np.isfinite(g[k])):
-                raise NumericsError(f"non-finite value at node {k} (t={k * dt:.6g})")
+            # vals holds cbar + R @ g[k + 1], so its stage min is the first stage
+            g[k] = _step(f, g[k + 1], dt, integrator, k1=np.minimum.reduceat(vals, starts))
             vals = cbar + R @ g[k]
             policy[k] = np.argmin(np.where(mask, vals[pad], np.inf), axis=1)
+    _check_finite(g, dt)
 
     return ValueGrid(grid=grid, values=g), MarkovPolicy.deterministic(policy)
 
@@ -183,38 +204,24 @@ def evaluate_policy(model: CtmdpModel, grid: TimeGrid, policy: MarkovPolicy,
     is formed. The policy must live on this grid's nodes.
     """
     grid.check_stability(model)
-    if policy.n_nodes != grid.n_nodes:
-        raise ValueError(f"policy has {policy.n_nodes} nodes, grid has {grid.n_nodes}")
+    kernel = _policy_kernel(model, grid, policy)
     if not 0 <= cost_index < model.costs.shape[0]:
         raise ValueError(f"no cost table {cost_index}")
-    kernel = policy.kernel(model)
     starts = model.action_offsets[:-1]
     costs = np.add.reduceat(kernel * model.costs[cost_index], starts, axis=1)
     R = model.rate_rows
     dt = grid.dt
 
     g = np.zeros((grid.n_nodes, model.n_states))
-    with np.errstate(over="ignore", invalid="ignore"):  # caught by isfinite below
+    with np.errstate(over="ignore", invalid="ignore"):  # caught by _check_finite below
         for k in range(grid.n_steps - 1, -1, -1):
             row, cb = kernel[k], costs[k]
 
             def f(v):
                 return cb + np.add.reduceat(row * (R @ v), starts)
 
-            y = g[k + 1]
-            if integrator == "rk4":
-                k1 = f(y)
-                k2 = f(y + 0.5 * dt * k1)
-                k3 = f(y + 0.5 * dt * k2)
-                k4 = f(y + dt * k3)
-                g[k] = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            elif integrator == "euler":
-                g[k] = y + dt * f(y)
-            else:
-                raise ValueError(f"unknown integrator {integrator!r}")
-            if not np.all(np.isfinite(g[k])):
-                raise NumericsError(f"non-finite value at node {k} (t={k * dt:.6g})")
-
+            g[k] = _step(f, g[k + 1], dt, integrator)
+    _check_finite(g, dt)
     return ValueGrid(grid=grid, values=g)
 
 

@@ -50,10 +50,6 @@ class LpProblem:
     def n_vars(self) -> int:
         return self.c.size
 
-    @property
-    def n_rows(self) -> int:
-        return self.b_eq.size + self.b_ub.size
-
 
 def _block(A, b, n, label):
     if A is None and b is None:

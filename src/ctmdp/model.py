@@ -560,6 +560,8 @@ _EXPLICIT_KEYS = {"states", "actions_per_state", "rates", "costs", "horizon",
                   "weight", "truncation_level", "drift_certificate"}
 _COST_TERM_KEYS = {"const", "i", "a1", "a2"}
 _CERT_KEYS_JSON = {"rho1", "b1", "rho2", "b2", "rho3", "b3", "L", "M"}
+_INTEGER_KEYS = ("states", "m", "grid")
+_REAL_KEYS = ("lambda", "mu", "horizon", "truncation_level")
 
 
 def _reject_unknown(d: dict, allowed: set, where: str):
@@ -576,6 +578,15 @@ def _require(value, kind: type, what: str):
     return value
 
 
+def _require_number(value, what: str, integer: bool = False):
+    """value itself if it is a JSON number (an integer if asked), else a
+    ModelFormatError; true and false are not numbers here."""
+    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
+        shape = "an integer" if integer else "a number"
+        raise ModelFormatError(f"{what} must be {shape}, got {type(value).__name__}")
+    return value
+
+
 def _require_lists(doc: dict, keys) -> None:
     for key in keys:
         if key in doc:
@@ -584,7 +595,8 @@ def _require_lists(doc: dict, keys) -> None:
 
 def _cost_fn_from_term(term: dict) -> Callable[[int, float, float], float]:
     _reject_unknown(_require(term, dict, "cost term"), _COST_TERM_KEYS, "cost term")
-    return linear_cost(**{k: float(v) for k, v in term.items()})
+    return linear_cost(**{k: float(_require_number(v, f"cost term {k}"))
+                          for k, v in term.items()})
 
 
 def _initial_dist_from(doc: dict, n: int):
@@ -606,11 +618,15 @@ def model_from_dict(doc: dict) -> tuple[CtmdpModel, DriftCertificate | None]:
     """Decode a model document; returns the model and any declared certificate."""
     if not isinstance(doc, dict):
         raise ModelFormatError("model document must be a JSON object")
+    for key in _INTEGER_KEYS + _REAL_KEYS:
+        if key in doc:
+            _require_number(doc[key], key, integer=key in _INTEGER_KEYS)
     cert = None
     if "drift_certificate" in doc:
         block = _require(doc["drift_certificate"], dict, "drift_certificate")
         _reject_unknown(block, _CERT_KEYS_JSON, "drift_certificate")
-        cert = DriftCertificate(**{k: float(v) for k, v in block.items()})
+        cert = DriftCertificate(**{k: float(_require_number(v, f"drift_certificate.{k}"))
+                                   for k, v in block.items()})
 
     if doc.get("preset") == "birth_death":
         _reject_unknown(doc, _PRESET_KEYS, "preset model")

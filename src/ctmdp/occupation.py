@@ -21,7 +21,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .dp import TimeGrid, ValueGrid, _node_strings, scalarize_costs, solve_backward
+from .dp import (TimeGrid, ValueGrid, _node_strings, _policy_kernel, _step, scalarize_costs,
+                 solve_backward)
 from .model import CtmdpModel, MarkovPolicy
 from . import lp_core
 
@@ -68,12 +69,6 @@ class OccupationGrid:
                                  for pair, m in zip(pairs, row.tolist())))
 
 
-def _kernel_on_grid(model: CtmdpModel, grid: TimeGrid, policy: MarkovPolicy) -> np.ndarray:
-    if policy.n_nodes != grid.n_nodes:
-        raise ValueError(f"policy has {policy.n_nodes} nodes, grid has {grid.n_nodes}")
-    return policy.kernel(model)
-
-
 def occupation_of_policy(model: CtmdpModel, grid: TimeGrid,
                          policy: MarkovPolicy) -> OccupationGrid:
     """Discretized occupation measure of a Markov policy.
@@ -83,7 +78,7 @@ def occupation_of_policy(model: CtmdpModel, grid: TimeGrid,
     y(k, i, a) = p(i, t_k) * kernel(a | i, t_k).
     """
     grid.check_stability(model)
-    kernel = _kernel_on_grid(model, grid, policy)
+    kernel = _policy_kernel(model, grid, policy)
     R = model.rate_rows
     dt = grid.dt
 
@@ -96,11 +91,7 @@ def occupation_of_policy(model: CtmdpModel, grid: TimeGrid,
         def f(v):  # Qbar^T v, spread over the pairs and pushed through R
             return (v[model.pair_state] * row) @ R
 
-        k1 = f(p)
-        k2 = f(p + 0.5 * dt * k1)
-        k3 = f(p + 0.5 * dt * k2)
-        k4 = f(p + dt * k3)
-        p = p + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        p = _step(f, p, dt, "rk4")
         np.maximum(p, 0.0, out=p)
         p /= p.sum()
     return OccupationGrid(grid=grid, masses=y)
@@ -460,18 +451,6 @@ class DualCertificate:
                              "dual", "master_objective"])
             for t, (u, dual, master) in enumerate(self.samples):
                 writer.writerow([t, *(f"{x:.17g}" for x in (*u, dual, master))])
-
-
-def _dual_value_fn(model: CtmdpModel, grid: TimeGrid, integrator: str):
-    gamma = model.initial_dist
-    d = model.constraint_bounds
-
-    def D(u: np.ndarray) -> float:
-        weights = np.concatenate([[1.0], u])
-        vg, _ = solve_backward(model, grid, cost_weights=weights, integrator=integrator)
-        return float(gamma @ vg.at_start() - u @ d)
-
-    return D
 
 
 def lagrangian_dual(model: CtmdpModel, grid: TimeGrid,

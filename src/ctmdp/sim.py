@@ -44,12 +44,6 @@ class Trajectory:
     def n_jumps(self) -> int:
         return len(self.times) - 1
 
-    def state_at(self, t: float) -> int:
-        """Right-continuous readout: the state holding at time t."""
-        if not 0 <= t <= self.horizon:
-            raise ValueError(f"t={t} outside [0, {self.horizon}]")
-        return int(self.states[np.searchsorted(self.times, t, side="right") - 1])
-
     def write_csv(self, model: CtmdpModel, path) -> None:
         dim = model.action_points.shape[1]
         with open(path, "w", newline="") as fh:

@@ -4,7 +4,8 @@ Everything here deliberately avoids the library's own integrators: policy
 evaluation goes through matrix exponentials (scipy), transient probabilities
 through expm as well, and small LPs through brute-force vertex enumeration.
 The one-multiplier Lagrangian dual is maximized by bracketed golden section,
-the search the library ran before it moved to column generation.
+the search the library ran before it moved to column generation, over
+D(u) from one backward solve per probe (_dual_value_fn).
 
 The rest are the library's earlier formulas, kept as references for the
 reassociated ones that replaced them: RK4 policy evaluation and forward
@@ -24,6 +25,7 @@ import math
 import numpy as np
 from scipy.linalg import expm
 
+from ctmdp.dp import TimeGrid, solve_backward
 from ctmdp.model import CtmdpModel, MarkovPolicy
 from ctmdp.sim import _MAX_ROUNDS_SLACK, _cell_of, _policy_cells
 
@@ -152,6 +154,18 @@ def golden_dual_max(D, u_max: float = 1.0, expansion: float = 4.0,
         hi *= expansion
     u = golden_section_max(D, 0.0, hi, tol * max(1.0, hi))
     return (u, D(u)) if D(u) > D(0.0) else (0.0, D(0.0))
+
+
+def _dual_value_fn(model: CtmdpModel, grid: TimeGrid, integrator: str):
+    gamma = model.initial_dist
+    d = model.constraint_bounds
+
+    def D(u: np.ndarray) -> float:
+        weights = np.concatenate([[1.0], u])
+        vg, _ = solve_backward(model, grid, cost_weights=weights, integrator=integrator)
+        return float(gamma @ vg.at_start() - u @ d)
+
+    return D
 
 
 def random_instance(rng: np.random.Generator, max_states: int = 6,

@@ -132,6 +132,38 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"{field} must be a list" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("preset, field, value, named", [
+        (False, "states", [2], "states"),
+        (False, "states", 2.5, "states"),
+        (False, "horizon", [1.0], "horizon"),
+        (False, "horizon", True, "horizon"),
+        (False, "truncation_level", "x", "truncation_level"),
+        (False, "drift_certificate", {"rho1": [1.0], "b1": 1.0, "rho2": 1.0, "b2": 1.0,
+                                      "rho3": 1.0, "b3": 1.0, "L": 1.0, "M": 1.0},
+         "drift_certificate.rho1"),
+        (True, "lambda", [1.0], "lambda"),
+        (True, "m", [4], "m"),
+        (True, "m", True, "m"),
+        (True, "grid", [3], "grid"),
+        (True, "costs", [{"i": [1.0]}], "cost term i"),
+    ], ids=["states-list", "states-float", "horizon-list", "horizon-bool",
+            "truncation_level-str", "drift_certificate-list", "lambda-list", "m-list",
+            "m-bool", "grid-list", "cost-term-list"])
+    def test_scalar_field_of_wrong_type_is_usage_error(self, tmp_path, capsys, preset,
+                                                       field, value, named):
+        if preset:
+            doc = {"preset": "birth_death", "lambda": 1.0, "mu": 2.0, "m": 4}
+        else:
+            doc = {"states": 2, "actions_per_state": [[[0.0]], [[0.0]]],
+                   "rates": [[[-1.0, 1.0]], [[1.0, -1.0]]], "costs": [[[0.0], [1.0]]],
+                   "horizon": 1.0}
+        doc[field] = value
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        assert main(["validate", "--model", str(path), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"{named} must be" in err and "Traceback" not in err
+
     def test_initial_state_in_range_is_a_point_mass(self, tmp_path):
         path = tmp_path / "model.json"
         path.write_text('{"preset": "birth_death", "lambda": 1.0, "mu": 2.0, "m": 4, '

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from ctmdp.dp import (GridStabilityError, TimeGrid, ValueGrid, check_value_envelope,
-                      evaluate_policy, solve_backward, truncation_error_bound,
-                      write_policy_csv)
+from ctmdp.dp import (GridStabilityError, NumericsError, TimeGrid, ValueGrid,
+                      check_value_envelope, evaluate_policy, solve_backward,
+                      truncation_error_bound, write_policy_csv)
 from ctmdp.model import (CtmdpModel, MarkovPolicy, auto_certificate,
                          birth_death_certificate, cost_bound_from_tables,
                          certify_drift, make_birth_death)
@@ -255,6 +255,34 @@ class TestEvaluatePolicy:
         _, policy = solve_backward(model, TimeGrid(1.0, 10))
         with pytest.raises(ValueError, match="nodes"):
             evaluate_policy(model, TimeGrid(1.0, 20), policy, 0)
+
+
+class TestNumericsDiagnostics:
+    """Overflow is reported at the first node the backward loop made non-finite."""
+
+    @staticmethod
+    def overflowing_model():
+        return CtmdpModel.from_tables([[0.0]], [[[0.0]]], [[[1e308]]], horizon=4.0)
+
+    @pytest.mark.parametrize("integrator, where", [("rk4", "node 7 (t=3.5)"),
+                                                   ("euler", "node 4 (t=2)")])
+    @pytest.mark.parametrize("route", ["solve_backward", "evaluate_policy"])
+    def test_overflow_names_the_node(self, route, integrator, where):
+        model, grid = self.overflowing_model(), TimeGrid(4.0, 8)
+        with pytest.raises(NumericsError) as err:
+            if route == "solve_backward":
+                solve_backward(model, grid, integrator=integrator)
+            else:
+                evaluate_policy(model, grid, MarkovPolicy.constant(model, 0, grid.n_nodes),
+                                0, integrator)
+        assert str(err.value) == f"non-finite value at {where}"
+
+    def test_evaluate_policy_rejects_an_unknown_integrator(self):
+        model = two_state_chain()
+        grid = TimeGrid(1.0, 10)
+        with pytest.raises(ValueError, match="unknown integrator 'heun'"):
+            evaluate_policy(model, grid, MarkovPolicy.uniform(model, grid.n_nodes), 0,
+                            integrator="heun")
 
 
 class TestEnvelope:

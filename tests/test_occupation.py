@@ -11,12 +11,12 @@ from ctmdp import occupation
 from ctmdp.dp import TimeGrid, solve_backward
 from ctmdp.lp_core import DEFAULT_PIVOT_CAP, solve_lp
 from ctmdp.model import CtmdpModel, MarkovPolicy, make_birth_death
-from ctmdp.occupation import (DualSearchConfig, OccupationGrid, _dual_value_fn,
+from ctmdp.occupation import (DualSearchConfig, OccupationGrid,
                               build_constrained_lp, check_characterization,
                               default_test_functions, disintegrate, lagrangian_dual,
                               occupation_of_policy, solve_constrained, uniform_occupation)
 from ctmdp.sim import mc_value
-from oracles import (csv_writer_occupation_table, dense_occupation_masses,
+from oracles import (_dual_value_fn, csv_writer_occupation_table, dense_occupation_masses,
                      euler_masses_of_kernel, expm_transient, golden_dual_max,
                      random_instance, random_policy, tail_characterization_residual)
 from test_acceptance import slater_birth_death
@@ -450,7 +450,6 @@ class TestLagrangianDual:
     def test_dual_function_is_concave_along_samples(self):
         model = one_state_mixing(d1=1.0)
         grid = TimeGrid(1.0, 32)
-        from ctmdp.occupation import _dual_value_fn
         D = _dual_value_fn(model, grid, "euler")
         us = np.linspace(0.0, 2.0, 9)
         vals = np.array([D(np.array([u])) for u in us])
