@@ -9,7 +9,9 @@ trees and diffing the outputs shows whether a change altered any CLI byte.
 Each run writes into its own directory under a temporary directory; its
 stdout is kept as ``stdout.txt`` beside the files it wrote. One line
 ``<sha256>  <run>/<file>`` is printed per file, sorted by path. The script
-uses the standard library only and takes no flags.
+exits 1, printing the run's stderr, if a run exits with neither 0 nor 1,
+prints a traceback, or writes no ``report.txt`` (for instance when ``ctmdp``
+cannot be imported). It uses the standard library only and takes no flags.
 """
 
 from __future__ import annotations
@@ -54,7 +56,11 @@ def main() -> int:
             args = [a.format(model=model) for a in argv] + ["--out", out]
             proc = subprocess.run([sys.executable, "-c", MAIN, *args],
                                   capture_output=True)
-            if proc.returncode not in (0, 1):
+            # exit 1 is a legitimate verdict (a failed check), but a run that
+            # crashed, or never got as far as its report, digests nothing
+            crashed = b"Traceback" in proc.stderr
+            if proc.returncode not in (0, 1) or crashed or \
+                    not os.path.exists(os.path.join(out, "report.txt")):
                 sys.stderr.write(proc.stderr.decode(errors="replace"))
                 print(f"{name}: exit {proc.returncode}", file=sys.stderr)
                 return 1

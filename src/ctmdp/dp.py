@@ -18,6 +18,7 @@ import numpy as np
 from .model import CtmdpModel, DriftCertificate, MarkovPolicy
 
 STABILITY_CAP = 0.5  # dt * max_i q*(i) must stay below this
+_ARGMIN_BLOCK = 64  # nodes whose policy argmins solve_backward resolves at once
 
 
 class GridStabilityError(RuntimeError):
@@ -156,9 +157,10 @@ def solve_backward(model: CtmdpModel, grid: TimeGrid, cost_weights=None,
     """Integrate the optimality equation backward; return value and argmin policy.
 
     The min is re-resolved at every RK4 stage, which needs only its value.
-    Each node's rate product cbar + R @ g is formed once: the node's argmin
+    Each node's rate product cbar + R g is formed once: the node's argmin
     (ties break to the lowest action index) and the first stage of the next
-    step both come from it (notes/decisions.md).
+    step both come from it. The argmins are taken a block of nodes at a time
+    (notes/decisions.md).
     ``integrator='euler'`` switches to a single forward Euler stage per step;
     the occupation-measure LP is the discrete dual of exactly that scheme, so
     its Lagrangian probes use it for a matched pair.
@@ -170,25 +172,32 @@ def solve_backward(model: CtmdpModel, grid: TimeGrid, cost_weights=None,
     dt = grid.dt
 
     def f(g: np.ndarray) -> np.ndarray:
-        return np.minimum.reduceat(cbar + R @ g, starts)
+        return np.minimum.reduceat(cbar + R.dot(g), starts)
 
     g = np.zeros((grid.n_nodes, model.n_states))
     policy = np.zeros((grid.n_nodes, model.n_states), dtype=np.int64)
-    vals = cbar + R @ g[grid.n_steps]
-    padded = np.where(mask, vals[pad], np.inf)
-    mins = padded.min(axis=1)
+    # node k's rate product sits in row k % _ARGMIN_BLOCK until its block's
+    # argmins are resolved together, at the block's lowest node
+    block = np.empty((_ARGMIN_BLOCK, model.n_pairs))
+    vals = block[grid.n_steps % _ARGMIN_BLOCK]
+    np.add(cbar, R.dot(g[grid.n_steps]), out=vals)
+    mins = np.where(mask, vals[pad], np.inf).min(axis=1)
     if not np.all(np.isfinite(mins)):  # e.g. a state with an empty action set
         state = int(np.argmin(np.isfinite(mins)))
         raise NumericsError(f"non-finite minimum at node {grid.n_steps} "
                             f"(t={grid.n_steps * dt:.6g}) in state {state}")
-    policy[grid.n_steps] = np.argmin(padded, axis=1)  # first minimum: lowest action
 
     with np.errstate(over="ignore", invalid="ignore"):  # caught by _check_finite below
-        for k in range(grid.n_steps - 1, -1, -1):
-            # vals holds cbar + R @ g[k + 1], so its stage min is the first stage
-            g[k] = _step(f, g[k + 1], dt, integrator, k1=np.minimum.reduceat(vals, starts))
-            vals = cbar + R @ g[k]
-            policy[k] = np.argmin(np.where(mask, vals[pad], np.inf), axis=1)
+        for k in range(grid.n_steps, -1, -1):
+            if k < grid.n_steps:
+                # vals holds cbar + R g[k + 1], so its stage min is the first stage
+                g[k] = _step(f, g[k + 1], dt, integrator, k1=np.minimum.reduceat(vals, starts))
+                vals = block[k % _ARGMIN_BLOCK]
+                np.add(cbar, R.dot(g[k]), out=vals)
+            if k % _ARGMIN_BLOCK == 0:
+                top = min(k + _ARGMIN_BLOCK, grid.n_nodes)
+                padded = np.where(mask, block[:top - k, pad], np.inf)
+                policy[k:top] = np.argmin(padded, axis=2)  # first minimum: lowest action
     _check_finite(g, dt)
 
     return ValueGrid(grid=grid, values=g), MarkovPolicy.deterministic(policy)
@@ -218,7 +227,7 @@ def evaluate_policy(model: CtmdpModel, grid: TimeGrid, policy: MarkovPolicy,
             row, cb = kernel[k], costs[k]
 
             def f(v):
-                return cb + np.add.reduceat(row * (R @ v), starts)
+                return cb + np.add.reduceat(row * R.dot(v), starts)
 
             g[k] = _step(f, g[k + 1], dt, integrator)
     _check_finite(g, dt)

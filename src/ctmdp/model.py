@@ -587,6 +587,12 @@ def _require_number(value, what: str, integer: bool = False):
     return value
 
 
+def _require_fields(doc: dict, keys) -> None:
+    for key in keys:
+        if key not in doc:
+            raise ModelFormatError(f"missing required field {key!r}")
+
+
 def _require_lists(doc: dict, keys) -> None:
     for key in keys:
         if key in doc:
@@ -630,6 +636,7 @@ def model_from_dict(doc: dict) -> tuple[CtmdpModel, DriftCertificate | None]:
 
     if doc.get("preset") == "birth_death":
         _reject_unknown(doc, _PRESET_KEYS, "preset model")
+        _require_fields(doc, ("lambda", "mu", "m"))
         _require_lists(doc, ("costs", "constraint_bounds", "initial_dist"))
         m = int(doc["m"])
         cost_fns = [_cost_fn_from_term(t) for t in doc.get("costs", [{"i": 1.0}])]
@@ -648,9 +655,7 @@ def model_from_dict(doc: dict) -> tuple[CtmdpModel, DriftCertificate | None]:
         raise ModelFormatError(f"unknown preset {doc['preset']!r}")
 
     _reject_unknown(doc, _EXPLICIT_KEYS, "model document")
-    for key in ("states", "actions_per_state", "rates", "costs", "horizon"):
-        if key not in doc:
-            raise ModelFormatError(f"missing required field {key!r}")
+    _require_fields(doc, ("states", "actions_per_state", "rates", "costs", "horizon"))
     _require_lists(doc, ("actions_per_state", "rates", "costs", "constraint_bounds",
                          "initial_dist", "weight"))
     for key in ("actions_per_state", "costs"):

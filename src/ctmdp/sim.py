@@ -85,7 +85,8 @@ def _policy_cells(model: CtmdpModel, policy: MarkovPolicy):
 
 
 def _cell_of(t, dt_cells: float, n_cells: int):
-    return np.clip((t / dt_cells).astype(np.int64), 0, n_cells - 1)
+    cell = (t / dt_cells).astype(np.int64)
+    return np.clip(cell, 0, n_cells - 1, out=cell)
 
 
 def kernel_cost_cells(model: CtmdpModel, policy: MarkovPolicy, cost_index: int) -> np.ndarray:
@@ -161,11 +162,13 @@ def simulate(model: CtmdpModel, policy: MarkovPolicy, i0: int, seed) -> Trajecto
 
 
 def _integral_fn(table: np.ndarray, dt_cells: float, t_end: float):
-    """F(state, u): integral of table(., state) over [0, min(u, t_end)], u >= 0.
+    """F(state, u, cell): integral of table(., state) over [0, min(u, t_end)], u >= 0.
 
     The table is piecewise constant on the cells, so F is a cumulative sum at
     the cell boundary plus a partial cell. The cumulative sums and the table
-    share one (state, cell) layout, so one flat index reads both.
+    share one (state, cell) layout, so one flat index reads both. ``cell``, if
+    given, must be ``_cell_of(u)``; it is F's own cell whenever t_end >= T
+    (notes/decisions.md).
     """
     n_cells, n_states = table.shape
     pre = np.zeros((n_states, n_cells + 1))
@@ -175,14 +178,24 @@ def _integral_fn(table: np.ndarray, dt_cells: float, t_end: float):
     pre, value = pre.ravel(), value.ravel()
     end = min(max(t_end, 0.0), n_cells * dt_cells)
 
-    def integral(state: np.ndarray, u: np.ndarray) -> np.ndarray:
+    def integral(state: np.ndarray, u: np.ndarray, cell=None) -> np.ndarray:
         u = np.minimum(u, end)
-        cell = (u / dt_cells).astype(np.int64)
-        np.minimum(cell, n_cells - 1, out=cell)
-        at = state * (n_cells + 1) + cell
-        return pre.take(at) + (u - cell * dt_cells) * value.take(at)
+        if cell is None:
+            cell = (u / dt_cells).astype(np.int64)
+            np.minimum(cell, n_cells - 1, out=cell)
+        at = state * (n_cells + 1)
+        at += cell
+        # pre + (u - cell * dt_cells) * value, in place
+        out = cell * dt_cells
+        np.subtract(u, out, out=out)
+        out *= value.take(at)
+        out += pre.take(at)
+        return out
 
     return integral
+
+
+_GUIDE = 256  # guide-table buckets per pair; a power of two, so u * _GUIDE is exact
 
 
 @dataclass(frozen=True)
@@ -197,6 +210,10 @@ class _JumpTable:
     ``width[s]`` the number of columns from slot s up to the next slot (or
     the row end) and ``cum[s]`` the running sum at slot s. Unused slots have
     width 0.
+
+    ``guide[ka * (_GUIDE + 1) + b]`` is the target of every draw u in
+    [b / _GUIDE, (b + 1) / _GUIDE) when the count is the same at both ends of
+    that bucket, else -1; the last bucket of each pair (u >= 1) is always -1.
     """
 
     diag: np.ndarray        # (n_pairs,) |q(i|i,a)|
@@ -205,6 +222,7 @@ class _JumpTable:
     lead: np.ndarray        # (n_pairs,)
     cum: np.ndarray         # (n_slots, n_pairs)
     width: np.ndarray       # (n_slots, n_pairs)
+    guide: np.ndarray       # (n_pairs * (_GUIDE + 1),)
 
 
 def _jump_table(model: CtmdpModel) -> _JumpTable:
@@ -221,9 +239,21 @@ def _jump_table(model: CtmdpModel) -> _JumpTable:
     cols = np.where(np.take_along_axis(nonzero, cols, axis=1), cols, n)
     bounds = np.column_stack([cols, np.full(model.n_pairs, n)])
     cum = np.take_along_axis(np.cumsum(rows, axis=1), np.minimum(cols, n - 1), axis=1)
-    return _JumpTable(diag=diag, normalized=rows, fallback=np.argmax(rows, axis=1),
-                      lead=bounds[:, 0], cum=np.ascontiguousarray(cum.T),
-                      width=np.ascontiguousarray(np.diff(bounds, axis=1).T))
+    lead, width, fallback = bounds[:, 0], np.diff(bounds, axis=1), np.argmax(rows, axis=1)
+
+    # the slot count at every bucket edge b / _GUIDE, one slot at a time
+    edges = np.arange(_GUIDE + 1) / _GUIDE
+    count = lead[:, None] * (0.0 < edges)
+    for s in range(n_slots):
+        count += (cum[:, s, None] < edges) * width[:, s, None]
+    target = np.minimum(count[:, :-1], n - 1)
+    no_mass = np.take_along_axis(rows, target, axis=1) <= 0.0
+    target = np.where(no_mass, fallback[:, None], target)
+    guide = np.full((model.n_pairs, _GUIDE + 1), -1, dtype=np.int64)
+    guide[:, :-1] = np.where(count[:, :-1] == count[:, 1:], target, -1)
+    return _JumpTable(diag=diag, normalized=rows, fallback=fallback, lead=lead,
+                      cum=np.ascontiguousarray(cum.T), width=np.ascontiguousarray(width.T),
+                      guide=guide.ravel())
 
 
 def _jump_targets(jumps: _JumpTable, ka: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -231,7 +261,18 @@ def _jump_targets(jumps: _JumpTable, ka: np.ndarray, u: np.ndarray) -> np.ndarra
 
     Equal to counting the entries of ``cumsum(normalized[ka]) < u``, clipped
     to the last state, with the argmax fallback when that entry has no mass.
+    The guide table answers most draws; the rest go to the slot search.
     """
+    bucket = (u * _GUIDE).astype(np.int64)
+    np.minimum(bucket, _GUIDE, out=bucket)
+    j = jumps.guide.take(ka * (_GUIDE + 1) + bucket)
+    miss = np.flatnonzero(j < 0)
+    if miss.size:
+        j[miss] = _slot_search(jumps, ka.take(miss), u.take(miss))
+    return j
+
+
+def _slot_search(jumps: _JumpTable, ka: np.ndarray, u: np.ndarray) -> np.ndarray:
     j = jumps.lead.take(ka) * (0.0 < u)
     for cum, width in zip(jumps.cum, jumps.width):
         j += (cum.take(ka) < u) * width.take(ka)
@@ -260,7 +301,9 @@ def _run_batch(model: CtmdpModel, policy: MarkovPolicy, i0: int, n_paths: int,
     Only live paths are held, compacted in path-id order; a path's outputs
     are written once, in the round it reaches the horizon. Each integrand
     carries its integral up to the start of the current stretch, which is the
-    previous round's value at the stretch end unless the path jumped. See
+    previous round's value at the stretch end unless the path jumped. The
+    policy cell of each stretch end is computed once per round and shared by
+    the action lookup and the integrands that run to the horizon. See
     notes/decisions.md for why this reproduces the full-width loop bit for bit.
     """
     cells, dt_cells = _policy_cells(model, policy)
@@ -278,6 +321,7 @@ def _run_batch(model: CtmdpModel, policy: MarkovPolicy, i0: int, n_paths: int,
     jumps = _jump_table(model)
     integrals = [_integral_fn(np.asarray(tab), dt_cells, min(float(t_end), T))
                  for tab, t_end in integrands]
+    whole = [float(t_end) >= T for _, t_end in integrands]
 
     acc_out = np.zeros((n_paths, len(integrands)))
     captured = np.full(n_paths, -1, dtype=np.int64)
@@ -292,29 +336,34 @@ def _run_batch(model: CtmdpModel, policy: MarkovPolicy, i0: int, n_paths: int,
     for _ in range(max_rounds):
         if ids.size == 0:
             break
-        t_new = t + rng.exponential(1.0, size=ids.size) / clock_rate.take(state)
+        t_new = rng.standard_exponential(ids.size)
+        t_new /= clock_rate.take(state)
+        t_new += t
         t_new[absorbing.take(state)] = np.inf
 
         if capture_time is not None:
-            hit = (t <= capture_time) & (capture_time < t_new)
-            captured[ids[hit]] = state[hit]
-
-        hi = np.minimum(t_new, T)
-        for m, F in enumerate(integrals):
-            end = F(state, hi)
-            acc[m] += end - start[m]
-            start[m] = end
+            hit = np.flatnonzero((t <= capture_time) & (capture_time < t_new))
+            captured[ids.take(hit)] = state.take(hit)
 
         finished = t_new >= T
-        if finished.any():
-            out = ids[finished]
+        hi = np.minimum(t_new, T, out=t_new)
+        cell = _cell_of(hi, dt_cells, n_cells)
+        for m, F in enumerate(integrals):
+            end = F(state, hi, cell if whole[m] else None)
+            np.subtract(end, start[m], out=start[m])
+            acc[m] += start[m]
+            start[m] = end
+
+        done = np.flatnonzero(finished)
+        if done.size:
+            out = ids.take(done)
             for m in range(len(acc)):
-                acc_out[out, m] = acc[m][finished]
+                acc_out[out, m] = acc[m].take(done)
             if capture_time is not None:
-                held = captured[out]
-                captured[out] = np.where(held < 0, state[finished], held)
+                held = captured.take(out)
+                captured[out] = np.where(held < 0, state.take(done), held)
             keep = np.flatnonzero(~finished)
-            ids, t, state = ids.take(keep), hi.take(keep), state.take(keep)
+            ids, t, state, cell = ids.take(keep), hi.take(keep), state.take(keep), cell.take(keep)
             acc = [a.take(keep) for a in acc]
             start = [f.take(keep) for f in start]
             if ids.size == 0:
@@ -322,7 +371,6 @@ def _run_batch(model: CtmdpModel, policy: MarkovPolicy, i0: int, n_paths: int,
         else:
             t = hi
 
-        cell = _cell_of(t, dt_cells, n_cells)
         if randomized:
             rows = cells[cell[:, None], pad[state]]
             rows = np.where(mask[state], rows, 0.0)
@@ -335,17 +383,21 @@ def _run_batch(model: CtmdpModel, policy: MarkovPolicy, i0: int, n_paths: int,
                 local[off] = np.argmax(rows[off], axis=1)
             ka = offsets[state] + local
         else:
-            ka = pair_at.take(cell * n_states + state)
+            at = cell * n_states
+            at += state
+            ka = pair_at.take(at)
 
-        accept = rng.random(ids.size) * q_star.take(state) < jumps.diag.take(ka)
+        accept = rng.random(ids.size)
+        accept *= q_star.take(state)
+        accept = accept < jumps.diag.take(ka)
         jumped = np.flatnonzero(accept)
         if jumped.size == 0:
             continue
         j = _jump_targets(jumps, ka.take(jumped), rng.random(jumped.size))
         state[jumped] = j
-        t_jump = t.take(jumped)
+        t_jump, cell_jump = t.take(jumped), cell.take(jumped)
         for m, F in enumerate(integrals):
-            start[m][jumped] = F(j, t_jump)
+            start[m][jumped] = F(j, t_jump, cell_jump if whole[m] else None)
     if ids.size:
         raise RuntimeError("batch thinning did not finish within the round cap")
     return acc_out, captured

@@ -164,6 +164,16 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"{named} must be" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("field", ["lambda", "mu", "m"])
+    def test_preset_missing_field_is_usage_error(self, tmp_path, capsys, field):
+        doc = {"preset": "birth_death", "lambda": 1.0, "mu": 2.0, "m": 4}
+        del doc[field]
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        assert main(["validate", "--model", str(path), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"missing required field {field!r}" in err and "Traceback" not in err
+
     def test_initial_state_in_range_is_a_point_mass(self, tmp_path):
         path = tmp_path / "model.json"
         path.write_text('{"preset": "birth_death", "lambda": 1.0, "mu": 2.0, "m": 4, '

@@ -179,6 +179,37 @@ class TestSolveBackward:
         assert np.array_equal(np.signbit(values.values), np.signbit(g))
         assert np.array_equal(policy.action_index, nodes)
 
+    @pytest.mark.parametrize("case, n_steps", [("ties", 1), ("ties", 63), ("ties", 64),
+                                               ("ties", 65), ("ties", 894),
+                                               ("birth-death-m150", 894)])
+    def test_block_argmins_match_the_argmin_oracle(self, case, n_steps):
+        if case == "ties":
+            # state 0 leaves (action 1) near the horizon and waits (actions 0
+            # and 2, tied) earlier on; state 1's two actions tie; q* = 2
+            model = CtmdpModel.from_tables(
+                actions_per_state=[[0.0, 1.0, 2.0], [0.0, 1.0]],
+                rates=[[[0.0, 0.0], [-2.0, 2.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]],
+                costs=[[[1.0, 0.0, 1.0], [5.0, 5.0]]], horizon=0.25)
+        else:
+            model = make_birth_death(1.0, 2.0, m=150, grid=3)
+        grid = TimeGrid(model.horizon, n_steps)
+        values, policy = solve_backward(model, grid)
+        g, nodes = argmin_stage_solve_backward(model, grid)
+        assert np.array_equal(values.values, g)
+        assert np.array_equal(policy.action_index, nodes)
+
+    def test_never_holds_a_node_by_pair_table(self):
+        import tracemalloc
+        model = make_birth_death(1.0, 2.0, m=150, grid=3)
+        grid = TimeGrid(model.horizon, 894)
+        tracemalloc.start()
+        try:
+            solve_backward(model, grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < grid.n_nodes * model.n_pairs * 8
+
     def test_empty_action_set_aborts_with_diagnostic(self):
         from ctmdp.dp import NumericsError
         model = CtmdpModel(n_states=2, action_offsets=[0, 1, 1], action_points=[[0.0]],

@@ -6,7 +6,7 @@ import pytest
 from ctmdp.dp import TimeGrid, solve_backward
 from ctmdp.model import (CtmdpModel, MarkovPolicy, birth_death_certificate,
                          cost_bound_from_tables, certify_drift, make_birth_death)
-from ctmdp.sim import (_jump_table, _jump_targets, _run_batch, check_forward_kolmogorov,
+from ctmdp.sim import (_GUIDE, _jump_table, _jump_targets, _run_batch, check_forward_kolmogorov,
                        check_weight_bound, kernel_cost_cells, kernel_set_rate_cells,
                        mc_value, simulate)
 from oracles import dense_run_batch, random_instance, random_policy
@@ -344,6 +344,18 @@ def slot_search_models():
         costs=[[[0.0], [0.0, 0.0], [0.0], [0.0], [0.0], [0.0]]], horizon=1.0)
 
 
+def edge_model():
+    """State 0's normalized row has its breakpoints 0.25 and 0.75 exactly on
+    bucket edges and a zero first column; state 1 holds a zero-rate pair next
+    to a row whose first column is nonzero, with the same breakpoints."""
+    return CtmdpModel.from_tables(
+        actions_per_state=[[0.0], [0.0, 1.0], [0.0], [0.0]],
+        rates=[[[-1.0, 0.25, 0.5, 0.25]],
+               [[0.0, 0.0, 0.0, 0.0], [1.0, -4.0, 2.0, 1.0]],
+               [[0.0, 1.0, -1.0, 0.0]], [[0.5, 0.0, 0.0, -0.5]]],
+        costs=[[[0.0], [0.0, 0.0], [0.0], [0.0]]], horizon=1.0)
+
+
 class TestJumpSlotSearch:
     @pytest.mark.parametrize("model", list(slot_search_models()),
                              ids=["birth-death", "absorbing", "random0", "random1",
@@ -373,3 +385,30 @@ class TestJumpSlotSearch:
         u = np.array([np.nextafter(total, np.inf)])
         assert u[0] < 1.0
         assert _jump_targets(jumps, np.array([0]), u)[0] == model.n_states - 1
+
+    @pytest.mark.parametrize("model", list(slot_search_models()) + [edge_model()],
+                             ids=["birth-death", "absorbing", "random0", "random1",
+                                  "random2", "handmade", "edges"])
+    def test_equals_the_dense_count_at_every_bucket_edge(self, model):
+        jumps = _jump_table(model)
+        edges = np.arange(_GUIDE + 1) / _GUIDE
+        us = np.concatenate([edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
+                             [2.0]])
+        us = us[us >= 0.0]
+        # every pair, zero-rate ones included; their dense rows are 0 / 0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for ka in range(model.n_pairs):
+                kas = np.full(us.size, ka)
+                assert np.array_equal(_jump_targets(jumps, kas, us),
+                                      dense_jump_count(model, kas, us))
+
+    def test_only_buckets_holding_a_breakpoint_are_searched(self):
+        model = edge_model()
+        guide = _jump_table(model).guide.reshape(model.n_pairs, _GUIDE + 1)
+        # pair 0: lead column 1, so the count steps in bucket 0 as well as at
+        # 0.25 and 0.75; the last column (u >= 1) always goes to the search
+        assert np.flatnonzero(guide[0] < 0).tolist() == [0, 64, 192, _GUIDE]
+        # pair 2 (state 1, action 1): first column nonzero, so bucket 0 is resolved
+        assert np.flatnonzero(guide[2] < 0).tolist() == [64, 192, _GUIDE]
+        assert guide[2, 0] == 0 and guide[2, 100] == 2 and guide[2, 255] == 3
+

@@ -48,7 +48,8 @@ def fuzzed_policy(rng: np.random.Generator, model: CtmdpModel, randomized: bool)
                   randomized=st.booleans(),
                   i0=st.integers(0, 4),
                   seed=st.integers(0, 2**63 - 1),
-                  end_frac=st.floats(0.05, 1.5),
+                  end_frac=st.one_of(st.floats(0.05, 1.5),
+                                     st.sampled_from(["just below T", "T"])),
                   capture_frac=st.one_of(st.none(), st.floats(0.0, 1.0)))
 def test_batch_matches_the_dense_oracle(model_seed, sparsity, randomized, i0, seed,
                                         end_frac, capture_frac):
@@ -57,7 +58,12 @@ def test_batch_matches_the_dense_oracle(model_seed, sparsity, randomized, i0, se
     policy = fuzzed_policy(rng, model, randomized)
     i0 %= model.n_states
     T = model.horizon
-    integrands = [(kernel_cost_cells(model, policy, 0), end_frac * T),
+    # an integrand ending at or after T reads the round's shared cell, one
+    # ending before T its own
+    t_end = {"just below T": np.nextafter(T, 0.0), "T": T}.get(end_frac)
+    if t_end is None:
+        t_end = end_frac * T
+    integrands = [(kernel_cost_cells(model, policy, 0), t_end),
                   (kernel_set_rate_cells(model, policy, {0}), T)]
     capture = None if capture_frac is None else capture_frac * T
     rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
