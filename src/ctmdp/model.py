@@ -80,7 +80,7 @@ class CtmdpModel:
     def __post_init__(self):
         offsets = np.asarray(self.action_offsets, dtype=np.int64)
         points = np.atleast_2d(np.asarray(self.action_points, dtype=float))
-        rates = np.asarray(self.rate_rows, dtype=float)
+        rates = np.ascontiguousarray(self.rate_rows, dtype=float)
         costs = np.atleast_2d(np.asarray(self.costs, dtype=float))
         bounds = np.asarray(self.constraint_bounds, dtype=float).reshape(-1)
         gamma = np.asarray(self.initial_dist, dtype=float)

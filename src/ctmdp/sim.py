@@ -85,8 +85,7 @@ def _policy_cells(model: CtmdpModel, policy: MarkovPolicy):
 
 
 def _cell_of(t, dt_cells: float, n_cells: int):
-    cell = (t / dt_cells).astype(np.int64)
-    return np.clip(cell, 0, n_cells - 1, out=cell)
+    return np.clip((t / dt_cells).astype(np.int64), 0, n_cells - 1)
 
 
 def kernel_cost_cells(model: CtmdpModel, policy: MarkovPolicy, cost_index: int) -> np.ndarray:
@@ -166,9 +165,9 @@ def _integral_fn(table: np.ndarray, dt_cells: float, t_end: float):
 
     The table is piecewise constant on the cells, so F is a cumulative sum at
     the cell boundary plus a partial cell. The cumulative sums and the table
-    share one (state, cell) layout, so one flat index reads both. ``cell``, if
-    given, must be ``_cell_of(u)``; it is F's own cell whenever t_end >= T
-    (notes/decisions.md).
+    share one (state, cell) layout, so one flat index reads both. ``cell``
+    must be ``_cell_of(u)``; capped at the cell of t_end, it is the cell of
+    min(u, t_end) (notes/decisions.md).
     """
     n_cells, n_states = table.shape
     pre = np.zeros((n_states, n_cells + 1))
@@ -177,20 +176,13 @@ def _integral_fn(table: np.ndarray, dt_cells: float, t_end: float):
     value[:, :n_cells] = table.T
     pre, value = pre.ravel(), value.ravel()
     end = min(max(t_end, 0.0), n_cells * dt_cells)
+    end_cell = min(int(end / dt_cells), n_cells - 1)
 
-    def integral(state: np.ndarray, u: np.ndarray, cell=None) -> np.ndarray:
+    def integral(state: np.ndarray, u: np.ndarray, cell: np.ndarray) -> np.ndarray:
         u = np.minimum(u, end)
-        if cell is None:
-            cell = (u / dt_cells).astype(np.int64)
-            np.minimum(cell, n_cells - 1, out=cell)
-        at = state * (n_cells + 1)
-        at += cell
-        # pre + (u - cell * dt_cells) * value, in place
-        out = cell * dt_cells
-        np.subtract(u, out, out=out)
-        out *= value.take(at)
-        out += pre.take(at)
-        return out
+        cell = np.minimum(cell, end_cell)
+        at = state * (n_cells + 1) + cell
+        return pre.take(at) + (u - cell * dt_cells) * value.take(at)
 
     return integral
 
@@ -303,7 +295,7 @@ def _run_batch(model: CtmdpModel, policy: MarkovPolicy, i0: int, n_paths: int,
     carries its integral up to the start of the current stretch, which is the
     previous round's value at the stretch end unless the path jumped. The
     policy cell of each stretch end is computed once per round and shared by
-    the action lookup and the integrands that run to the horizon. See
+    the action lookup and every integrand. See
     notes/decisions.md for why this reproduces the full-width loop bit for bit.
     """
     cells, dt_cells = _policy_cells(model, policy)
@@ -321,7 +313,6 @@ def _run_batch(model: CtmdpModel, policy: MarkovPolicy, i0: int, n_paths: int,
     jumps = _jump_table(model)
     integrals = [_integral_fn(np.asarray(tab), dt_cells, min(float(t_end), T))
                  for tab, t_end in integrands]
-    whole = [float(t_end) >= T for _, t_end in integrands]
 
     acc_out = np.zeros((n_paths, len(integrands)))
     captured = np.full(n_paths, -1, dtype=np.int64)
@@ -330,30 +321,28 @@ def _run_batch(model: CtmdpModel, policy: MarkovPolicy, i0: int, n_paths: int,
     t = np.zeros(n_paths)
     state = np.full(n_paths, int(i0), dtype=np.int64)
     acc = [np.zeros(n_paths) for _ in integrals]
-    start = [F(state, t) for F in integrals]
+    cell = _cell_of(t, dt_cells, n_cells)
+    start = [F(state, t, cell) for F in integrals]
 
     max_rounds = _MAX_ROUNDS_SLACK + int(20 * model.max_q_star * T)
     for _ in range(max_rounds):
         if ids.size == 0:
             break
-        t_new = rng.standard_exponential(ids.size)
-        t_new /= clock_rate.take(state)
-        t_new += t
+        t_new = t + rng.standard_exponential(ids.size) / clock_rate.take(state)
         t_new[absorbing.take(state)] = np.inf
 
         if capture_time is not None:
-            hit = np.flatnonzero((t <= capture_time) & (capture_time < t_new))
-            captured[ids.take(hit)] = state.take(hit)
+            hit = (t <= capture_time) & (capture_time < t_new)
+            captured[ids[hit]] = state[hit]
 
-        finished = t_new >= T
-        hi = np.minimum(t_new, T, out=t_new)
+        hi = np.minimum(t_new, T)
         cell = _cell_of(hi, dt_cells, n_cells)
         for m, F in enumerate(integrals):
-            end = F(state, hi, cell if whole[m] else None)
-            np.subtract(end, start[m], out=start[m])
-            acc[m] += start[m]
+            end = F(state, hi, cell)
+            acc[m] += end - start[m]
             start[m] = end
 
+        finished = t_new >= T
         done = np.flatnonzero(finished)
         if done.size:
             out = ids.take(done)
@@ -383,13 +372,9 @@ def _run_batch(model: CtmdpModel, policy: MarkovPolicy, i0: int, n_paths: int,
                 local[off] = np.argmax(rows[off], axis=1)
             ka = offsets[state] + local
         else:
-            at = cell * n_states
-            at += state
-            ka = pair_at.take(at)
+            ka = pair_at.take(cell * n_states + state)
 
-        accept = rng.random(ids.size)
-        accept *= q_star.take(state)
-        accept = accept < jumps.diag.take(ka)
+        accept = rng.random(ids.size) * q_star.take(state) < jumps.diag.take(ka)
         jumped = np.flatnonzero(accept)
         if jumped.size == 0:
             continue
@@ -397,7 +382,7 @@ def _run_batch(model: CtmdpModel, policy: MarkovPolicy, i0: int, n_paths: int,
         state[jumped] = j
         t_jump, cell_jump = t.take(jumped), cell.take(jumped)
         for m, F in enumerate(integrals):
-            start[m][jumped] = F(j, t_jump, cell_jump if whole[m] else None)
+            start[m][jumped] = F(j, t_jump, cell_jump)
     if ids.size:
         raise RuntimeError("batch thinning did not finish within the round cap")
     return acc_out, captured

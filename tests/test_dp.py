@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -209,6 +210,21 @@ class TestSolveBackward:
         finally:
             tracemalloc.stop()
         assert peak < grid.n_nodes * model.n_pairs * 8
+
+    @pytest.mark.parametrize("layout", ["fortran", "strided"])
+    def test_rate_table_of_any_layout_matches_the_argmin_oracle(self, layout):
+        base = make_birth_death(1.0, 2.0, m=20, grid=3)
+        rates = np.array(base.rate_rows)
+        rates = (np.asfortranarray(rates) if layout == "fortran"
+                 else np.repeat(rates, 2, axis=1)[:, ::2])
+        assert not rates.flags.c_contiguous
+        model = dataclasses.replace(base, rate_rows=rates)
+        assert model.rate_rows.flags.c_contiguous
+        grid = TimeGrid(model.horizon, 2 * TimeGrid(model.horizon, 1).required_steps(model))
+        values, policy = solve_backward(model, grid)
+        g, nodes = argmin_stage_solve_backward(model, grid)
+        assert np.array_equal(values.values, g)
+        assert np.array_equal(policy.action_index, nodes)
 
     def test_empty_action_set_aborts_with_diagnostic(self):
         from ctmdp.dp import NumericsError

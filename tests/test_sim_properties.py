@@ -58,8 +58,8 @@ def test_batch_matches_the_dense_oracle(model_seed, sparsity, randomized, i0, se
     policy = fuzzed_policy(rng, model, randomized)
     i0 %= model.n_states
     T = model.horizon
-    # an integrand ending at or after T reads the round's shared cell, one
-    # ending before T its own
+    # every integrand caps the round's shared cell at the cell of its end;
+    # ends below, at and above T must all give the dense oracle's cell
     t_end = {"just below T": np.nextafter(T, 0.0), "T": T}.get(end_frac)
     if t_end is None:
         t_end = end_frac * T
