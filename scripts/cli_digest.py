@@ -1,4 +1,4 @@
-"""SHA-256 digests of every file the five standard CLI runs write.
+"""SHA-256 digests of every file the six standard CLI runs write.
 
 Usage (from the root of a source checkout):
 
@@ -29,10 +29,17 @@ CRITERION7 = {"preset": "birth_death", "lambda": 1.0, "mu": 2.0, "m": 2, "grid":
               "horizon": 1.0, "costs": [{"i": -1.0}, {"const": 0.5, "a1": 0.5}],
               "constraint_bounds": [0.3]}
 
+# The same model with the constraint cost scaled by 10 and bound 3.0: its
+# expected constraint costs exceed 1, so lp_core's row equilibration rescales
+# the master's constraint rows (on CRITERION7 every row scale is exactly 1).
+CRITERION7_SCALED = {**CRITERION7, "costs": [{"i": -1.0}, {"const": 5.0, "a1": 5.0}],
+                     "constraint_bounds": [3.0]}
+
 PRESET = ["--preset", "birth-death", "--lam", "1", "--mu", "2"]
 
 RUNS = {
     "constrain-criterion7": ["constrain", "--model", "{model}", "--steps", "500"],
+    "constrain-criterion7-scaled": ["constrain", "--model", "{scaled}", "--steps", "500"],
     "constrain-m4-two-bounds": ["constrain", *PRESET, "--m", "4",
                                 "--d", "1=0.5", "--d", "2=0.4"],
     "solve-m150": ["solve", *PRESET, "--m", "150", "--steps", "894"],
@@ -46,14 +53,16 @@ MAIN = "import sys; from ctmdp.cli import main; sys.exit(main(sys.argv[1:]))"
 
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
-        model = os.path.join(tmp, "criterion7.json")
-        with open(model, "w", encoding="utf-8") as fh:
-            json.dump(CRITERION7, fh)
+        models = {}
+        for key, doc in (("model", CRITERION7), ("scaled", CRITERION7_SCALED)):
+            models[key] = os.path.join(tmp, f"{key}.json")
+            with open(models[key], "w", encoding="utf-8") as fh:
+                json.dump(doc, fh)
         lines = []
         for name, argv in RUNS.items():
             out = os.path.join(tmp, name)
             os.mkdir(out)
-            args = [a.format(model=model) for a in argv] + ["--out", out]
+            args = [a.format(**models) for a in argv] + ["--out", out]
             proc = subprocess.run([sys.executable, "-c", MAIN, *args],
                                   capture_output=True)
             # exit 1 is a legitimate verdict (a failed check), but a run that

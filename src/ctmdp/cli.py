@@ -128,11 +128,7 @@ def cmd_solve(args) -> int:
         return DOMAIN_ERROR
     cert, source = _ensure_certificate(model, cert)
     grid = dp.TimeGrid(model.horizon, args.steps)
-    try:
-        values, policy = dp.solve_backward(model, grid)
-    except dp.GridStabilityError as exc:
-        print(f"{exc}", file=sys.stderr)
-        return DOMAIN_ERROR
+    values, policy = dp.solve_backward(model, grid)
     values.write_csv(os.path.join(args.out, "value.csv"))
     dp.write_policy_csv(model, grid, policy, os.path.join(args.out, "policy.csv"))
     envelope = dp.check_value_envelope(model, cert, values)
@@ -160,11 +156,7 @@ def cmd_constrain(args) -> int:
         print("model fails validation; run the validate subcommand", file=sys.stderr)
         return DOMAIN_ERROR
     grid = dp.TimeGrid(model.horizon, args.steps)
-    try:
-        result = occupation.solve_constrained(model, grid)
-    except dp.GridStabilityError as exc:
-        print(f"{exc}", file=sys.stderr)
-        return DOMAIN_ERROR
+    result = occupation.solve_constrained(model, grid)
     if result.solution.status != "optimal":
         lines = {"lp_status": result.solution.status, "n_pivots": result.solution.n_pivots}
         _report(args.out, lines)
@@ -210,14 +202,10 @@ def cmd_simulate(args) -> int:
         return DOMAIN_ERROR
     cert, source = _ensure_certificate(model, cert)
     grid = dp.TimeGrid(model.horizon, args.steps)
-    try:
-        if args.policy == "optimal":
-            _, policy = dp.solve_backward(model, grid)
-        else:
-            policy = MarkovPolicy.uniform(model, grid.n_nodes)
-    except dp.GridStabilityError as exc:
-        print(f"{exc}", file=sys.stderr)
-        return DOMAIN_ERROR
+    if args.policy == "optimal":
+        _, policy = dp.solve_backward(model, grid)
+    else:
+        policy = MarkovPolicy.uniform(model, grid.n_nodes)
     t_check = args.t_check if args.t_check is not None else model.horizon
 
     path = sim.simulate(model, policy, i0, args.seed)
@@ -299,6 +287,9 @@ def main(argv=None) -> int:
     except (ModelFormatError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    except dp.GridStabilityError as exc:
+        print(f"{exc}", file=sys.stderr)
+        return DOMAIN_ERROR
 
 
 if __name__ == "__main__":

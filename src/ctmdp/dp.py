@@ -44,8 +44,8 @@ class TimeGrid:
     def __post_init__(self):
         if self.n_steps < 1:
             raise ValueError("n_steps must be at least 1")
-        if not self.horizon > 0:
-            raise ValueError("horizon must be positive")
+        if not 0 < self.horizon < math.inf:
+            raise ValueError(f"horizon must be finite and positive, got {self.horizon}")
 
     @property
     def dt(self) -> float:

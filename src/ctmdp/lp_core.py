@@ -81,79 +81,65 @@ class LpSolution:
     complementarity: float | None = None
 
 
-class _Simplex:
-    """Revised simplex with a dense maintained inverse on fixed (A, b)."""
+def _pivot(Binv, d, r):
+    """Update the basis inverse in place: the column with B^-1 a = d enters at row r."""
+    piv_row = Binv[r] / d[r]
+    Binv -= np.outer(d, piv_row)
+    Binv[r] = piv_row
 
-    def __init__(self, A, b, pivot_cap):
-        self.A = A
-        self.b = b
-        self.m = A.shape[0]
-        self.pivots = 0
-        self.cap = pivot_cap
 
-    def run(self, c, basis, Binv):
-        """Minimize c over the current polyhedron from a feasible basis.
+def _simplex(A, b, c, basis, Binv, pivots, cap):
+    """Minimize c over {x >= 0 : A x = b} from a feasible basis with inverse Binv.
 
-        Returns (status, basis, Binv, x_B) with status in
-        {"optimal", "unbounded", "pivot_limit"}.
-        """
-        A, b, m = self.A, self.b, self.m
-        x_B = Binv @ b
+    pivots counts the pivots made before this call; no pivot beyond cap is
+    made. Returns (status, basis, Binv, x_B, pivots) with status in
+    {"optimal", "unbounded", "pivot_limit"}.
+    """
+    x_B = np.maximum(Binv @ b, 0.0)
+    scale_c = 1.0 + float(np.max(np.abs(c), initial=0.0))
+    degenerate_run = 0
+    bland = False
+
+    while True:
+        y = c[basis] @ Binv
+        reduced = c - y @ A
+        reduced[basis] = 0.0
+        candidates = np.flatnonzero(reduced < -ENTER_TOL * scale_c)
+        if candidates.size == 0:
+            return "optimal", basis, Binv, x_B, pivots
+        if bland:
+            j = int(candidates[0])
+        else:
+            j = int(candidates[np.argmin(reduced[candidates])])
+
+        d = Binv @ A[:, j]
+        pos = d > PIVOT_TOL
+        if not np.any(pos):
+            return "unbounded", basis, Binv, x_B, pivots
+        ratios = np.full(d.size, np.inf)
+        ratios[pos] = x_B[pos] / d[pos]
+        theta = float(ratios.min())
+        near = np.flatnonzero(ratios <= theta + PIVOT_TOL * (1.0 + abs(theta)))
+        if bland:
+            r = int(near[np.argmin(basis[near])])
+        else:
+            r = int(near[np.argmax(np.abs(d[near]))])
+
+        if pivots >= cap:
+            return "pivot_limit", basis, Binv, x_B, pivots
+        # pivot: j enters, basis[r] leaves
+        x_B -= theta * d
         np.maximum(x_B, 0.0, out=x_B)
-        scale_c = 1.0 + float(np.max(np.abs(c))) if c.size else 1.0
-        degenerate_run = 0
-        bland = False
+        x_B[r] = theta
+        basis[r] = j
+        _pivot(Binv, d, r)
+        pivots += 1
 
-        while True:
-            if self.pivots >= self.cap:
-                return "pivot_limit", basis, Binv, x_B
-            y = c[basis] @ Binv
-            reduced = c - y @ A
-            reduced[basis] = 0.0
-            candidates = np.flatnonzero(reduced < -ENTER_TOL * scale_c)
-            if candidates.size == 0:
-                return "optimal", basis, Binv, x_B
-            if bland:
-                j = int(candidates[0])
-            else:
-                j = int(candidates[np.argmin(reduced[candidates])])
-
-            d = Binv @ A[:, j]
-            pos = d > PIVOT_TOL
-            if not np.any(pos):
-                return "unbounded", basis, Binv, x_B
-            ratios = np.full(m, np.inf)
-            ratios[pos] = x_B[pos] / d[pos]
-            theta = float(ratios.min())
-            near = np.flatnonzero(ratios <= theta + PIVOT_TOL * (1.0 + abs(theta)))
-            if bland:
-                r = int(near[np.argmin(basis[near])])
-            else:
-                r = int(near[np.argmax(np.abs(d[near]))])
-
-            # pivot: j enters, basis[r] leaves
-            x_B -= theta * d
-            np.maximum(x_B, 0.0, out=x_B)
-            x_B[r] = theta
-            basis[r] = j
-            piv_row = Binv[r] / d[r]
-            Binv -= np.outer(d, piv_row)
-            Binv[r] = piv_row
-            self.pivots += 1
-
-            if theta <= PIVOT_TOL:
-                degenerate_run += 1
-                if degenerate_run >= _BLAND_AFTER:
-                    bland = True
-            else:
-                degenerate_run = 0
-                bland = False
-
-            if self.pivots % _REFACTOR_EVERY == 0:
-                Binv = np.linalg.inv(A[:, basis])
-                x_B = Binv @ b
-                np.maximum(x_B, 0.0, out=x_B)
-        # unreachable
+        degenerate_run = degenerate_run + 1 if theta <= PIVOT_TOL else 0
+        bland = degenerate_run >= _BLAND_AFTER
+        if pivots % _REFACTOR_EVERY == 0:
+            Binv = np.linalg.inv(A[:, basis])
+            x_B = np.maximum(Binv @ b, 0.0)
 
 
 def solve_lp(problem: LpProblem, pivot_cap: int = DEFAULT_PIVOT_CAP) -> LpSolution:
@@ -164,21 +150,14 @@ def solve_lp(problem: LpProblem, pivot_cap: int = DEFAULT_PIVOT_CAP) -> LpSoluti
     m = m_eq + m_ub
     n_std = n + m_ub
 
-    if m == 0:
-        if np.all(problem.c >= 0):
-            x = np.zeros(n)
-            return LpSolution("optimal", x, np.zeros(0), 0.0, 0, 0.0, 0.0, 0.0)
-        return LpSolution("unbounded", None, None, None, 0)
-
     A = np.zeros((m, n_std))
     A[:m_eq, :n] = problem.A_eq
     A[m_eq:, :n] = problem.A_ub
-    if m_ub:
-        A[m_eq:, n:] = np.eye(m_ub)
+    A[m_eq:, n:] = np.eye(m_ub)
     b = np.concatenate([problem.b_eq, problem.b_ub])
 
     # row equilibration, then flip signs so b >= 0
-    scale = np.max(np.abs(A), axis=1)
+    scale = np.max(np.abs(A), axis=1, initial=0.0)
     scale[scale <= 0.0] = 1.0
     A /= scale[:, None]
     b = b / scale
@@ -186,80 +165,51 @@ def solve_lp(problem: LpProblem, pivot_cap: int = DEFAULT_PIVOT_CAP) -> LpSoluti
     A *= flip[:, None]
     b *= flip
 
-    c_std = np.concatenate([problem.c, np.zeros(m_ub)])
-    engine = _Simplex(A, b, pivot_cap)
-
     # Phase 1: artificial identity basis, minimize total infeasibility
     A_art = np.concatenate([A, np.eye(m)], axis=1)
     c1 = np.concatenate([np.zeros(n_std), np.ones(m)])
     basis = np.arange(n_std, n_std + m, dtype=np.int64)
-    engine.A = A_art
-    status, basis, Binv, x_B = engine.run(c1, basis, np.eye(m))
+    status, basis, Binv, x_B, pivots = _simplex(A_art, b, c1, basis, np.eye(m), 0, pivot_cap)
     if status == "pivot_limit":
-        return LpSolution("pivot_limit", None, None, None, engine.pivots)
-    infeas = float(x_B[basis >= n_std].sum()) if np.any(basis >= n_std) else 0.0
+        return LpSolution(status, None, None, None, pivots)
+    infeas = float(x_B[basis >= n_std].sum())
     if infeas > FEAS_TOL * (1.0 + float(np.abs(b).max(initial=0.0))):
-        return LpSolution("infeasible", None, None, None, engine.pivots)
+        return LpSolution("infeasible", None, None, None, pivots)
 
     # pivot out any zero-level artificials; drop rows that turn out redundant
-    drop_rows: list[int] = []
+    keep = np.ones(m, dtype=bool)
     for r in np.flatnonzero(basis >= n_std):
-        u = Binv[r] @ A
-        pool = np.flatnonzero(np.abs(u) > FEAS_TOL)
+        pool = np.flatnonzero(np.abs(Binv[r] @ A) > FEAS_TOL)
         pool = pool[~np.isin(pool, basis)]
         if pool.size:
-            j = int(pool[0])
-            d = Binv @ A_art[:, j]
-            piv_row = Binv[r] / d[r]
-            Binv -= np.outer(d, piv_row)
-            Binv[r] = piv_row
-            basis[r] = j
+            basis[r] = pool[0]
+            _pivot(Binv, Binv @ A_art[:, pool[0]], r)
         else:
-            drop_rows.append(int(r))
-    if drop_rows:
-        keep = np.setdiff1d(np.arange(m), drop_rows)
-        A = A[keep]
-        b = b[keep]
-        scale = scale[keep]
-        flip = flip[keep]
-        basis = basis[keep]
-        m = keep.size
+            keep[r] = False
+    if not keep.all():
+        A, b, basis = A[keep], b[keep], basis[keep]
         Binv = np.linalg.inv(A[:, basis])
-    engine.A = A
-    engine.b = b
-    engine.m = m
 
-    status, basis, Binv, x_B = engine.run(c_std, basis, Binv)
-    if status in ("pivot_limit", "unbounded"):
-        return LpSolution(status, None, None, None, engine.pivots)
+    c_std = np.concatenate([problem.c, np.zeros(m_ub)])
+    status, basis, Binv, x_B, pivots = _simplex(A, b, c_std, basis, Binv, pivots, pivot_cap)
+    if status != "optimal":
+        return LpSolution(status, None, None, None, pivots)
 
     x_std = np.zeros(n_std)
     x_std[basis] = np.maximum(x_B, 0.0)
     x = x_std[:n]
-    y_scaled = c_std[basis] @ Binv
-    y_rows = y_scaled * flip / scale
-    # rows may have been dropped as redundant; report duals on surviving rows
+    # redundant rows carry zero multipliers
+    y = np.zeros(m)
+    y[keep] = (c_std[basis] @ Binv) * flip[keep] / scale[keep]
+    y_eq, y_ub = y[:m_eq], y[m_eq:]
     objective = float(problem.c @ x)
 
-    res_eq = float(np.max(np.abs(problem.A_eq @ x - problem.b_eq), initial=0.0)) if m_eq else 0.0
-    res_ub = float(np.max(problem.A_ub @ x - problem.b_ub, initial=0.0)) if m_ub else 0.0
-    primal_residual = max(res_eq, max(res_ub, 0.0), float(np.max(-x, initial=0.0)))
-
-    if y_rows.size == m_eq + m_ub:
-        y_full = y_rows
-    else:  # redundant equality rows dropped: they carry zero multipliers
-        y_full = np.zeros(m_eq + m_ub)
-        kept = np.setdiff1d(np.arange(m_eq + m_ub), drop_rows)
-        y_full[kept] = y_rows
-    dual_obj = float(problem.b_eq @ y_full[:m_eq] + problem.b_ub @ y_full[m_eq:])
-    duality_gap = abs(objective - dual_obj)
-
-    red = problem.c - problem.A_eq.T @ y_full[:m_eq] - \
-        (problem.A_ub.T @ y_full[m_eq:] if m_ub else 0.0)
-    comp = float(np.max(np.abs(red * x), initial=0.0))
-    if m_ub:
-        slack_ub = problem.b_ub - problem.A_ub @ x
-        comp = max(comp, float(np.max(np.abs(slack_ub * y_full[m_eq:]), initial=0.0)))
-
-    return LpSolution("optimal", x, y_full, objective, engine.pivots,
-                      primal_residual, duality_gap, comp)
+    res_eq = float(np.max(np.abs(problem.A_eq @ x - problem.b_eq), initial=0.0))
+    res_ub = float(np.max(problem.A_ub @ x - problem.b_ub, initial=0.0))
+    primal_residual = max(res_eq, res_ub, float(np.max(-x, initial=0.0)))
+    duality_gap = abs(objective - float(problem.b_eq @ y_eq + problem.b_ub @ y_ub))
+    red = problem.c - problem.A_eq.T @ y_eq - problem.A_ub.T @ y_ub
+    slack_ub = problem.b_ub - problem.A_ub @ x
+    comp = max(float(np.max(np.abs(red * x), initial=0.0)),
+               float(np.max(np.abs(slack_ub * y_ub), initial=0.0)))
+    return LpSolution("optimal", x, y, objective, pivots, primal_residual, duality_gap, comp)

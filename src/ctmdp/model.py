@@ -103,22 +103,19 @@ class CtmdpModel:
             raise ModelFormatError(f"constraint_bounds must be finite, got {bounds.tolist()}")
         if gamma.shape != (n,) or w.shape != (n,):
             raise ModelFormatError("initial_dist and weight must have one entry per state")
-        if not self.horizon > 0:
-            raise ModelFormatError("horizon must be positive")
+        if not 0 < self.horizon < np.inf:
+            raise ModelFormatError(f"horizon must be finite and positive, got {self.horizon}")
 
-        pair_state = np.repeat(np.arange(n, dtype=np.int64), np.diff(offsets))
+        counts = np.diff(offsets)
+        pair_state = np.repeat(np.arange(n, dtype=np.int64), counts)
         diag = rates[np.arange(n_pairs), pair_state]
         q_star = np.zeros(n)
         np.maximum.at(q_star, pair_state, np.abs(diag))
 
         # padded (state, local action) -> flat pair map for vectorized argmins
-        n_max = int(np.diff(offsets).max()) if n_pairs else 1
-        pad_index = np.zeros((n, n_max), dtype=np.int64)
-        pad_mask = np.zeros((n, n_max), dtype=bool)
-        for i in range(n):
-            k = offsets[i + 1] - offsets[i]
-            pad_index[i, :k] = np.arange(offsets[i], offsets[i + 1])
-            pad_mask[i, :k] = True
+        local = np.arange(int(counts.max()) if n_pairs else 1)
+        pad_mask = local < counts[:, None]
+        pad_index = np.where(pad_mask, offsets[:-1, None] + local, 0)
 
         for name, arr in (
             ("action_offsets", offsets), ("action_points", points),

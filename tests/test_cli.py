@@ -47,10 +47,43 @@ class TestExitCodes:
             main(["solve", "--frobnicate", "--out", str(tmp_path)])
         assert err.value.code == 2
 
-    def test_stability_violation_reports_required_steps(self, tmp_path, capsys):
-        code = main(["solve", *preset_args("--steps", "3", out=tmp_path)])
+    @pytest.mark.parametrize("command, extra", [("solve", []), ("constrain", ["--d", "1=0.5"]),
+                                                ("simulate", [])],
+                             ids=["solve", "constrain", "simulate"])
+    def test_stability_violation_reports_required_steps(self, tmp_path, capsys,
+                                                        command, extra):
+        code = main([command, *preset_args("--steps", "3", *extra, out=tmp_path)])
         assert code == 1
-        assert "n_steps >=" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "n_steps=3 violates the stability cap; use n_steps >=" in err
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command, extra", [("validate", []), ("solve", []),
+                                                ("constrain", ["--d", "1=0.5"]),
+                                                ("simulate", [])],
+                             ids=["validate", "solve", "constrain", "simulate"])
+    def test_infinite_horizon_flag_is_usage_error(self, tmp_path, capsys, command, extra):
+        code = main([command, *preset_args("--horizon", "inf", *extra, out=tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "horizon must be finite" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("preset", [True, False], ids=["preset", "explicit"])
+    @pytest.mark.parametrize("command", ["validate", "solve"])
+    def test_infinite_horizon_in_model_file_is_usage_error(self, tmp_path, capsys,
+                                                           preset, command):
+        path = tmp_path / "model.json"
+        if preset:
+            path.write_text('{"preset": "birth_death", "lambda": 1.0, "mu": 2.0, "m": 4, '
+                            '"horizon": Infinity}')
+        else:
+            path.write_text('{"states": 1, "actions_per_state": [[[0.0]]], '
+                            '"rates": [[[0.0]]], "costs": [[[1.0]]], "horizon": Infinity}')
+        code = main([command, "--model", str(path), "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "horizon must be finite" in err and "Traceback" not in err
 
     def test_infeasible_bound_fails(self, tmp_path):
         code = main(["constrain", *preset_args("--d", "1=-5", "--steps", "50",

@@ -67,6 +67,11 @@ class TestTimeGrid:
         with pytest.raises(ValueError):
             TimeGrid(-1.0, 10)
 
+    @pytest.mark.parametrize("horizon", [math.inf, math.nan])
+    def test_grid_rejects_a_horizon_that_is_not_finite(self, horizon):
+        with pytest.raises(ValueError, match="horizon must be finite and positive"):
+            TimeGrid(horizon, 10)
+
 
 class TestSolveBackward:
     def test_zero_cost_gives_zero_value(self):

@@ -58,6 +58,31 @@ class TestValidate:
         assert any(v.code == "weight" for v in validate_model(model))
 
 
+class TestConstruction:
+    @pytest.mark.parametrize("horizon", [math.inf, math.nan, 0.0])
+    def test_horizon_must_be_finite_and_positive(self, horizon):
+        with pytest.raises(ModelFormatError, match="horizon must be finite and positive"):
+            two_state_chain(horizon=horizon)
+
+    @pytest.mark.parametrize("offsets", [[0, 2, 2, 3], [0, 1, 4, 4], [0, 0, 0, 0], [0]])
+    def test_padded_pair_maps_match_a_per_state_fill(self, offsets):
+        n, n_pairs = len(offsets) - 1, offsets[-1]
+        model = CtmdpModel(n_states=n, action_offsets=offsets,
+                           action_points=np.zeros((n_pairs, 1)),
+                           rate_rows=np.zeros((n_pairs, n)), costs=np.zeros((1, n_pairs)),
+                           constraint_bounds=[], horizon=1.0,
+                           initial_dist=np.full(n, 1.0 / max(n, 1)), weight=np.ones(n))
+        n_max = max(int(np.diff(offsets).max(initial=0)), 1)
+        index, mask = np.zeros((n, n_max), dtype=np.int64), np.zeros((n, n_max), dtype=bool)
+        for i in range(n):
+            k = offsets[i + 1] - offsets[i]
+            index[i, :k] = np.arange(offsets[i], offsets[i + 1])
+            mask[i, :k] = True
+        assert model.pad_index.dtype == np.int64 and model.pad_mask.dtype == bool
+        assert np.array_equal(model.pad_index, index)
+        assert np.array_equal(model.pad_mask, mask)
+
+
 class TestBirthDeathPreset:
     def test_interior_rates_match_the_table(self):
         model = make_birth_death(1.0, 2.0, m=10, grid=3)

@@ -542,6 +542,17 @@ class TestColumnGeneration:
         assert cert.multipliers[0] == pytest.approx(u_ref, abs=1e-6)
         assert cert.dual_value == pytest.approx(d_ref, abs=1e-9)
 
+    @pytest.mark.parametrize("case", sorted(CG_CASES))
+    def test_a_cap_of_the_pivots_it_needs_stays_optimal(self, case):
+        model, grid = CG_CASES[case]()
+        free = solve_constrained(model, grid).solution
+        capped = solve_constrained(model, grid, pivot_cap=free.n_pivots).solution
+        assert capped.status == "optimal"
+        assert capped.n_pivots == free.n_pivots
+        assert np.array_equal(capped.x, free.x) and capped.objective == free.objective
+        short = solve_constrained(model, grid, pivot_cap=free.n_pivots - 1).solution
+        assert (short.status, short.n_pivots) == ("pivot_limit", free.n_pivots - 1)
+
     @pytest.mark.parametrize("case", ["criterion7", "random_n2"])
     def test_iterates_keep_weak_duality_and_master_descent(self, case):
         model, grid = CG_CASES[case]()
