@@ -287,7 +287,7 @@ def main(argv=None) -> int:
     except (ModelFormatError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except dp.GridStabilityError as exc:
+    except (dp.GridStabilityError, dp.NumericsError) as exc:
         print(f"{exc}", file=sys.stderr)
         return DOMAIN_ERROR
 

@@ -24,10 +24,11 @@ _ARGMIN_BLOCK = 64  # nodes whose policy argmins solve_backward resolves at once
 class GridStabilityError(RuntimeError):
     """Time step too coarse for the model's fastest exit rate."""
 
-    def __init__(self, n_steps: int, required: int):
+    def __init__(self, n_steps: int, required: int | float):
         self.required_n_steps = required
-        super().__init__(
-            f"n_steps={n_steps} violates the stability cap; use n_steps >= {required}")
+        advice = (f"use n_steps >= {required}" if required < math.inf
+                  else "no finite step count is stable")
+        super().__init__(f"n_steps={n_steps} violates the stability cap; {advice}")
 
 
 class NumericsError(RuntimeError):
@@ -59,8 +60,10 @@ class TimeGrid:
     def nodes(self) -> np.ndarray:
         return np.linspace(0.0, self.horizon, self.n_nodes)
 
-    def required_steps(self, model: CtmdpModel) -> int:
-        return max(1, math.ceil(self.horizon * model.max_q_star / STABILITY_CAP))
+    def required_steps(self, model: CtmdpModel) -> int | float:
+        """Fewest stable steps; math.inf when the count overflows a float."""
+        steps = self.horizon * model.max_q_star / STABILITY_CAP
+        return max(1, math.ceil(steps)) if steps < math.inf else math.inf
 
     def check_stability(self, model: CtmdpModel) -> None:
         if self.dt * model.max_q_star > STABILITY_CAP:
@@ -251,10 +254,8 @@ def value_envelope(model: CtmdpModel, certificate: DriftCertificate,
                    cost_weights=None) -> np.ndarray:
     """Growth envelope for values of the (scalarized) cost on this horizon."""
     weights_sum = 1.0 if cost_weights is None else float(np.sum(cost_weights))
-    rho1, b1, T = certificate.rho1, certificate.b1, model.horizon
-    m_eff = certificate.M * weights_sum
-    return m_eff * T * (math.exp(rho1 * T) * model.weight
-                        + (b1 / rho1) * (math.exp(rho1 * T) - 1.0))
+    T = model.horizon
+    return certificate.M * weights_sum * T * certificate.weight_bound(model.weight, T)
 
 
 def check_value_envelope(model: CtmdpModel, certificate: DriftCertificate,
@@ -276,10 +277,7 @@ def truncation_error_bound(model: CtmdpModel, certificate: DriftCertificate) -> 
     Scales the horizon-T mean-weight envelope by 1/m; reported, not enforced.
     Returns 0 for zero-cost models and decays like 1/m as the truncation grows.
     """
-    rho1, b1, T = certificate.rho1, certificate.b1, model.horizon
-    m = model.truncation_level
+    T, m = model.horizon, model.truncation_level
     if m is None:
         m = float(model.weight.max())
-    envelope = math.exp(rho1 * T) * model.gamma_weight() \
-        + (b1 / rho1) * (math.exp(rho1 * T) - 1.0)
-    return certificate.M * T * envelope / m
+    return certificate.M * T * certificate.weight_bound(model.gamma_weight(), T) / m

@@ -12,8 +12,9 @@ with ``action_offsets[i]:action_offsets[i+1]`` the slice of state i's actions.
 
 from __future__ import annotations
 
-import itertools
 import json
+import math
+import sys
 from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
@@ -105,12 +106,16 @@ class CtmdpModel:
             raise ModelFormatError("initial_dist and weight must have one entry per state")
         if not 0 < self.horizon < np.inf:
             raise ModelFormatError(f"horizon must be finite and positive, got {self.horizon}")
+        if self.truncation_level is not None and not 0 < self.truncation_level < np.inf:
+            raise ModelFormatError(
+                f"truncation_level must be finite and positive, got {self.truncation_level}")
 
         counts = np.diff(offsets)
         pair_state = np.repeat(np.arange(n, dtype=np.int64), counts)
         diag = rates[np.arange(n_pairs), pair_state]
         q_star = np.zeros(n)
-        np.maximum.at(q_star, pair_state, np.abs(diag))
+        with np.errstate(invalid="ignore"):  # a NaN rate is validate_model's to report
+            np.maximum.at(q_star, pair_state, np.abs(diag))
 
         # padded (state, local action) -> flat pair map for vectorized argmins
         local = np.arange(int(counts.max()) if n_pairs else 1)
@@ -242,6 +247,14 @@ def validate_model(model: CtmdpModel) -> list[Violation]:
         out.append(Violation("nonfinite_rate", i, int(ka - offsets[i]), int(j),
                              float("nan"), f"non-finite rate q({j}|{i},a)"))
         return out
+    for n, ka in np.argwhere(~np.isfinite(model.costs)):
+        i = int(model.pair_state[ka])
+        a = int(ka - offsets[i])
+        out.append(Violation("nonfinite_cost", i, a, None, float("nan"),
+                             f"non-finite cost c_{n}({i},{a})"))
+    for i in np.flatnonzero(~np.isfinite(model.weight)):
+        out.append(Violation("nonfinite_weight", int(i), None, None, float("nan"),
+                             f"non-finite weight[{i}]"))
 
     row_sums = model.rate_rows.sum(axis=1)
     for ka in np.flatnonzero(np.abs(row_sums) > RATE_TOL):
@@ -259,7 +272,7 @@ def validate_model(model: CtmdpModel) -> list[Violation]:
                              f"q({j}|{i},{a}) = {off_diag[ka, j]:.3e} < 0"))
 
     gamma_sum = float(model.initial_dist.sum())
-    if abs(gamma_sum - 1.0) > PROB_TOL:
+    if not abs(gamma_sum - 1.0) <= PROB_TOL:  # a NaN sum fails too
         out.append(Violation("initial_dist", None, None, None, gamma_sum - 1.0,
                              f"initial distribution sums to {gamma_sum!r}"))
     for i in np.flatnonzero(model.initial_dist < -PROB_TOL):
@@ -300,6 +313,18 @@ class DriftCertificate:
 
     def violated_keys(self) -> list[str]:
         return [k for k in CERT_KEYS if not self.satisfied.get(k, False)]
+
+    def weight_bound(self, w, t: float):
+        """Certified bound e^{rho1 t} w + (b1/rho1)(e^{rho1 t} - 1) on the mean
+        weight at time t from a start of weight w (a number or a per-state
+        array); at rho1 = 0 it is the limit w + b1 t."""
+        if self.rho1 == 0.0:
+            return w + self.b1 * t
+        try:
+            grow = math.exp(self.rho1 * t)
+        except OverflowError:  # the bound is infinite, so it holds trivially
+            return w * math.inf
+        return grow * w + (self.b1 / self.rho1) * (grow - 1.0)
 
 
 def certify_drift(model: CtmdpModel, candidate: DriftCertificate) -> DriftCertificate:
@@ -473,8 +498,9 @@ def make_birth_death(lam: float, mu: float, m: int, grid: int,
     [-mu, mu]. At the truncation boundary i = m-1 the birth flow is folded
     into the diagonal so the row stays conservative. Weight w(i) = i + 1.
     """
-    if lam <= 0 or mu <= 0:
-        raise ModelFormatError("birth and death rates must be positive")
+    for name, rate in (("lambda", lam), ("mu", mu)):
+        if not 0 < rate < math.inf:
+            raise ModelFormatError(f"{name} must be finite and positive, got {rate}")
     if m < 2:
         raise ModelFormatError("need at least two states (m >= 2)")
     if grid < 2:
@@ -487,45 +513,35 @@ def make_birth_death(lam: float, mu: float, m: int, grid: int,
     a1_pts = np.linspace(-lam, lam, grid)
     a2_pts = np.linspace(-mu, mu, grid)
 
-    offsets = np.zeros(m + 1, dtype=np.int64)
-    points: list[tuple[float, float]] = []
-    for i in range(m):
-        acts = [(a1, 0.0) for a1 in a1_pts] if i == 0 else \
-               [(a1, a2) for a1, a2 in itertools.product(a1_pts, a2_pts)]
-        offsets[i + 1] = offsets[i] + len(acts)
-        points.extend(acts)
-    pts = np.array(points)
+    # one entry per state-action pair: state 0 has the grid a1 points, every
+    # other state the a1-major product grid
+    counts = np.full(m, grid * grid)
+    counts[0] = grid
+    offsets = np.concatenate(([0], np.cumsum(counts)))
+    i = np.repeat(np.arange(m), counts)
+    a1 = np.concatenate([a1_pts, np.tile(np.repeat(a1_pts, grid), m - 1)])
+    a2 = np.concatenate([np.zeros(grid), np.tile(a2_pts, grid * (m - 1))])
 
-    n_pairs = len(points)
-    rates = np.zeros((n_pairs, m))
-    for ka in range(n_pairs):
-        i = int(np.searchsorted(offsets, ka, side="right") - 1)
-        a1, a2 = points[ka]
-        if i == 0:
-            birth = lam + a1
-            rates[ka, 1] = birth
-            rates[ka, 0] = -birth
-        else:
-            birth = lam * i + a1
-            death = mu * i + a2
-            rates[ka, i - 1] = death
-            if i < m - 1:
-                rates[ka, i + 1] = birth
-                rates[ka, i] = -(birth + death)
-            else:
-                rates[ka, i] = -death  # boundary: birth absorbed on the diagonal
+    ka = np.arange(i.size)
+    birth = lam * np.maximum(i, 1) + a1  # lam + a1 from state 0
+    death = mu * i + a2
+    up, down = i < m - 1, i > 0
+    rates = np.zeros((i.size, m))
+    rates[ka[down], i[down] - 1] = death[down]
+    rates[ka[up], i[up] + 1] = birth[up]
+    # boundary: birth absorbed on the diagonal
+    rates[ka, i] = np.where(up, -(birth + death), -death)
 
-    costs = np.array([[fn(int(np.searchsorted(offsets, ka, side="right") - 1),
-                          points[ka][0], points[ka][1])
-                       for ka in range(n_pairs)] for fn in cost_fns])
+    pairs = list(zip(i.tolist(), a1.tolist(), a2.tolist()))
+    costs = np.array([[fn(*pair) for pair in pairs] for fn in cost_fns])
 
     gamma = np.zeros(m)
     gamma[0] = 1.0
     if initial_dist is not None:
         gamma = np.asarray(initial_dist, dtype=float)
 
-    return CtmdpModel(n_states=m, action_offsets=offsets, action_points=pts,
-                      rate_rows=rates, costs=costs,
+    return CtmdpModel(n_states=m, action_offsets=offsets,
+                      action_points=np.column_stack([a1, a2]), rate_rows=rates, costs=costs,
                       constraint_bounds=np.asarray(constraint_bounds, dtype=float),
                       horizon=float(horizon), initial_dist=gamma,
                       weight=np.arange(1, m + 1, dtype=float),
@@ -549,116 +565,101 @@ def cost_bound_from_tables(model: CtmdpModel) -> float:
 
 # -- model files -------------------------------------------------------------
 
-_PRESET_KEYS = {"preset", "lambda", "mu", "m", "grid", "horizon", "costs",
-                "constraint_bounds", "initial_dist", "initial_state",
-                "drift_certificate"}
-_EXPLICIT_KEYS = {"states", "actions_per_state", "rates", "costs", "horizon",
-                  "constraint_bounds", "initial_dist", "initial_state",
-                  "weight", "truncation_level", "drift_certificate"}
-_COST_TERM_KEYS = {"const", "i", "a1", "a2"}
-_CERT_KEYS_JSON = {"rho1", "b1", "rho2", "b2", "rho3", "b3", "L", "M"}
-_INTEGER_KEYS = ("states", "m", "grid")
-_REAL_KEYS = ("lambda", "mu", "horizon", "truncation_level")
+def _is_number(value) -> bool:
+    """A JSON number that converts to a float; true and false are not numbers."""
+    return isinstance(value, float) or type(value) is int and abs(value) <= sys.float_info.max
 
 
-def _reject_unknown(d: dict, allowed: set, where: str):
-    unknown = set(d) - allowed
+def _is_table(value, depth: int) -> bool:
+    """A JSON list whose entries are numbers or, if depth > 1, such tables of
+    depth - 1."""
+    return isinstance(value, list) and all(
+        _is_number(v) or depth > 1 and _is_table(v, depth - 1) for v in value)
+
+
+# JSON kind of every field of each model-file object, under the name its
+# errors give it. A field of kind number must also be finite.
+_STR, _INT, _NUM, _LIST, _OBJ = "a string", "an integer", "a number", "a list", "an object"
+_TABLE, _ROWS = "a list of numbers", "a list of lists of numbers"
+_KINDS = {_STR: lambda v: isinstance(v, str), _INT: lambda v: type(v) is int,
+          _NUM: _is_number, _LIST: lambda v: isinstance(v, list),
+          _OBJ: lambda v: isinstance(v, dict), _TABLE: lambda v: _is_table(v, 1),
+          _ROWS: lambda v: isinstance(v, list) and all(_is_table(row, 2) for row in v)}
+_SHARED_FIELDS = {"horizon": _NUM, "constraint_bounds": _TABLE, "initial_dist": _TABLE,
+                  "initial_state": _INT, "drift_certificate": _OBJ}
+_PRESET_FIELDS = {"preset": _STR, "lambda": _NUM, "mu": _NUM, "m": _INT, "grid": _INT,
+                  "costs": _LIST, **_SHARED_FIELDS}
+_EXPLICIT_FIELDS = {"states": _INT, "actions_per_state": _ROWS, "rates": _ROWS,
+                    "costs": _ROWS, "weight": _TABLE, "truncation_level": _NUM,
+                    **_SHARED_FIELDS}
+_COST_TERM_FIELDS = dict.fromkeys(("const", "i", "a1", "a2"), _NUM)
+_CERT_FIELDS = dict.fromkeys(("rho1", "b1", "rho2", "b2", "rho3", "b3", "L", "M"), _NUM)
+
+
+def _checked(obj, fields: dict, required, where: str, prefix: str = "") -> dict:
+    """obj itself if it is an object with only known fields, every required
+    one present and each of its table's kind; else a ModelFormatError naming
+    the field as prefix + name."""
+    if not isinstance(obj, dict):
+        raise ModelFormatError(f"{where} must be an object, got {obj!r:.40}")
+    unknown = set(obj) - set(fields)
     if unknown:
         raise ModelFormatError(f"unknown field(s) {sorted(unknown)} in {where}")
-
-
-def _require(value, kind: type, what: str):
-    """value itself if it has the JSON type a field needs, else a ModelFormatError."""
-    if not isinstance(value, kind):
-        shape = "a list" if kind is list else "an object"
-        raise ModelFormatError(f"{what} must be {shape}, got {type(value).__name__}")
-    return value
-
-
-def _require_number(value, what: str, integer: bool = False):
-    """value itself if it is a JSON number (an integer if asked), else a
-    ModelFormatError; true and false are not numbers here."""
-    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
-        shape = "an integer" if integer else "a number"
-        raise ModelFormatError(f"{what} must be {shape}, got {type(value).__name__}")
-    return value
-
-
-def _require_fields(doc: dict, keys) -> None:
-    for key in keys:
-        if key not in doc:
-            raise ModelFormatError(f"missing required field {key!r}")
-
-
-def _require_lists(doc: dict, keys) -> None:
-    for key in keys:
-        if key in doc:
-            _require(doc[key], list, key)
-
-
-def _cost_fn_from_term(term: dict) -> Callable[[int, float, float], float]:
-    _reject_unknown(_require(term, dict, "cost term"), _COST_TERM_KEYS, "cost term")
-    return linear_cost(**{k: float(_require_number(v, f"cost term {k}"))
-                          for k, v in term.items()})
+    for key in required:
+        if key not in obj:
+            raise ModelFormatError(f"missing required field {prefix + key!r}")
+    for key, value in obj.items():
+        if not _KINDS[fields[key]](value):
+            raise ModelFormatError(f"{prefix}{key} must be {fields[key]}, got {value!r:.40}")
+        if fields[key] == _NUM and not abs(value) <= sys.float_info.max:
+            raise ModelFormatError(f"{prefix}{key} must be finite, got {value!r:.40}")
+    return obj
 
 
 def _initial_dist_from(doc: dict, n: int):
-    if "initial_dist" in doc and "initial_state" in doc:
-        raise ModelFormatError("give initial_dist or initial_state, not both")
-    if "initial_state" in doc:
-        state = doc["initial_state"]
-        if isinstance(state, bool) or not isinstance(state, int) or not 0 <= state < n:
-            raise ModelFormatError(f"initial_state {state!r} is not a state index in 0..{n - 1}")
-        gamma = np.zeros(n)
-        gamma[state] = 1.0
-        return gamma
+    if "initial_state" not in doc:
+        return doc.get("initial_dist")
     if "initial_dist" in doc:
-        return np.asarray(doc["initial_dist"], dtype=float)
-    return None
+        raise ModelFormatError("give initial_dist or initial_state, not both")
+    state = doc["initial_state"]
+    if not 0 <= state < n:
+        raise ModelFormatError(f"initial_state {state!r} is not a state index in 0..{n - 1}")
+    gamma = np.zeros(n)
+    gamma[state] = 1.0
+    return gamma
 
 
 def model_from_dict(doc: dict) -> tuple[CtmdpModel, DriftCertificate | None]:
     """Decode a model document; returns the model and any declared certificate."""
-    if not isinstance(doc, dict):
-        raise ModelFormatError("model document must be a JSON object")
-    for key in _INTEGER_KEYS + _REAL_KEYS:
-        if key in doc:
-            _require_number(doc[key], key, integer=key in _INTEGER_KEYS)
+    preset = isinstance(doc, dict) and "preset" in doc
+    if preset and doc["preset"] != "birth_death":
+        raise ModelFormatError(f"unknown preset {doc['preset']!r}")
+    if preset:
+        _checked(doc, _PRESET_FIELDS, ("lambda", "mu", "m"), "preset model")
+    else:
+        _checked(doc, _EXPLICIT_FIELDS, ("states", "actions_per_state", "rates", "costs",
+                                         "horizon"), "model document")
     cert = None
     if "drift_certificate" in doc:
-        block = _require(doc["drift_certificate"], dict, "drift_certificate")
-        _reject_unknown(block, _CERT_KEYS_JSON, "drift_certificate")
-        cert = DriftCertificate(**{k: float(_require_number(v, f"drift_certificate.{k}"))
-                                   for k, v in block.items()})
+        block = _checked(doc["drift_certificate"], _CERT_FIELDS, ("rho1", "b1"),
+                         "drift_certificate", "drift_certificate.")
+        cert = DriftCertificate(**{k: float(v) for k, v in block.items()})
 
-    if doc.get("preset") == "birth_death":
-        _reject_unknown(doc, _PRESET_KEYS, "preset model")
-        _require_fields(doc, ("lambda", "mu", "m"))
-        _require_lists(doc, ("costs", "constraint_bounds", "initial_dist"))
-        m = int(doc["m"])
-        cost_fns = [_cost_fn_from_term(t) for t in doc.get("costs", [{"i": 1.0}])]
+    if preset:
+        lam, mu, m = float(doc["lambda"]), float(doc["mu"]), doc["m"]
         model = make_birth_death(
-            lam=float(doc["lambda"]), mu=float(doc["mu"]), m=m,
-            grid=int(doc.get("grid", 3)),
-            cost_fns=cost_fns,
+            lam=lam, mu=mu, m=m, grid=doc.get("grid", 3),
+            cost_fns=[linear_cost(**_checked(t, _COST_TERM_FIELDS, (), "cost term",
+                                             "cost term "))
+                      for t in doc.get("costs", [{"i": 1.0}])],
             horizon=float(doc.get("horizon", 1.0)),
             initial_dist=_initial_dist_from(doc, m),
             constraint_bounds=doc.get("constraint_bounds", ()))
         if cert is None:
-            cert = birth_death_certificate(float(doc["lambda"]), float(doc["mu"]),
-                                           cost_bound_from_tables(model))
+            cert = birth_death_certificate(lam, mu, cost_bound_from_tables(model))
         return model, cert
-    if "preset" in doc:
-        raise ModelFormatError(f"unknown preset {doc['preset']!r}")
 
-    _reject_unknown(doc, _EXPLICIT_KEYS, "model document")
-    _require_fields(doc, ("states", "actions_per_state", "rates", "costs", "horizon"))
-    _require_lists(doc, ("actions_per_state", "rates", "costs", "constraint_bounds",
-                         "initial_dist", "weight"))
-    for key in ("actions_per_state", "costs"):
-        for idx, entry in enumerate(doc[key]):
-            _require(entry, list, f"{key}[{idx}]")
-    n = int(doc["states"])
+    n = doc["states"]
     if len(doc["actions_per_state"]) != n:
         raise ModelFormatError("actions_per_state length must equal states")
     model = CtmdpModel.from_tables(
@@ -677,28 +678,23 @@ def load_model(path) -> tuple[CtmdpModel, DriftCertificate | None]:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # the latter: nested too deep
             raise ModelFormatError(f"invalid JSON in {path}: {exc}") from exc
     return model_from_dict(doc)
 
 
 def model_to_dict(model: CtmdpModel) -> dict:
     """Explicit-table document for a model (round-trips through model_from_dict)."""
-    acts = [[list(map(float, vec)) for vec in model.actions(i)] for i in range(model.n_states)]
-    rates = [[list(map(float, model.rate_rows[model.pair_index(i, a)]))
-              for a in range(model.n_actions(i))] for i in range(model.n_states)]
-    costs = [[[float(model.costs[n, model.pair_index(i, a)])
-               for a in range(model.n_actions(i))] for i in range(model.n_states)]
-             for n in range(model.costs.shape[0])]
+    split = model.action_offsets[1:-1]
     doc = {
         "states": model.n_states,
-        "actions_per_state": acts,
-        "rates": rates,
-        "costs": costs,
+        "actions_per_state": [p.tolist() for p in np.split(model.action_points, split)],
+        "rates": [r.tolist() for r in np.split(model.rate_rows, split)],
+        "costs": [[c.tolist() for c in np.split(table, split)] for table in model.costs],
         "horizon": model.horizon,
-        "constraint_bounds": list(map(float, model.constraint_bounds)),
-        "initial_dist": list(map(float, model.initial_dist)),
-        "weight": list(map(float, model.weight)),
+        "constraint_bounds": model.constraint_bounds.tolist(),
+        "initial_dist": model.initial_dist.tolist(),
+        "weight": model.weight.tolist(),
     }
     if model.truncation_level is not None:
         doc["truncation_level"] = model.truncation_level

@@ -471,7 +471,5 @@ def check_weight_bound(model: CtmdpModel, certificate: DriftCertificate,
     else:
         _, captured = _run_batch(model, policy, i0, replicates, rng, capture_time=t)
         est = _estimate(model.weight[captured])
-    rho1, b1 = certificate.rho1, certificate.b1
-    bound = math.exp(rho1 * t) * float(model.weight[int(i0)]) \
-        + (b1 / rho1) * (math.exp(rho1 * t) - 1.0)
+    bound = certificate.weight_bound(float(model.weight[int(i0)]), t)
     return WeightBoundCheck(estimate=est, bound=bound, slack=est.mean - bound)

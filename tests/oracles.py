@@ -15,7 +15,8 @@ exports of the value, policy and occupation tables, the full-width thinning
 batch that gathers a dense rate row per accepted jump, the backward DP
 that takes the padded argmin at every stage, and the dense simplex on its
 engine object (_Simplex, class_simplex_solve_lp) that lp_core's simplex
-functions replaced.
+functions replaced, and the per-pair loops that built the birth-death
+preset's tables and model_to_dict's nested lists.
 """
 
 from __future__ import annotations
@@ -666,3 +667,59 @@ def class_simplex_solve_lp(problem: LpProblem, pivot_cap: int = DEFAULT_PIVOT_CA
 
     return LpSolution("optimal", x, y_full, objective, engine.pivots,
                       primal_residual, duality_gap, comp)
+
+
+def loop_birth_death_tables(lam: float, mu: float, m: int, grid: int, cost_fns):
+    """(offsets, points, rates, costs) of the birth-death preset, built one
+    state-action pair at a time as make_birth_death did before its pair arrays."""
+    a1_pts = np.linspace(-lam, lam, grid)
+    a2_pts = np.linspace(-mu, mu, grid)
+    offsets = np.zeros(m + 1, dtype=np.int64)
+    points: list[tuple[float, float]] = []
+    for i in range(m):
+        acts = [(a1, 0.0) for a1 in a1_pts] if i == 0 else \
+               [(a1, a2) for a1, a2 in itertools.product(a1_pts, a2_pts)]
+        offsets[i + 1] = offsets[i] + len(acts)
+        points.extend(acts)
+    rates = np.zeros((len(points), m))
+    for ka, (a1, a2) in enumerate(points):
+        i = int(np.searchsorted(offsets, ka, side="right") - 1)
+        if i == 0:
+            birth = lam + a1
+            rates[ka, 1] = birth
+            rates[ka, 0] = -birth
+        else:
+            birth = lam * i + a1
+            death = mu * i + a2
+            rates[ka, i - 1] = death
+            if i < m - 1:
+                rates[ka, i + 1] = birth
+                rates[ka, i] = -(birth + death)
+            else:
+                rates[ka, i] = -death
+    costs = np.array([[fn(int(np.searchsorted(offsets, ka, side="right") - 1), a1, a2)
+                       for ka, (a1, a2) in enumerate(points)] for fn in cost_fns])
+    return offsets, np.array(points), rates, costs
+
+
+def loop_model_to_dict(model: CtmdpModel) -> dict:
+    """model_to_dict as it was, with one pair_index lookup per table entry."""
+    acts = [[list(map(float, vec)) for vec in model.actions(i)] for i in range(model.n_states)]
+    rates = [[list(map(float, model.rate_rows[model.pair_index(i, a)]))
+              for a in range(model.n_actions(i))] for i in range(model.n_states)]
+    costs = [[[float(model.costs[n, model.pair_index(i, a)])
+               for a in range(model.n_actions(i))] for i in range(model.n_states)]
+             for n in range(model.costs.shape[0])]
+    doc = {
+        "states": model.n_states,
+        "actions_per_state": acts,
+        "rates": rates,
+        "costs": costs,
+        "horizon": model.horizon,
+        "constraint_bounds": list(map(float, model.constraint_bounds)),
+        "initial_dist": list(map(float, model.initial_dist)),
+        "weight": list(map(float, model.weight)),
+    }
+    if model.truncation_level is not None:
+        doc["truncation_level"] = model.truncation_level
+    return doc

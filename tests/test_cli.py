@@ -1,4 +1,5 @@
 import json
+import warnings
 from pathlib import Path
 
 import pytest
@@ -9,6 +10,17 @@ from ctmdp.cli import main
 def preset_args(*extra, out):
     return ["--preset", "birth-death", "--lam", "1.0", "--mu", "2.0", "--m", "5",
             "--out", str(out), *extra]
+
+
+TWO_STATE = {"states": 2, "actions_per_state": [[[0.0]], [[0.0]]],
+             "rates": [[[-1.0, 1.0]], [[1.0, -1.0]]], "costs": [[[0.0], [1.0]]],
+             "horizon": 1.0, "weight": [1.0, 2.0]}
+
+
+def model_file(tmp_path, text: str) -> str:
+    path = tmp_path / "model.json"
+    path.write_text(text)
+    return str(path)
 
 
 def read_all_outputs(directory: Path) -> dict:
@@ -84,6 +96,119 @@ class TestExitCodes:
         assert code == 2
         err = capsys.readouterr().err
         assert "horizon must be finite" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["solve", "simulate"])
+    def test_horizon_too_long_for_any_step_count_fails_cleanly(self, tmp_path, capsys,
+                                                              command):
+        code = main([command, *preset_args("--horizon", "1e308", out=tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "no finite step count is stable" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("source, named", [
+        (["--lam", "nan", "--mu", "2"], "lambda"),
+        (["--lam", "1", "--mu", "inf"], "mu"),
+        ('{"preset": "birth_death", "lambda": NaN, "mu": 2.0, "m": 4}', "lambda"),
+    ], ids=["lam-nan-flag", "mu-inf-flag", "lambda-NaN-literal"])
+    def test_non_finite_preset_rate_is_usage_error(self, tmp_path, capsys, source, named):
+        if isinstance(source, str):
+            args = ["--model", model_file(tmp_path, source), "--out", str(tmp_path)]
+        else:
+            args = ["--preset", "birth-death", *source, "--m", "5", "--out", str(tmp_path)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["solve", *args])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{named} must be" in err and "Warning" not in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("missing", ["rho1", "b1"])
+    def test_certificate_missing_constant_is_usage_error(self, tmp_path, capsys, missing):
+        cert = {"rho1": 1.0, "b1": 1.0}
+        del cert[missing]
+        path = model_file(tmp_path, json.dumps({**TWO_STATE, "drift_certificate": cert}))
+        assert main(["solve", "--model", path, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"missing required field 'drift_certificate.{missing}'" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command, extra", [("solve", []),
+                                                ("simulate", ["--replicates", "200"])])
+    def test_zero_rho1_certificate_uses_the_linear_bound(self, tmp_path, command, extra):
+        cert = {"rho1": 0.0, "b1": 1.0, "L": 5.0, "M": 5.0}
+        path = model_file(tmp_path, json.dumps({**TWO_STATE, "drift_certificate": cert}))
+        assert main([command, "--model", path, "--steps", "50", *extra,
+                     "--out", str(tmp_path)]) == 0
+        report = (tmp_path / "report.txt").read_text()
+        if command == "solve":  # M T (gamma.w + b1 T) / max w = 5 * 1 * (1 + 1) / 2
+            assert "truncation_error_bound=5\n" in report
+        else:  # the bound at t = T from i0 = 0: w(0) + b1 T
+            assert "wb_bound=2\n" in report
+
+    @pytest.mark.parametrize("level", [0, -2])
+    def test_truncation_level_not_positive_is_usage_error(self, tmp_path, capsys, level):
+        path = model_file(tmp_path, json.dumps({**TWO_STATE, "truncation_level": level}))
+        assert main(["solve", "--model", path, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "truncation_level must be finite and positive" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["validate", "solve", "simulate"])
+    @pytest.mark.parametrize("field, text, named", [
+        ("costs", "[[[NaN], [1.0]]]", "non-finite cost c_0(0,0)"),
+        ("weight", "[1.0, NaN]", "non-finite weight[1]"),
+    ], ids=["cost-NaN", "weight-NaN"])
+    def test_non_finite_table_entry_fails_validation(self, tmp_path, capsys, command,
+                                                     field, text, named):
+        doc = json.dumps({**TWO_STATE, field: "@"}).replace('"@"', text)
+        steps = [] if command == "validate" else ["--steps", "50"]
+        code = main([command, "--model", model_file(tmp_path, doc), *steps,
+                     "--out", str(tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert (named if command == "validate" else "model fails validation") in err
+        assert "Traceback" not in err
+
+    def test_overflowing_values_are_a_domain_failure(self, tmp_path, capsys):
+        doc = {**TWO_STATE, "costs": [[[1e308], [1.0]]], "horizon": 4.0}
+        path = model_file(tmp_path, json.dumps(doc))
+        assert main(["solve", "--model", path, "--steps", "8", "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert "non-finite value at node" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("entry", [None, "x", {}, True], ids=["null", "str", "obj", "bool"])
+    @pytest.mark.parametrize("field, table", [
+        ("actions_per_state", [[["@"]], [[0.0]]]), ("rates", [[["@", 1.0]], [[1.0, -1.0]]]),
+        ("costs", [[["@"], [1.0]]]), ("weight", [1.0, "@"]), ("initial_dist", ["@", 1.0]),
+    ])
+    def test_non_numeric_table_entry_is_usage_error(self, tmp_path, capsys, field, table,
+                                                    entry):
+        doc = json.dumps({**TWO_STATE, field: table}).replace('"@"', json.dumps(entry))
+        assert main(["validate", "--model", model_file(tmp_path, doc),
+                     "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"{field} must be a list" in err and "of numbers" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("field, table", [
+        ("actions_per_state", [[[[0.0]]], [[0.0]]]), ("costs", [[[[0.0]], [1.0]]]),
+        ("weight", [[1.0], 2.0]), ("constraint_bounds", [[0.5]]),
+    ])
+    def test_table_nested_too_deep_is_usage_error(self, tmp_path, capsys, field, table):
+        doc = {**TWO_STATE, "costs": [[[0.0], [1.0]], [[0.0], [1.0]]],
+               "constraint_bounds": [0.5], field: table}
+        path = model_file(tmp_path, json.dumps(doc))
+        assert main(["validate", "--model", path, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"{field} must be a list" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("depth", [400, 5000])
+    def test_deeply_nested_json_is_usage_error(self, tmp_path, capsys, depth):
+        doc = json.dumps({**TWO_STATE, "weight": "@"}).replace(
+            '"@"', "[" * depth + "1.0" + "]" * depth)
+        assert main(["validate", "--model", model_file(tmp_path, doc),
+                     "--out", str(tmp_path)]) == 2
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_infeasible_bound_fails(self, tmp_path):
         code = main(["constrain", *preset_args("--d", "1=-5", "--steps", "50",

@@ -6,8 +6,8 @@ import pytest
 
 from ctmdp.dp import (GridStabilityError, NumericsError, TimeGrid, ValueGrid,
                       check_value_envelope, evaluate_policy, solve_backward,
-                      truncation_error_bound, write_policy_csv)
-from ctmdp.model import (CtmdpModel, MarkovPolicy, auto_certificate,
+                      truncation_error_bound, value_envelope, write_policy_csv)
+from ctmdp.model import (CtmdpModel, DriftCertificate, MarkovPolicy, auto_certificate,
                          birth_death_certificate, cost_bound_from_tables,
                          certify_drift, make_birth_death)
 from oracles import (argmin_stage_solve_backward, csv_writer_policy_table,
@@ -60,6 +60,14 @@ class TestTimeGrid:
         required = err.value.required_n_steps
         assert TimeGrid(1.0, required).dt * model.max_q_star <= 0.5 + 1e-12
         solve_backward(model, TimeGrid(1.0, required))  # now passes
+
+    def test_required_steps_is_infinite_when_no_count_is_stable(self):
+        model = two_state_chain()
+        assert TimeGrid(1.0, 1).required_steps(model) == 2  # q* = 1, cap 0.5
+        assert isinstance(TimeGrid(1e300, 1).required_steps(model), int)
+        assert TimeGrid(1e308, 1).required_steps(model) == math.inf
+        with pytest.raises(GridStabilityError, match="no finite step count is stable"):
+            solve_backward(model, TimeGrid(1e308, 10))
 
     def test_grid_rejects_nonpositive(self):
         with pytest.raises(ValueError):
@@ -360,6 +368,13 @@ class TestEnvelope:
                   for m in (10, 20, 40)]
         assert bounds[0] == pytest.approx(2 * bounds[1], rel=1e-12)
         assert bounds[1] == pytest.approx(2 * bounds[2], rel=1e-12)
+
+    def test_zero_rho1_bounds_are_the_linear_limit(self):
+        model = make_birth_death(1.0, 2.0, m=10, grid=2, horizon=2.0)
+        cert = DriftCertificate(rho1=0.0, b1=0.5, M=3.0)
+        assert truncation_error_bound(model, cert) == 3.0 * 2.0 * (1.0 + 0.5 * 2.0) / 10.0
+        assert np.array_equal(value_envelope(model, cert),
+                              3.0 * 2.0 * (model.weight + 0.5 * 2.0))
 
     def test_zero_cost_bound_is_zero(self):
         model = make_birth_death(1.0, 2.0, m=10, grid=2,

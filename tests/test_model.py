@@ -8,7 +8,8 @@ from ctmdp.model import (CtmdpModel, DriftCertificate, MarkovPolicy,
                          ModelFormatError, auto_certificate,
                          birth_death_certificate, certify_drift,
                          cost_bound_from_tables, load_model, make_birth_death,
-                         model_from_dict, model_to_dict, validate_model)
+                         linear_cost, model_from_dict, model_to_dict, validate_model)
+from oracles import loop_birth_death_tables, loop_model_to_dict, random_instance
 
 
 def two_state_chain(horizon=1.0):
@@ -57,12 +58,31 @@ class TestValidate:
                                        horizon=1.0, weight=[0.5])
         assert any(v.code == "weight" for v in validate_model(model))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("field, code", [("costs", "nonfinite_cost"),
+                                             ("weight", "nonfinite_weight"),
+                                             ("initial_dist", "initial_dist")])
+    def test_non_finite_entry_flagged(self, field, code, bad):
+        tables = {"costs": [[[0.0], [1.0]]], "weight": [1.0, 2.0], "initial_dist": [0.0, 1.0]}
+        tables[field] = [[[0.0], [bad]]] if field == "costs" else [0.0, bad]
+        model = CtmdpModel.from_tables([[0.0], [0.0]], [[[-1.0, 1.0]], [[1.0, -1.0]]],
+                                       horizon=1.0, **tables)
+        flagged = [v for v in validate_model(model) if v.code == code]
+        assert flagged and flagged[0].state in (1, None)
+
 
 class TestConstruction:
     @pytest.mark.parametrize("horizon", [math.inf, math.nan, 0.0])
     def test_horizon_must_be_finite_and_positive(self, horizon):
         with pytest.raises(ModelFormatError, match="horizon must be finite and positive"):
             two_state_chain(horizon=horizon)
+
+    @pytest.mark.parametrize("level", [0.0, -3.0, math.inf, math.nan])
+    def test_truncation_level_must_be_finite_and_positive(self, level):
+        with pytest.raises(ModelFormatError,
+                           match="truncation_level must be finite and positive"):
+            CtmdpModel.from_tables([[0.0]], [[[0.0]]], [[[0.0]]], horizon=1.0,
+                                   truncation_level=level)
 
     @pytest.mark.parametrize("offsets", [[0, 2, 2, 3], [0, 1, 4, 4], [0, 0, 0, 0], [0]])
     def test_padded_pair_maps_match_a_per_state_fill(self, offsets):
@@ -116,6 +136,17 @@ class TestBirthDeathPreset:
         with pytest.raises(ModelFormatError):
             make_birth_death(1.0, 1.0, m=5, grid=1)
 
+    @pytest.mark.parametrize("lam, mu, m, grid", [(1.0, 2.0, 2, 5), (1.3, 0.7, 6, 4),
+                                                  (0.3, 2.9, 20, 2), (2, 1, 7, 3)])
+    def test_pair_arrays_match_the_per_pair_loop(self, lam, mu, m, grid):
+        cost_fns = [lambda i, a1, a2: float(i), linear_cost(-1.0, 0.5, 0.25, -0.75)]
+        model = make_birth_death(lam, mu, m, grid, cost_fns=cost_fns, constraint_bounds=[0.3])
+        offsets, points, rates, costs = loop_birth_death_tables(lam, mu, m, grid, cost_fns)
+        for got, want in ((model.action_offsets, offsets), (model.action_points, points),
+                          (model.rate_rows, rates), (model.costs, costs)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
     def test_preset_always_validates(self):
         rng = np.random.default_rng(1)
         for _ in range(10):
@@ -151,6 +182,25 @@ class TestDriftClosedForms:
         a = list(map(tuple, model.actions(3))).index((0.5, -1.0))
         assert model.rate_rows[model.pair_index(3, a)] @ model.weight == \
             pytest.approx(-1.5, abs=1e-12)
+
+
+class TestWeightBound:
+    def test_zero_rho1_is_the_linear_limit(self):
+        cert = DriftCertificate(rho1=0.0, b1=1.5)
+        assert cert.weight_bound(2.0, 3.0) == 2.0 + 1.5 * 3.0
+        near = DriftCertificate(rho1=1e-9, b1=1.5).weight_bound(2.0, 3.0)
+        assert near == pytest.approx(6.5, rel=1e-8)
+
+    def test_matches_the_closed_form(self):
+        cert = DriftCertificate(rho1=3.0, b1=1.0)
+        w = np.array([1.0, 2.0])
+        expected = math.exp(1.5) * w + (1.0 / 3.0) * (math.exp(1.5) - 1.0)
+        assert np.array_equal(cert.weight_bound(w, 0.5), expected)
+
+    def test_overflowing_exponential_is_an_infinite_bound(self):
+        cert = DriftCertificate(rho1=1000.0, b1=0.0)
+        assert cert.weight_bound(2.0, 1.0) == math.inf
+        assert np.all(cert.weight_bound(np.array([1.0, 2.0]), 1.0) == math.inf)
 
 
 class TestCertifyDrift:
@@ -253,6 +303,13 @@ class TestModelFiles:
         assert np.allclose(again.rate_rows, model.rate_rows)
         assert np.allclose(again.costs, model.costs)
         assert np.allclose(again.weight, model.weight)
+
+    def test_model_to_dict_matches_the_per_entry_loop(self):
+        rng = np.random.default_rng(5)
+        models = [random_instance(rng, n_costs=2) for _ in range(5)]
+        models.append(make_birth_death(1.0, 2.0, m=6, grid=3))
+        for model in models:
+            assert json.dumps(model_to_dict(model)) == json.dumps(loop_model_to_dict(model))
 
     def test_unknown_field_rejected(self):
         doc = model_to_dict(two_state_chain())
