@@ -1,4 +1,4 @@
-"""SHA-256 digests of every file the six standard CLI runs write.
+"""SHA-256 digests of every file the eight standard CLI runs write.
 
 Usage (from the root of a source checkout):
 
@@ -46,6 +46,9 @@ RUNS = {
     "solve-m20-agrid4": ["solve", *PRESET, "--m", "20", "--agrid", "4", "--horizon", "0.7"],
     "simulate-m20": ["simulate", *PRESET, "--m", "20", "--replicates", "20000",
                      "--subset", "0,3"],
+    "simulate-m20-uniform": ["simulate", *PRESET, "--m", "20", "--replicates", "20000",
+                             "--policy", "uniform"],
+    "validate-m20": ["validate", *PRESET, "--m", "20"],
 }
 
 MAIN = "import sys; from ctmdp.cli import main; sys.exit(main(sys.argv[1:]))"

@@ -18,6 +18,7 @@ import numpy as np
 from .model import CtmdpModel, DriftCertificate, MarkovPolicy
 
 STABILITY_CAP = 0.5  # dt * max_i q*(i) must stay below this
+ENVELOPE_SLACK = 1e-6  # relative slack of the value-envelope check
 _ARGMIN_BLOCK = 64  # nodes whose policy argmins solve_backward resolves at once
 
 
@@ -241,30 +242,29 @@ def evaluate_policy(model: CtmdpModel, grid: TimeGrid, policy: MarkovPolicy,
 class EnvelopeReport:
     """Per-state growth envelope check for a value table."""
 
-    bound: np.ndarray      # (n_states,) envelope M_eff T [e^{rho1 T} w + ...]
+    bound: np.ndarray      # (n_states,) envelope M T [e^{rho1 T} w + ...]
     max_ratio: float       # max |g| / bound over all nodes and states
-    n_violations: int      # nodes*states where |g| > bound (1 + rel_slack)
+    n_violations: int      # nodes*states where |g| > bound (1 + ENVELOPE_SLACK)
 
     @property
     def ok(self) -> bool:
         return self.n_violations == 0
 
 
-def value_envelope(model: CtmdpModel, certificate: DriftCertificate,
-                   cost_weights=None) -> np.ndarray:
-    """Growth envelope for values of the (scalarized) cost on this horizon."""
-    weights_sum = 1.0 if cost_weights is None else float(np.sum(cost_weights))
+def value_envelope(model: CtmdpModel, certificate: DriftCertificate) -> np.ndarray:
+    """Growth envelope for values of the cost c_0 on this horizon; 0 at M = 0."""
     T = model.horizon
-    return certificate.M * weights_sum * T * certificate.weight_bound(model.weight, T)
+    if certificate.M == 0.0:
+        return np.zeros(model.n_states)
+    return certificate.M * T * certificate.weight_bound(model.weight, T)
 
 
 def check_value_envelope(model: CtmdpModel, certificate: DriftCertificate,
-                         value_grid: ValueGrid, cost_weights=None,
-                         rel_slack: float = 1e-6) -> EnvelopeReport:
+                         value_grid: ValueGrid) -> EnvelopeReport:
     """Assert |g(i, t_k)| stays inside the certified envelope at every node."""
-    bound = value_envelope(model, certificate, cost_weights)
+    bound = value_envelope(model, certificate)
     magnitude = np.abs(value_grid.values)
-    violations = magnitude > bound[None, :] * (1.0 + rel_slack)
+    violations = magnitude > bound[None, :] * (1.0 + ENVELOPE_SLACK)
     ratios = magnitude / np.where(bound > 0.0, bound, 1.0)[None, :]
     return EnvelopeReport(bound=bound,
                           max_ratio=float(ratios.max()),
@@ -275,8 +275,10 @@ def truncation_error_bound(model: CtmdpModel, certificate: DriftCertificate) -> 
     """Markov-inequality estimate of value mass beyond the truncation level.
 
     Scales the horizon-T mean-weight envelope by 1/m; reported, not enforced.
-    Returns 0 for zero-cost models and decays like 1/m as the truncation grows.
+    Returns 0 at M = 0, even past exp overflow, and decays like 1/m in m.
     """
+    if certificate.M == 0.0:
+        return 0.0
     T, m = model.horizon, model.truncation_level
     if m is None:
         m = float(model.weight.max())

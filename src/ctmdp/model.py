@@ -23,6 +23,7 @@ import numpy as np
 RATE_TOL = 1e-9    # |row sum| cap for a conservative rate row
 PROB_TOL = 1e-12   # normalization cap for distributions / policy kernels
 CERT_TOL = 1e-9    # drift slack above which an inequality counts as violated
+AUTO_RHO = 1.0     # growth rate of every inequality auto_certificate fits
 
 # Drift/growth inequalities a certificate speaks for, keyed by what they bound.
 CERT_KEYS = ("w_drift", "w2_drift", "w3_drift", "rate_growth", "cost_growth")
@@ -74,6 +75,7 @@ class CtmdpModel:
 
     # derived, filled in __post_init__
     pair_state: np.ndarray = field(init=False, repr=False)
+    exit_rate: np.ndarray = field(init=False, repr=False)
     q_star: np.ndarray = field(init=False, repr=False)
     pad_index: np.ndarray = field(init=False, repr=False)
     pad_mask: np.ndarray = field(init=False, repr=False)
@@ -112,10 +114,10 @@ class CtmdpModel:
 
         counts = np.diff(offsets)
         pair_state = np.repeat(np.arange(n, dtype=np.int64), counts)
-        diag = rates[np.arange(n_pairs), pair_state]
+        exit_rate = np.abs(rates[np.arange(n_pairs), pair_state])
         q_star = np.zeros(n)
         with np.errstate(invalid="ignore"):  # a NaN rate is validate_model's to report
-            np.maximum.at(q_star, pair_state, np.abs(diag))
+            np.maximum.at(q_star, pair_state, exit_rate)
 
         # padded (state, local action) -> flat pair map for vectorized argmins
         local = np.arange(int(counts.max()) if n_pairs else 1)
@@ -126,8 +128,8 @@ class CtmdpModel:
             ("action_offsets", offsets), ("action_points", points),
             ("rate_rows", rates), ("costs", costs),
             ("constraint_bounds", bounds), ("initial_dist", gamma),
-            ("weight", w), ("pair_state", pair_state), ("q_star", q_star),
-            ("pad_index", pad_index), ("pad_mask", pad_mask),
+            ("weight", w), ("pair_state", pair_state), ("exit_rate", exit_rate),
+            ("q_star", q_star), ("pad_index", pad_index), ("pad_mask", pad_mask),
         ):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
@@ -201,7 +203,7 @@ class CtmdpModel:
         rate_rows = np.vstack([_rate_rows_of(rates[i], i, len(actions_per_state[i]), n)
                                for i in range(n)])
         cost_arr = np.vstack([np.concatenate([np.asarray(ci, dtype=float).reshape(-1) for ci in table])
-                              for table in costs]) if costs else np.zeros((1, len(pts)))
+                              for table in costs])
         gamma = np.zeros(n)
         gamma[0] = 1.0
         if initial_dist is not None:
@@ -327,6 +329,7 @@ class DriftCertificate:
         return grow * w + (self.b1 / self.rho1) * (grow - 1.0)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # inf or NaN slacks fail the check
 def certify_drift(model: CtmdpModel, candidate: DriftCertificate) -> DriftCertificate:
     """Exhaustively check the candidate constants on the finite tables.
 
@@ -351,31 +354,29 @@ def certify_drift(model: CtmdpModel, candidate: DriftCertificate) -> DriftCertif
     record("w2_drift", model.rate_rows @ (w ** 2) - (candidate.rho2 * ws ** 2 + candidate.b2))
     record("w3_drift", model.rate_rows @ (w ** 3) - (candidate.rho3 * ws ** 3 + candidate.b3))
 
-    diag = np.abs(model.rate_rows[np.arange(model.n_pairs), model.pair_state])
-    record("rate_growth", diag - candidate.L * ws)
+    record("rate_growth", model.exit_rate - candidate.L * ws)
     record("cost_growth", np.max(np.abs(model.costs), axis=0) - candidate.M * ws)
 
     return replace(candidate, satisfied=satisfied, worst_violation=worst, worst_site=site)
 
 
-def auto_certificate(model: CtmdpModel, rho: float = 1.0) -> DriftCertificate:
-    """Smallest-offset certificate with all growth rates fixed at ``rho``.
+def auto_certificate(model: CtmdpModel) -> DriftCertificate:
+    """Smallest-offset certificate with all growth rates fixed at AUTO_RHO.
 
     Any finite conservative model admits such constants; useful when no
     hand-derived ones exist. The offsets b are the exact maxima of the drift
-    sums minus rho*w^p, clipped at 0.
+    sums minus AUTO_RHO*w^p, clipped at 0.
     """
     w = model.weight
     ws = w[model.pair_state]
 
     def offset(p):
-        return float(max(0.0, np.max(model.rate_rows @ (w ** p) - rho * ws ** p)))
+        return float(max(0.0, np.max(model.rate_rows @ (w ** p) - AUTO_RHO * ws ** p)))
 
-    diag = np.abs(model.rate_rows[np.arange(model.n_pairs), model.pair_state])
-    L = float(max(rho, np.max(diag / ws))) if model.n_pairs else rho
+    L = float(max(AUTO_RHO, np.max(model.exit_rate / ws))) if model.n_pairs else AUTO_RHO
     M = float(max(1e-300, np.max(np.abs(model.costs) / ws))) if model.n_pairs else 1.0
-    cand = DriftCertificate(rho1=rho, b1=offset(1), rho2=rho, b2=offset(2),
-                            rho3=rho, b3=offset(3), L=L, M=M)
+    cand = DriftCertificate(rho1=AUTO_RHO, b1=offset(1), rho2=AUTO_RHO, b2=offset(2),
+                            rho3=AUTO_RHO, b3=offset(3), L=L, M=M)
     return certify_drift(model, cand)
 
 
@@ -485,6 +486,7 @@ def linear_cost(const=0.0, i=0.0, a1=0.0, a2=0.0) -> Callable[[int, float, float
     return lambda state, x1, x2: c0 + ci * state + ca1 * x1 + ca2 * x2
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a huge lam or mu: validate_model reports it
 def make_birth_death(lam: float, mu: float, m: int, grid: int,
                      cost_fns: Sequence[Callable[[int, float, float], float]] | None = None,
                      horizon: float = 1.0,
@@ -639,6 +641,8 @@ def model_from_dict(doc: dict) -> tuple[CtmdpModel, DriftCertificate | None]:
     else:
         _checked(doc, _EXPLICIT_FIELDS, ("states", "actions_per_state", "rates", "costs",
                                          "horizon"), "model document")
+    if doc.get("costs") == []:
+        raise ModelFormatError("costs must hold at least one cost table")
     cert = None
     if "drift_certificate" in doc:
         block = _checked(doc["drift_certificate"], _CERT_FIELDS, ("rho1", "b1"),

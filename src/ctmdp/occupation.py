@@ -27,6 +27,7 @@ from .model import CtmdpModel, MarkovPolicy
 from . import lp_core
 
 MASS_EPS = 1e-12       # cells below this total mass disintegrate to uniform
+_TIME_BINS = 4         # time bins per state among the default test tables
 
 
 @dataclass(frozen=True)
@@ -103,22 +104,21 @@ def _indicator(shape: tuple, cells: slice, state: int) -> np.ndarray:
     return g
 
 
-def _iter_test_functions(model: CtmdpModel, grid: TimeGrid, n_time_bins: int = 4):
+def _iter_test_functions(model: CtmdpModel, grid: TimeGrid):
     """The default test tables, one at a time (see default_test_functions).
     No table outlives its turn in the caller's loop."""
     n_cells = grid.n_steps
-    edges = np.linspace(0, n_cells, n_time_bins + 1).astype(int)
+    edges = np.linspace(0, n_cells, _TIME_BINS + 1).astype(int)
     for i in range(model.n_states):
-        for b in range(n_time_bins):
+        for b in range(_TIME_BINS):
             yield _indicator((n_cells, model.n_states), slice(edges[b], edges[b + 1]), i)
     yield np.tile(model.weight, (n_cells, 1))
     yield np.tile(model.weight ** 2, (n_cells, 1))
 
 
-def default_test_functions(model: CtmdpModel, grid: TimeGrid,
-                           n_time_bins: int = 4) -> list[np.ndarray]:
+def default_test_functions(model: CtmdpModel, grid: TimeGrid) -> list[np.ndarray]:
     """Indicators of (state, time-bin) cells plus the weight and its square."""
-    return list(_iter_test_functions(model, grid, n_time_bins))
+    return list(_iter_test_functions(model, grid))
 
 
 def check_characterization(model: CtmdpModel, grid: TimeGrid, eta: OccupationGrid,
@@ -423,10 +423,11 @@ class DualCertificate:
     gap_continuum therefore carries the O(dt) discretization of the LP and
     shrinks under grid refinement. samples holds, per phase-2 pricing solve,
     (u, D(u), objective of the master that produced u; inf before the first).
-    h_grid is the dual variable reconstructed from the scalarized solve (its
-    tail integrals are taken in closed form, which is exact for the
-    reconstruction and keeps the pointwise feasibility check free of
-    finite-difference noise).
+    h_grid is the dual variable reconstructed from the scalarized solve: the
+    per-state minimum over actions of T (cbar + R g) at every node.
+    feasibility_min_slack is the least of those values minus h_grid, so it
+    is exactly 0.0 and feasibility_ok holds for every finite input; neither
+    can fail, so neither is a check of the dual (notes/decisions.md).
     """
 
     multipliers: np.ndarray
@@ -485,8 +486,8 @@ def lagrangian_dual(model: CtmdpModel, grid: TimeGrid,
     dual_continuum = float(model.initial_dist @ vg.at_start()
                            - u @ model.constraint_bounds)
 
-    # reconstruct the dual variable from the scalarized solve and check the
-    # pointwise feasibility inequality of the dual program on every node
+    # reconstruct the dual variable from the scalarized solve; the slack of the
+    # dual program's pointwise inequality is 0.0 at each node's argmin by construction
     cbar = scalarize_costs(model, weights)
     drift = vg.values @ model.rate_rows.T        # (n_nodes, n_pairs)
     vals = model.horizon * (cbar[None, :] + drift)

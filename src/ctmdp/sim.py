@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -109,13 +109,14 @@ def kernel_set_rate_cells(model: CtmdpModel, policy: MarkovPolicy, subset) -> np
 
 
 def simulate(model: CtmdpModel, policy: MarkovPolicy, i0: int, seed) -> Trajectory:
-    """Generate one path by thinning. Identical seeds give identical paths."""
+    """Generate one path by thinning. Identical seeds give identical paths;
+    jump targets follow the batch engine's rule (_jump_targets)."""
     rng = np.random.default_rng(seed)
     cells, dt_cells = _policy_cells(model, policy)
     n_cells = cells.shape[0]
     T = model.horizon
-    R = model.rate_rows
     offsets = model.action_offsets
+    jumps = _jump_table(model)
 
     def action_at(i: int, t: float) -> int:
         cell = min(int(t / dt_cells), n_cells - 1)
@@ -138,16 +139,9 @@ def simulate(model: CtmdpModel, policy: MarkovPolicy, i0: int, seed) -> Trajecto
             break
         a = min(action_at(i, t), model.n_actions(i) - 1)
         ka = offsets[i] + a
-        diag = abs(float(R[ka, i]))
-        if rng.random() * qs >= diag:
+        if rng.random() * qs >= model.exit_rate[ka]:
             continue  # thinned proposal, clock keeps running
-        row = R[ka].copy()
-        row[i] = 0.0
-        cum = np.cumsum(row / diag)
-        j = int(np.searchsorted(cum, rng.random(), side="right"))
-        j = min(j, model.n_states - 1)
-        if row[j] <= 0.0:
-            j = int(np.argmax(row))
+        j = int(_jump_targets(jumps, np.array([ka]), np.array([rng.random()]))[0])
         times.append(t)
         states.append(j)
         actions.append(min(action_at(j, t), model.n_actions(j) - 1))
@@ -198,32 +192,30 @@ class _JumpTable:
     |q(i|i,a)| and ``fallback[ka]`` its argmax. The cumulative sum of that row
     is flat between nonzero entries, so the count of its entries below u is
     ``lead * (0 < u)`` plus, over the row's nonzero slots s,
-    ``width[s] * (cum[s] < u)``. ``lead`` is the first nonzero column,
-    ``width[s]`` the number of columns from slot s up to the next slot (or
-    the row end) and ``cum[s]`` the running sum at slot s. Unused slots have
-    width 0.
+    ``width[s] * (cum[s] < u)`` (_slot_count). ``lead`` is the first nonzero
+    column, ``width[s]`` the number of columns from slot s up to the next
+    slot (or the row end) and ``cum[s]`` the running sum at slot s. Unused
+    slots have width 0.
 
     ``guide[ka * (_GUIDE + 1) + b]`` is the target of every draw u in
     [b / _GUIDE, (b + 1) / _GUIDE) when the count is the same at both ends of
     that bucket, else -1; the last bucket of each pair (u >= 1) is always -1.
     """
 
-    diag: np.ndarray        # (n_pairs,) |q(i|i,a)|
     normalized: np.ndarray  # (n_pairs, n_states)
     fallback: np.ndarray    # (n_pairs,)
     lead: np.ndarray        # (n_pairs,)
     cum: np.ndarray         # (n_slots, n_pairs)
     width: np.ndarray       # (n_slots, n_pairs)
-    guide: np.ndarray       # (n_pairs * (_GUIDE + 1),)
+    guide: np.ndarray | None = None  # (n_pairs * (_GUIDE + 1),)
 
 
 def _jump_table(model: CtmdpModel) -> _JumpTable:
     n = model.n_states
     pairs = np.arange(model.n_pairs)
-    diag = np.abs(model.rate_rows[pairs, model.pair_state])
     rows = model.rate_rows.copy()
     rows[pairs, model.pair_state] = 0.0
-    rows /= np.where(diag > 0.0, diag, 1.0)[:, None]  # diag = 0 pairs never jump
+    rows /= np.where(model.exit_rate > 0.0, model.exit_rate, 1.0)[:, None]  # 0: never jumps
     nonzero = rows != 0.0
     n_slots = int(nonzero.sum(axis=1).max(initial=0))
     # each row's nonzero columns in order, padded with n
@@ -231,48 +223,46 @@ def _jump_table(model: CtmdpModel) -> _JumpTable:
     cols = np.where(np.take_along_axis(nonzero, cols, axis=1), cols, n)
     bounds = np.column_stack([cols, np.full(model.n_pairs, n)])
     cum = np.take_along_axis(np.cumsum(rows, axis=1), np.minimum(cols, n - 1), axis=1)
-    lead, width, fallback = bounds[:, 0], np.diff(bounds, axis=1), np.argmax(rows, axis=1)
+    jumps = _JumpTable(normalized=rows, fallback=np.argmax(rows, axis=1), lead=bounds[:, 0],
+                       cum=np.ascontiguousarray(cum.T),
+                       width=np.ascontiguousarray(np.diff(bounds, axis=1).T))
 
-    # the slot count at every bucket edge b / _GUIDE, one slot at a time
-    edges = np.arange(_GUIDE + 1) / _GUIDE
-    count = lead[:, None] * (0.0 < edges)
-    for s in range(n_slots):
-        count += (cum[:, s, None] < edges) * width[:, s, None]
-    target = np.minimum(count[:, :-1], n - 1)
-    no_mass = np.take_along_axis(rows, target, axis=1) <= 0.0
-    target = np.where(no_mass, fallback[:, None], target)
+    # the count and target at every bucket edge b / _GUIDE
+    count = _slot_count(jumps, pairs[:, None], np.arange(_GUIDE + 1) / _GUIDE)
+    target = _target(jumps, pairs[:, None], count[:, :-1])
     guide = np.full((model.n_pairs, _GUIDE + 1), -1, dtype=np.int64)
     guide[:, :-1] = np.where(count[:, :-1] == count[:, 1:], target, -1)
-    return _JumpTable(diag=diag, normalized=rows, fallback=fallback, lead=lead,
-                      cum=np.ascontiguousarray(cum.T), width=np.ascontiguousarray(width.T),
-                      guide=guide.ravel())
+    return replace(jumps, guide=guide.ravel())
+
+
+def _slot_count(jumps: _JumpTable, ka: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Count of the entries of ``cumsum(normalized[ka])`` below u."""
+    count = jumps.lead.take(ka) * (0.0 < u)
+    for cum, width in zip(jumps.cum, jumps.width):
+        count += (cum.take(ka) < u) * width.take(ka)
+    return count
+
+
+def _target(jumps: _JumpTable, ka: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """Target at a slot count: clipped to the last state; argmax if that entry has no mass."""
+    n_states = jumps.normalized.shape[1]
+    j = np.minimum(count, n_states - 1)
+    no_mass = jumps.normalized.take(ka * n_states + j) <= 0.0
+    return np.where(no_mass, jumps.fallback.take(ka), j)
 
 
 def _jump_targets(jumps: _JumpTable, ka: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Target state of each accepted jump from pair ka at uniform draw u.
 
-    Equal to counting the entries of ``cumsum(normalized[ka]) < u``, clipped
-    to the last state, with the argmax fallback when that entry has no mass.
-    The guide table answers most draws; the rest go to the slot search.
+    The guide table answers most draws; the rest go to _slot_count and _target.
     """
     bucket = (u * _GUIDE).astype(np.int64)
     np.minimum(bucket, _GUIDE, out=bucket)
     j = jumps.guide.take(ka * (_GUIDE + 1) + bucket)
     miss = np.flatnonzero(j < 0)
     if miss.size:
-        j[miss] = _slot_search(jumps, ka.take(miss), u.take(miss))
-    return j
-
-
-def _slot_search(jumps: _JumpTable, ka: np.ndarray, u: np.ndarray) -> np.ndarray:
-    j = jumps.lead.take(ka) * (0.0 < u)
-    for cum, width in zip(jumps.cum, jumps.width):
-        j += (cum.take(ka) < u) * width.take(ka)
-    n_states = jumps.normalized.shape[1]
-    np.minimum(j, n_states - 1, out=j)
-    bad = jumps.normalized.take(ka * n_states + j) <= 0.0
-    if np.any(bad):
-        j[bad] = jumps.fallback.take(ka[bad])
+        ka = ka.take(miss)
+        j[miss] = _target(jumps, ka, _slot_count(jumps, ka, u.take(miss)))
     return j
 
 
@@ -374,7 +364,7 @@ def _run_batch(model: CtmdpModel, policy: MarkovPolicy, i0: int, n_paths: int,
         else:
             ka = pair_at.take(cell * n_states + state)
 
-        accept = rng.random(ids.size) * q_star.take(state) < jumps.diag.take(ka)
+        accept = rng.random(ids.size) * q_star.take(state) < model.exit_rate.take(ka)
         jumped = np.flatnonzero(accept)
         if jumped.size == 0:
             continue

@@ -12,7 +12,8 @@ reassociated ones that replaced them: RK4 policy evaluation and forward
 occupation through a dense mean generator per step, the characterization
 residual with one tail quadrature per test function, the csv.writer
 exports of the value, policy and occupation tables, the full-width thinning
-batch that gathers a dense rate row per accepted jump, the backward DP
+batch that gathers a dense rate row per accepted jump, the per-path
+simulate loop that searches one (loop_simulate), the backward DP
 that takes the padded argmin at every stage, and the dense simplex on its
 engine object (_Simplex, class_simplex_solve_lp) that lp_core's simplex
 functions replaced, and the per-pair loops that built the birth-death
@@ -32,7 +33,7 @@ from ctmdp.dp import TimeGrid, solve_backward
 from ctmdp.lp_core import (DEFAULT_PIVOT_CAP, ENTER_TOL, FEAS_TOL, PIVOT_TOL, _BLAND_AFTER,
                            _REFACTOR_EVERY, LpProblem, LpSolution)
 from ctmdp.model import CtmdpModel, MarkovPolicy
-from ctmdp.sim import _MAX_ROUNDS_SLACK, _cell_of, _policy_cells
+from ctmdp.sim import _MAX_ROUNDS_SLACK, Trajectory, _cell_of, _policy_cells
 
 
 def kernel_tables(model: CtmdpModel, kernel_row: np.ndarray, cost_row: np.ndarray):
@@ -440,6 +441,62 @@ def dense_run_batch(model: CtmdpModel, policy: MarkovPolicy, i0: int, n_paths: i
         remaining = captured < 0
         captured[remaining] = state[remaining]
     return acc, captured
+
+
+def loop_simulate(model: CtmdpModel, policy: MarkovPolicy, i0: int, seed) -> Trajectory:
+    """Generate one path by thinning. Identical seeds give identical paths.
+
+    The per-path loop that ``ctmdp.sim.simulate`` replaced: one row copy,
+    cumsum and searchsorted per accepted jump.
+    """
+    rng = np.random.default_rng(seed)
+    cells, dt_cells = _policy_cells(model, policy)
+    n_cells = cells.shape[0]
+    T = model.horizon
+    R = model.rate_rows
+    offsets = model.action_offsets
+
+    def action_at(i: int, t: float) -> int:
+        cell = min(int(t / dt_cells), n_cells - 1)
+        if policy.kind == "deterministic":
+            return int(policy.action_index[cell, i])
+        probs = cells[cell, offsets[i]:offsets[i + 1]]
+        return int(np.searchsorted(np.cumsum(probs), rng.random(), side="right"))
+
+    times = [0.0]
+    states = [int(i0)]
+    actions = [min(action_at(int(i0), 0.0), model.n_actions(int(i0)) - 1)]
+    t, i = 0.0, int(i0)
+    max_rounds = _MAX_ROUNDS_SLACK + int(20 * model.max_q_star * T)
+    for _ in range(max_rounds):
+        qs = float(model.q_star[i])
+        if qs <= 0.0:
+            break  # absorbing under every action: hold to the horizon
+        t = t + rng.exponential(1.0 / qs)
+        if t >= T:
+            break
+        a = min(action_at(i, t), model.n_actions(i) - 1)
+        ka = offsets[i] + a
+        diag = abs(float(R[ka, i]))
+        if rng.random() * qs >= diag:
+            continue  # thinned proposal, clock keeps running
+        row = R[ka].copy()
+        row[i] = 0.0
+        cum = np.cumsum(row / diag)
+        j = int(np.searchsorted(cum, rng.random(), side="right"))
+        j = min(j, model.n_states - 1)
+        if row[j] <= 0.0:
+            j = int(np.argmax(row))
+        times.append(t)
+        states.append(j)
+        actions.append(min(action_at(j, t), model.n_actions(j) - 1))
+        i = j
+    else:
+        raise RuntimeError("thinning did not reach the horizon within the round cap")
+
+    return Trajectory(horizon=T, times=np.asarray(times),
+                      states=np.asarray(states, dtype=np.int64),
+                      action_indices=np.asarray(actions, dtype=np.int64))
 
 
 def _min_operator(model: CtmdpModel, cbar: np.ndarray):

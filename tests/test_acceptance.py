@@ -110,7 +110,7 @@ def test_criterion_03_value_envelope_every_node():
     worst = 0.0
     for model, cert, grid in instances:
         values, _ = solve_backward(model, grid)
-        report = check_value_envelope(model, cert, values, rel_slack=1e-6)
+        report = check_value_envelope(model, cert, values)
         worst = max(worst, report.max_ratio)
         assert report.n_violations == 0
     verdict("3", True, f"max |g|/bound = {worst:.3f} over {len(instances)} instances")

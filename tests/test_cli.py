@@ -1,4 +1,5 @@
 import json
+import math
 import warnings
 from pathlib import Path
 
@@ -175,6 +176,48 @@ class TestExitCodes:
         assert main(["solve", "--model", path, "--steps", "8", "--out", str(tmp_path)]) == 1
         err = capsys.readouterr().err
         assert "non-finite value at node" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command, source", [
+        ("solve", {**TWO_STATE, "costs": [[[1e308], [1.0]]], "horizon": 4.0}),
+        ("validate", json.dumps({**TWO_STATE, "weight": [1.0, math.inf]})),
+        ("validate", ["--preset", "birth-death", "--lam", "1e308", "--mu", "2", "--m", "5"]),
+    ], ids=["cost-1e308", "weight-Infinity", "lam-1e308"])
+    def test_extreme_accepted_tables_warn_nothing(self, tmp_path, capsys, command, source):
+        if isinstance(source, list):
+            args = source
+        else:
+            text = source if isinstance(source, str) else json.dumps(source)
+            args = ["--model", model_file(tmp_path, text)]
+        steps = ["--steps", "8"] if command == "solve" else []
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main([command, *args, *steps, "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert caught == [] and "Warning" not in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("rho1", [1000.0, 1.0])
+    def test_zero_cost_bound_is_a_zero_envelope(self, tmp_path, capsys, rho1):
+        # no M: the envelope and the truncation bound are 0 even where
+        # e^{rho1 T} overflows, so the nonzero values violate the envelope
+        cert = {"rho1": rho1, "b1": 0.0}
+        path = model_file(tmp_path, json.dumps({**TWO_STATE, "drift_certificate": cert}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["solve", "--model", path, "--steps", "50",
+                         "--out", str(tmp_path)]) == 1
+        report = (tmp_path / "report.txt").read_text()
+        assert "truncation_error_bound=0\n" in report and "nan" not in report
+        assert "envelope_violations=0" not in report
+
+    @pytest.mark.parametrize("doc", [
+        {**TWO_STATE, "costs": []},
+        {"preset": "birth_death", "lambda": 1.0, "mu": 2.0, "m": 2, "costs": []},
+    ], ids=["explicit", "preset"])
+    def test_empty_costs_is_usage_error(self, tmp_path, capsys, doc):
+        path = model_file(tmp_path, json.dumps(doc))
+        assert main(["solve", "--model", path, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "costs must hold at least one cost table" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("entry", [None, "x", {}, True], ids=["null", "str", "obj", "bool"])
     @pytest.mark.parametrize("field, table", [

@@ -9,7 +9,7 @@ from ctmdp.model import (CtmdpModel, MarkovPolicy, birth_death_certificate,
 from ctmdp.sim import (_GUIDE, _jump_table, _jump_targets, _run_batch, check_forward_kolmogorov,
                        check_weight_bound, kernel_cost_cells, kernel_set_rate_cells,
                        mc_value, simulate)
-from oracles import dense_run_batch, random_instance, random_policy
+from oracles import dense_run_batch, loop_simulate, random_instance, random_policy
 
 TWO_STATE_EXACT = 0.5 - (1.0 - math.exp(-2.0)) / 4.0
 
@@ -362,7 +362,7 @@ class TestJumpSlotSearch:
                                   "random2", "handmade"])
     def test_equals_the_dense_count(self, model):
         jumps = _jump_table(model)
-        ka_all = np.flatnonzero(jumps.diag > 0.0)
+        ka_all = np.flatnonzero(model.exit_rate > 0.0)
         for ka in ka_all:
             row = np.cumsum(jumps.normalized[ka])
             us = np.concatenate([[0.0, np.nextafter(0.0, 1.0), 0.5, np.nextafter(1.0, 0.0)],
@@ -374,7 +374,7 @@ class TestJumpSlotSearch:
     def test_zero_draw_and_draw_above_the_row_sum(self):
         model = list(slot_search_models())[-1]
         jumps = _jump_table(model)
-        for ka in np.flatnonzero(jumps.diag > 0.0):
+        for ka in np.flatnonzero(model.exit_rate > 0.0):
             total = np.cumsum(jumps.normalized[ka])[-1]
             us = np.array([0.0, np.nextafter(total, np.inf), 2.0])
             kas = np.full(3, ka)
@@ -412,3 +412,49 @@ class TestJumpSlotSearch:
         assert np.flatnonzero(guide[2] < 0).tolist() == [64, 192, _GUIDE]
         assert guide[2, 0] == 0 and guide[2, 100] == 2 and guide[2, 255] == 3
 
+
+def sparse_instance(rng):
+    """Random 2-6 state model whose rows keep about half their off-diagonal
+    entries; about one pair in five has no exit rate at all."""
+    n = int(rng.integers(2, 7))
+    actions, rates = [], []
+    for i in range(n):
+        k = int(rng.integers(1, 4))
+        rows = rng.uniform(0.0, 3.0, size=(k, n)) * (rng.random((k, n)) < 0.5)
+        rows[rng.random(k) < 0.2] = 0.0
+        rows[:, i] = 0.0
+        rows[:, i] = -rows.sum(axis=1)
+        actions.append([float(a) for a in range(k)])
+        rates.append(rows.tolist())
+    costs = [[[0.0] * len(acts) for acts in actions]]
+    return CtmdpModel.from_tables(actions, rates, costs, horizon=float(rng.uniform(0.5, 2.0)))
+
+
+def loop_oracle_cases():
+    rng = np.random.default_rng(41)
+    cases = []
+    for r in range(6):
+        model = sparse_instance(rng)
+        cases.append((f"sparse{r}-det", model, random_policy(rng, model, 7)))
+        cases.append((f"sparse{r}-uniform", model, MarkovPolicy.uniform(model, n_nodes=5)))
+    model = list(slot_search_models())[-1]
+    cases.append(("handmade-det", model, MarkovPolicy.constant(model, [0, 1, 0, 0, 0, 0])))
+    cases.append(("handmade-uniform", model, MarkovPolicy.uniform(model, n_nodes=3)))
+    for m in (5, 20, 60):
+        model = make_birth_death(1.0, 2.0, m=m, grid=3)
+        cases.append((f"birth-death-m{m}-det", model, random_policy(rng, model, 11)))
+        cases.append((f"birth-death-m{m}-uniform", model, MarkovPolicy.uniform(model, n_nodes=11)))
+    return cases
+
+
+class TestSimulateMatchesLoopOracle:
+    @pytest.mark.parametrize("model,policy",
+                             [pytest.param(m, p, id=name) for name, m, p in loop_oracle_cases()])
+    def test_same_path_for_every_seed(self, model, policy):
+        for seed in range(12):
+            for i0 in sorted({0, model.n_states // 2, model.n_states - 1}):
+                a = simulate(model, policy, i0, seed=(seed, i0))
+                b = loop_simulate(model, policy, i0, seed=(seed, i0))
+                assert np.array_equal(a.times, b.times)
+                assert np.array_equal(a.states, b.states)
+                assert np.array_equal(a.action_indices, b.action_indices)
