@@ -18,7 +18,7 @@ from .dp import (TimeGrid, ValueGrid, GridStabilityError, NumericsError,
 from .sim import (Trajectory, McEstimate, simulate, mc_value,
                   check_forward_kolmogorov, check_weight_bound)
 from .lp_core import LpProblem, LpSolution, solve_lp
-from .occupation import (OccupationGrid, DualCertificate, DualSearchConfig,
+from .occupation import (OccupationGrid, DualCertificate,
                          occupation_of_policy, check_characterization,
                          build_constrained_lp, solve_constrained,
                          lagrangian_dual, disintegrate)

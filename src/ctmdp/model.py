@@ -202,8 +202,8 @@ class CtmdpModel:
             raise ModelFormatError(f"rates has {len(rates)} entries for {n} states{missing}")
         rate_rows = np.vstack([_rate_rows_of(rates[i], i, len(actions_per_state[i]), n)
                                for i in range(n)])
-        cost_arr = np.vstack([np.concatenate([np.asarray(ci, dtype=float).reshape(-1) for ci in table])
-                              for table in costs])
+        counts = np.diff(offsets).tolist()
+        cost_arr = np.vstack([_cost_table_of(table, c, counts) for c, table in enumerate(costs)])
         gamma = np.zeros(n)
         gamma[0] = 1.0
         if initial_dist is not None:
@@ -226,6 +226,18 @@ def _rate_rows_of(rows, i: int, n_actions: int, n: int) -> np.ndarray:
         raise ModelFormatError(f"rates for state {i} have shape {arr.shape}, expected "
                                f"{n_actions} row(s) of {n} rates, one per action")
     return arr.reshape(n_actions, n)
+
+
+def _cost_table_of(table, c: int, counts: list[int]) -> np.ndarray:
+    """costs[c] as one entry per pair, read per state, or a ModelFormatError."""
+    if len(table) != len(counts):
+        raise ModelFormatError(f"costs[{c}] has {len(table)} entries for {len(counts)} states")
+    rows = [np.asarray(ci, dtype=float).reshape(-1) for ci in table]
+    for i, (row, n_actions) in enumerate(zip(rows, counts)):
+        if row.size != n_actions:
+            raise ModelFormatError(f"costs[{c}] for state {i} has {row.size} entries, "
+                                   f"expected {n_actions}, one per action")
+    return np.concatenate(rows)
 
 
 def validate_model(model: CtmdpModel) -> list[Violation]:

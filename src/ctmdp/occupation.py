@@ -105,8 +105,9 @@ def _indicator(shape: tuple, cells: slice, state: int) -> np.ndarray:
 
 
 def _iter_test_functions(model: CtmdpModel, grid: TimeGrid):
-    """The default test tables, one at a time (see default_test_functions).
-    No table outlives its turn in the caller's loop."""
+    """The default test tables, one at a time: indicators of (state, time-bin)
+    cells plus the weight and its square. No table outlives its turn in the
+    caller's loop."""
     n_cells = grid.n_steps
     edges = np.linspace(0, n_cells, _TIME_BINS + 1).astype(int)
     for i in range(model.n_states):
@@ -114,11 +115,6 @@ def _iter_test_functions(model: CtmdpModel, grid: TimeGrid):
             yield _indicator((n_cells, model.n_states), slice(edges[b], edges[b + 1]), i)
     yield np.tile(model.weight, (n_cells, 1))
     yield np.tile(model.weight ** 2, (n_cells, 1))
-
-
-def default_test_functions(model: CtmdpModel, grid: TimeGrid) -> list[np.ndarray]:
-    """Indicators of (state, time-bin) cells plus the weight and its square."""
-    return list(_iter_test_functions(model, grid))
 
 
 def check_characterization(model: CtmdpModel, grid: TimeGrid, eta: OccupationGrid,
@@ -225,7 +221,8 @@ def _euler_forward_masses(model: CtmdpModel, grid: TimeGrid,
 
 # -- column generation over deterministic Markov policies ---------------------
 
-CG_TOL = 1e-10  # stop once gamma.g_u(0) >= v - CG_TOL * (1 + |v|)
+CG_TOL = 1e-10    # stop once gamma.g_u(0) >= v - CG_TOL * (1 + |v|)
+MAX_SOLVES = 400  # pricing (backward) solves per column-generation run
 
 
 class _ColumnGeneration(NamedTuple):
@@ -239,8 +236,7 @@ class _ColumnGeneration(NamedTuple):
     n_pivots: int
 
 
-def _column_generation(model: CtmdpModel, grid: TimeGrid, max_solves: int,
-                       pivot_cap: int = lp_core.DEFAULT_PIVOT_CAP) -> _ColumnGeneration:
+def _column_generation(model: CtmdpModel, grid: TimeGrid) -> _ColumnGeneration:
     """Dantzig-Wolfe solve of the constrained LP over deterministic Markov policies.
 
     The LP's feasible set is the convex hull of the Euler masses of such
@@ -249,9 +245,12 @@ def _column_generation(model: CtmdpModel, grid: TimeGrid, max_solves: int,
     solve, weights (1, u) in phase 2 and (0, u) in phase 1. Cell k plays the
     argmin recorded at node k + 1, the action of the Euler step from k + 1
     to k. The loop stops once gamma.g_u(0) >= v - tol: optimal within tol in
-    phase 2, infeasible in phase 1. See notes/decisions.md.
+    phase 2, infeasible in phase 1. At most MAX_SOLVES pricing solves and
+    lp_core.DEFAULT_PIVOT_CAP master pivots summed over rounds are spent.
+    See notes/decisions.md.
     """
-    grid.check_stability(model)
+    if model.n_constraints < 1:
+        raise ValueError("constrained LP needs at least one constraint cost")
     gamma, bounds = model.initial_dist, model.constraint_bounds
     u = np.zeros(model.n_constraints)
     v, theta, values, phase1 = None, None, None, False
@@ -259,7 +258,7 @@ def _column_generation(model: CtmdpModel, grid: TimeGrid, max_solves: int,
     columns, samples, seen = [], [], set()
     pivots = solves = 0
     status = "budget_exhausted"
-    while solves < max_solves:
+    while solves < MAX_SOLVES:
         weights = np.concatenate([[0.0 if phase1 else 1.0], u])
         values, policy = solve_backward(model, grid, cost_weights=weights,
                                         integrator="euler")
@@ -285,7 +284,7 @@ def _column_generation(model: CtmdpModel, grid: TimeGrid, max_solves: int,
                 c=np.concatenate([np.zeros(K), np.ones(N)]) if phase1 else table[0],
                 A_eq=np.concatenate([np.ones(K), np.zeros(extra)])[None, :], b_eq=[1.0],
                 A_ub=np.hstack([table[1:], -np.eye(N)[:, :extra]]), b_ub=bounds),
-                pivot_cap=pivot_cap - pivots)
+                pivot_cap=lp_core.DEFAULT_PIVOT_CAP - pivots)
             pivots += sol.n_pivots
             if sol.status != "infeasible":
                 break
@@ -302,26 +301,24 @@ def _column_generation(model: CtmdpModel, grid: TimeGrid, max_solves: int,
 
 # One-slot handoff of a column-generation run from solve_constrained to the
 # next lagrangian_dual on the same problem: None or (weak model reference,
-# grid, max_solves, pivot_cap, run). Emptied by every lagrangian_dual, never
-# read by solve_constrained; see notes/decisions.md.
+# grid, run). Emptied by every lagrangian_dual, never read by
+# solve_constrained; see notes/decisions.md.
 _handoff: list = [None]
 
 
-def _leave_run(model: CtmdpModel, grid: TimeGrid, max_solves: int, pivot_cap: int,
-               cg: _ColumnGeneration) -> None:
+def _leave_run(model: CtmdpModel, grid: TimeGrid, cg: _ColumnGeneration) -> None:
     for arr in (cg.masses, cg.multipliers, None if cg.values is None else cg.values.values):
         if arr is not None:
             arr.flags.writeable = False
-    _handoff[0] = (weakref.ref(model), grid, max_solves, pivot_cap, cg)
+    _handoff[0] = (weakref.ref(model), grid, cg)
 
 
-def _take_run(model: CtmdpModel, grid: TimeGrid, max_solves: int,
-              pivot_cap: int = lp_core.DEFAULT_PIVOT_CAP) -> _ColumnGeneration:
+def _take_run(model: CtmdpModel, grid: TimeGrid) -> _ColumnGeneration:
     """The run solve_constrained left for this problem, else a fresh one."""
     slot, _handoff[0] = _handoff[0], None
-    if slot is not None and slot[0]() is model and slot[1:4] == (grid, max_solves, pivot_cap):
-        return slot[4]
-    return _column_generation(model, grid, max_solves, pivot_cap)
+    if slot is not None and slot[0]() is model and slot[1] == grid:
+        return slot[2]
+    return _column_generation(model, grid)
 
 
 class ConstrainedResult(NamedTuple):
@@ -358,9 +355,10 @@ def _lp_solution(model: CtmdpModel, grid: TimeGrid, cg: _ColumnGeneration) -> lp
     spent = dt * (model.costs[1:] @ y.sum(axis=0))
     slack = np.maximum(bounds - spent, 0.0)
     x = np.concatenate([y.ravel(), slack])
-    objective = float(dt * np.sum(y @ model.costs[0]))
+    eta = OccupationGrid(grid, y)
+    objective = eta.expected_cost(model, 0)
 
-    marginal = np.add.reduceat(y, model.action_offsets[:-1], axis=1)
+    marginal = eta.state_marginal(model)
     flow = marginal[:-1] + dt * (y[:-1] @ R)
     primal_residual = max(float(np.max(np.abs(marginal[0] - model.initial_dist))),
                           float(np.max(np.abs(marginal[1:] - flow), initial=0.0)),
@@ -377,24 +375,20 @@ def _lp_solution(model: CtmdpModel, grid: TimeGrid, cg: _ColumnGeneration) -> lp
         primal_residual, abs(objective - dual_objective), complementarity)
 
 
-def solve_constrained(model: CtmdpModel, grid: TimeGrid,
-                      pivot_cap: int = lp_core.DEFAULT_PIVOT_CAP) -> ConstrainedResult:
+def solve_constrained(model: CtmdpModel, grid: TimeGrid) -> ConstrainedResult:
     """Solve the constrained LP by column generation and disintegrate the optimum.
 
     The LpSolution is that of the full LP (build_constrained_lp), which is
-    never assembled; pivot_cap bounds the master pivots summed over rounds.
+    never assembled; its n_pivots sums the master pivots over rounds.
     Non-optimal statuses (infeasible, budget_exhausted, pivot_limit) are
     passed through with empty occupation and policy.
 
     The loop always runs here. The finished run, with its arrays made
-    read-only, is left for the next lagrangian_dual on the same model object,
-    grid, budget and pivot cap, which certifies it without repeating the loop.
+    read-only, is left for the next lagrangian_dual on the same model object
+    and grid, which certifies it without repeating the loop.
     """
-    if model.n_constraints < 1:
-        raise ValueError("constrained LP needs at least one constraint cost")
-    max_solves = DualSearchConfig().max_evals
-    cg = _column_generation(model, grid, max_solves, pivot_cap)
-    _leave_run(model, grid, max_solves, pivot_cap, cg)
+    cg = _column_generation(model, grid)
+    _leave_run(model, grid, cg)
     if cg.status != "optimal":
         sol = lp_core.LpSolution(cg.status, None, None, None, cg.n_pivots)
         return ConstrainedResult(sol, None, None, cg.n_columns)
@@ -403,13 +397,6 @@ def solve_constrained(model: CtmdpModel, grid: TimeGrid,
 
 
 # -- Lagrangian dual ----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DualSearchConfig:
-    """Budget of pricing (backward) solves per column-generation run."""
-
-    max_evals: int = 400
 
 
 @dataclass(frozen=True)
@@ -455,31 +442,27 @@ class DualCertificate:
 
 
 def lagrangian_dual(model: CtmdpModel, grid: TimeGrid,
-                    u_search: DualSearchConfig | None = None,
                     primal_value: float | None = None) -> DualCertificate:
     """Maximize the concave dual over nonnegative multipliers.
 
     The multipliers are the column-generation master's duals, which maximize
     D once pricing finds no improving policy. The iterate with the largest
-    D(u) is reported, with status "budget_exhausted" if u_search.max_evals
-    pricing solves ran out first. The primal value is the master's objective
-    unless supplied by the caller.
+    D(u) is reported, with status "budget_exhausted" if MAX_SOLVES pricing
+    solves ran out first. The primal value is the master's objective unless
+    supplied by the caller.
 
-    Right after solve_constrained on the same model object and grid, with the
-    same budget and the default pivot cap, the run that call finished is
-    taken over instead of repeated; the result is the same bit for bit, and
-    n_solves counts the pricing solves of that run. Any other call runs the
-    loop afresh.
+    Right after solve_constrained on the same model object and grid, the run
+    that call finished is taken over instead of repeated; the result is the
+    same bit for bit, and n_solves counts the pricing solves of that run. Any
+    other call runs the loop afresh.
     """
-    if model.n_constraints < 1:
-        raise ValueError("dual path needs at least one constraint cost")
-    cg = _take_run(model, grid, (u_search or DualSearchConfig()).max_evals)
+    cg = _take_run(model, grid)
     if cg.status == "infeasible":
         raise RuntimeError("constrained LP is infeasible; no primal value to certify against")
     u_best, dual_value, _ = max(cg.samples, key=lambda s: s[1])
     u = np.array(u_best)
     if primal_value is None and cg.masses is not None:
-        primal_value = float(grid.dt * np.sum(cg.masses @ model.costs[0]))
+        primal_value = OccupationGrid(grid, cg.masses).expected_cost(model, 0)
 
     weights = np.concatenate([[1.0], u])
     vg, _ = solve_backward(model, grid, cost_weights=weights, integrator="rk4")

@@ -110,7 +110,8 @@ def kernel_set_rate_cells(model: CtmdpModel, policy: MarkovPolicy, subset) -> np
 
 def simulate(model: CtmdpModel, policy: MarkovPolicy, i0: int, seed) -> Trajectory:
     """Generate one path by thinning. Identical seeds give identical paths;
-    jump targets follow the batch engine's rule (_jump_targets)."""
+    actions and jump targets follow the batch engine's rules (_run_batch,
+    _jump_targets), so neither lands on an entry of no mass."""
     rng = np.random.default_rng(seed)
     cells, dt_cells = _policy_cells(model, policy)
     n_cells = cells.shape[0]
@@ -123,11 +124,13 @@ def simulate(model: CtmdpModel, policy: MarkovPolicy, i0: int, seed) -> Trajecto
         if policy.kind == "deterministic":
             return int(policy.action_index[cell, i])
         probs = cells[cell, offsets[i]:offsets[i + 1]]
-        return int(np.searchsorted(np.cumsum(probs), rng.random(), side="right"))
+        u = rng.random() * probs.sum()
+        a = min(int(np.count_nonzero(np.cumsum(probs) < u)), probs.size - 1)
+        return a if probs[a] > 0.0 else int(np.argmax(probs))
 
     times = [0.0]
     states = [int(i0)]
-    actions = [min(action_at(int(i0), 0.0), model.n_actions(int(i0)) - 1)]
+    actions = [action_at(int(i0), 0.0)]
     t, i = 0.0, int(i0)
     max_rounds = _MAX_ROUNDS_SLACK + int(20 * model.max_q_star * T)
     for _ in range(max_rounds):
@@ -137,14 +140,13 @@ def simulate(model: CtmdpModel, policy: MarkovPolicy, i0: int, seed) -> Trajecto
         t = t + rng.exponential(1.0 / qs)
         if t >= T:
             break
-        a = min(action_at(i, t), model.n_actions(i) - 1)
-        ka = offsets[i] + a
+        ka = offsets[i] + action_at(i, t)
         if rng.random() * qs >= model.exit_rate[ka]:
             continue  # thinned proposal, clock keeps running
         j = int(_jump_targets(jumps, np.array([ka]), np.array([rng.random()]))[0])
         times.append(t)
         states.append(j)
-        actions.append(min(action_at(j, t), model.n_actions(j) - 1))
+        actions.append(action_at(j, t))
         i = j
     else:
         raise RuntimeError("thinning did not reach the horizon within the round cap")

@@ -17,7 +17,8 @@ simulate loop that searches one (loop_simulate), the backward DP
 that takes the padded argmin at every stage, and the dense simplex on its
 engine object (_Simplex, class_simplex_solve_lp) that lp_core's simplex
 functions replaced, and the per-pair loops that built the birth-death
-preset's tables and model_to_dict's nested lists.
+preset's tables and model_to_dict's nested lists. default_test_functions
+holds the default characterization family as one list.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from ctmdp.dp import TimeGrid, solve_backward
 from ctmdp.lp_core import (DEFAULT_PIVOT_CAP, ENTER_TOL, FEAS_TOL, PIVOT_TOL, _BLAND_AFTER,
                            _REFACTOR_EVERY, LpProblem, LpSolution)
 from ctmdp.model import CtmdpModel, MarkovPolicy
+from ctmdp.occupation import _iter_test_functions
 from ctmdp.sim import _MAX_ROUNDS_SLACK, Trajectory, _cell_of, _policy_cells
 
 
@@ -270,6 +272,12 @@ def dense_occupation_masses(model: CtmdpModel, grid, policy: MarkovPolicy) -> np
         np.maximum(p, 0.0, out=p)
         p /= p.sum()
     return y
+
+
+def default_test_functions(model: CtmdpModel, grid) -> list[np.ndarray]:
+    """Indicators of (state, time-bin) cells plus the weight and its square,
+    the family check_characterization streams, held as one list."""
+    return list(_iter_test_functions(model, grid))
 
 
 def tail_characterization_residual(model: CtmdpModel, grid, masses: np.ndarray,

@@ -320,6 +320,19 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "rates" in err and "state 0" in err and "reshape" not in err
 
+    @pytest.mark.parametrize("costs, named", [
+        ([[[0.0, 5.0], []]], "costs[0] for state 0"),
+        ([[[0.0], [1.0]], [[0.0], [1.0, 2.0]]], "costs[1] for state 1"),
+        ([[]], "costs[0] has 0 entries for 2 states"),
+        ([[[0.0]]], "costs[0] has 1 entries for 2 states"),
+    ], ids=["shifted", "ragged", "empty", "short"])
+    def test_cost_table_not_one_entry_per_action_is_usage_error(self, tmp_path, capsys,
+                                                                costs, named):
+        path = model_file(tmp_path, json.dumps({**TWO_STATE, "costs": costs}))
+        assert main(["solve", "--model", path, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert named in err and "Traceback" not in err
+
     @pytest.mark.parametrize("field, value", [("rates", 5), ("costs", 3),
                                               ("actions_per_state", 7)])
     def test_non_list_table_field_is_usage_error(self, tmp_path, capsys, field, value):

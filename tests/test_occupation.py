@@ -7,17 +7,16 @@ import weakref
 import numpy as np
 import pytest
 
-from ctmdp import occupation
+from ctmdp import lp_core, occupation
 from ctmdp.dp import TimeGrid, solve_backward
-from ctmdp.lp_core import DEFAULT_PIVOT_CAP, solve_lp
+from ctmdp.lp_core import solve_lp
 from ctmdp.model import CtmdpModel, MarkovPolicy, make_birth_death
-from ctmdp.occupation import (DualSearchConfig, OccupationGrid,
-                              build_constrained_lp, check_characterization,
-                              default_test_functions, disintegrate, lagrangian_dual,
-                              occupation_of_policy, solve_constrained, uniform_occupation)
+from ctmdp.occupation import (OccupationGrid, build_constrained_lp, check_characterization,
+                              disintegrate, lagrangian_dual, occupation_of_policy,
+                              solve_constrained, uniform_occupation)
 from ctmdp.sim import mc_value
-from oracles import (_dual_value_fn, csv_writer_occupation_table, dense_occupation_masses,
-                     euler_masses_of_kernel, expm_transient, golden_dual_max,
+from oracles import (_dual_value_fn, csv_writer_occupation_table, default_test_functions,
+                     dense_occupation_masses, euler_masses_of_kernel, expm_transient, golden_dual_max,
                      random_instance, random_policy, tail_characterization_residual)
 from test_acceptance import slater_birth_death
 from test_dp import REASSOCIATION_CASES, reassociation_case, tiny_and_negative_model
@@ -460,13 +459,13 @@ class TestLagrangianDual:
                     chord = lam * vals[a] + (1 - lam) * vals[b]
                     assert vals[mid] >= chord - 1e-9
 
-    def test_budget_exhaustion_reports_best_found(self):
+    def test_budget_exhaustion_reports_best_found(self, monkeypatch):
         model = one_state_mixing(d1=1.0)
         grid = TimeGrid(1.0, 32)
         # column generation certifies this instance in three pricing solves
         # (two columns, then the certificate), so two stop it short
-        cfg = DualSearchConfig(max_evals=2)
-        cert = lagrangian_dual(model, grid, u_search=cfg)
+        monkeypatch.setattr(occupation, "MAX_SOLVES", 2)
+        cert = lagrangian_dual(model, grid)
         assert cert.status == "budget_exhausted"
         assert cert.n_solves <= 7  # the few probes it was allowed
 
@@ -500,6 +499,8 @@ class TestLagrangianDual:
         model = two_state_chain()
         with pytest.raises(ValueError):
             lagrangian_dual(model, TimeGrid(1.0, 8))
+        with pytest.raises(ValueError):
+            solve_constrained(model, TimeGrid(1.0, 8))
 
     def test_infeasible_primal_is_an_error_without_a_value(self):
         model = one_state_mixing(d1=-0.1)
@@ -543,14 +544,16 @@ class TestColumnGeneration:
         assert cert.dual_value == pytest.approx(d_ref, abs=1e-9)
 
     @pytest.mark.parametrize("case", sorted(CG_CASES))
-    def test_a_cap_of_the_pivots_it_needs_stays_optimal(self, case):
+    def test_a_cap_of_the_pivots_it_needs_stays_optimal(self, case, monkeypatch):
         model, grid = CG_CASES[case]()
         free = solve_constrained(model, grid).solution
-        capped = solve_constrained(model, grid, pivot_cap=free.n_pivots).solution
+        monkeypatch.setattr(lp_core, "DEFAULT_PIVOT_CAP", free.n_pivots)
+        capped = solve_constrained(model, grid).solution
         assert capped.status == "optimal"
         assert capped.n_pivots == free.n_pivots
         assert np.array_equal(capped.x, free.x) and capped.objective == free.objective
-        short = solve_constrained(model, grid, pivot_cap=free.n_pivots - 1).solution
+        monkeypatch.setattr(lp_core, "DEFAULT_PIVOT_CAP", free.n_pivots - 1)
+        short = solve_constrained(model, grid).solution
         assert (short.status, short.n_pivots) == ("pivot_limit", free.n_pivots - 1)
 
     @pytest.mark.parametrize("case", ["criterion7", "random_n2"])
@@ -617,22 +620,17 @@ class TestColumnGenerationHandoff:
         lagrangian_dual(model, grid)
         assert len(counted_solves) == 2 * n_solves + 2
 
-    @pytest.mark.parametrize("change", ["model", "grid", "max_evals", "pivot_cap"])
+    @pytest.mark.parametrize("change", ["model", "grid"])
     def test_a_different_key_reruns_the_loop(self, counted_solves, change):
         model, grid = CG_CASES["random_n1"]()
-        dual_model, dual_grid, u_search = model, grid, None
-        pivot_cap = DEFAULT_PIVOT_CAP
+        dual_model, dual_grid = model, grid
         if change == "model":
             dual_model = dataclasses.replace(model)  # equal tables, another object
-        elif change == "grid":
-            dual_grid = TimeGrid(grid.horizon, grid.n_steps + 2)
-        elif change == "max_evals":
-            u_search = DualSearchConfig(max_evals=DualSearchConfig().max_evals - 1)
         else:
-            pivot_cap -= 1
-        solve_constrained(model, grid, pivot_cap=pivot_cap)
+            dual_grid = TimeGrid(grid.horizon, grid.n_steps + 2)
+        solve_constrained(model, grid)
         n_solves = len(counted_solves)
-        cert = lagrangian_dual(dual_model, dual_grid, u_search)
+        cert = lagrangian_dual(dual_model, dual_grid)
         assert len(counted_solves) == n_solves + cert.n_solves + 1
         assert cert.n_solves > 0
 
@@ -653,7 +651,7 @@ class TestColumnGenerationHandoff:
     def test_handed_out_arrays_are_read_only(self):
         model, grid = CG_CASES["random_n1"]()
         result = solve_constrained(model, grid)
-        cg = occupation._handoff[0][4]
+        cg = occupation._handoff[0][2]
         for arr in (cg.masses, cg.multipliers, cg.values.values, result.occupation.masses):
             assert not arr.flags.writeable
         with pytest.raises(ValueError):

@@ -113,6 +113,19 @@ class TestSimulate:
         est = mc_value(model, pol, 0, 0, n_paths, seed=56)
         assert abs(mean_a - est.mean) <= 4.0 * math.hypot(se_a, est.se)
 
+    def test_top_draw_never_plays_an_action_of_zero_mass(self):
+        class TopDraw(np.random.Generator):
+            def random(self, *args, **kwargs):
+                return 1.0 - 2.0 ** -53
+
+        # the kernel's cumsum ends at 0.9999999999999999, not above the top draw
+        model = CtmdpModel.from_tables(actions_per_state=[list(range(11))],
+                                       rates=[[[0.0]] * 11], costs=[[[0.0] * 11]],
+                                       horizon=1.0)
+        policy = MarkovPolicy.randomized(np.array([[0.1] * 10 + [0.0]] * 2))
+        path = simulate(model, policy, 0, seed=TopDraw(np.random.PCG64(0)))
+        assert path.action_indices.tolist() == [9]
+
     def test_csv_export(self, tmp_path):
         model = make_birth_death(1.0, 2.0, m=5, grid=3)
         pol = MarkovPolicy.uniform(model, n_nodes=6)
