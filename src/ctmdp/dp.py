@@ -207,34 +207,48 @@ def solve_backward(model: CtmdpModel, grid: TimeGrid, cost_weights=None,
     return ValueGrid(grid=grid, values=g), MarkovPolicy.deterministic(policy)
 
 
+def _played_rows(model: CtmdpModel, row: np.ndarray):
+    """Pairs s a kernel row plays (nonzero entries; a state with none keeps its
+    first pair, at weight 0), each state's start in s, s's states and rows."""
+    keep = row != 0.0
+    starts = model.action_offsets[:-1]
+    keep[starts] |= ~np.logical_or.reduceat(keep, starts)
+    s = np.flatnonzero(keep)
+    st = model.pair_state.take(s)
+    return s, np.searchsorted(st, np.arange(model.n_states)), st, model.rate_rows.take(s, axis=0)
+
+
 def evaluate_policy(model: CtmdpModel, grid: TimeGrid, policy: MarkovPolicy,
                     cost_index: int = 0, integrator: str = "rk4") -> ValueGrid:
     """Backward evaluation of a fixed Markov policy for one cost table.
 
     Same stepping as solve_backward with the min replaced by the policy's
-    kernel average; randomized kernels average both cost and generator. The
-    average is taken after the pair-level mat-vec R @ y, so no mean generator
-    is formed. The policy must live on this grid's nodes.
+    kernel average; randomized kernels average both cost and generator. A
+    step multiplies only the rate rows of the pairs its cell plays, gathered
+    once per run of cells playing the same pairs, and averages the products
+    per state, so no mean generator is formed (notes/decisions.md). The
+    policy must live on this grid's nodes.
     """
     grid.check_stability(model)
     kernel = _policy_kernel(model, grid, policy)
     if not 0 <= cost_index < model.costs.shape[0]:
         raise ValueError(f"no cost table {cost_index}")
-    starts = model.action_offsets[:-1]
-    costs = np.add.reduceat(kernel * model.costs[cost_index], starts, axis=1)
-    R = model.rate_rows
-    dt = grid.dt
+    costs = np.add.reduceat(kernel * model.costs[cost_index], model.action_offsets[:-1], axis=1)
+    changes = np.any(np.diff(kernel[:grid.n_steps] != 0.0, axis=0), axis=1)
 
     g = np.zeros((grid.n_nodes, model.n_states))
     with np.errstate(over="ignore", invalid="ignore"):  # caught by _check_finite below
         for k in range(grid.n_steps - 1, -1, -1):
-            row, cb = kernel[k], costs[k]
+            if k == grid.n_steps - 1 or changes[k]:
+                Rs = None  # the last run's rows go before the next run's are gathered
+                s, seg, _, Rs = _played_rows(model, kernel[k])
+            w, cb = kernel[k].take(s), costs[k]
 
             def f(v):
-                return cb + np.add.reduceat(row * R.dot(v), starts)
+                return cb + np.add.reduceat(w * Rs.dot(v), seg)
 
-            g[k] = _step(f, g[k + 1], dt, integrator)
-    _check_finite(g, dt)
+            g[k] = _step(f, g[k + 1], grid.dt, integrator)
+    _check_finite(g, grid.dt)
     return ValueGrid(grid=grid, values=g)
 
 

@@ -21,8 +21,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .dp import (TimeGrid, ValueGrid, _node_strings, _policy_kernel, _step, scalarize_costs,
-                 solve_backward)
+from .dp import (TimeGrid, ValueGrid, _node_strings, _played_rows, _policy_kernel, _step,
+                 scalarize_costs, solve_backward)
 from .model import CtmdpModel, MarkovPolicy
 from . import lp_core
 
@@ -76,23 +76,26 @@ def occupation_of_policy(model: CtmdpModel, grid: TimeGrid,
 
     Integrates the forward equation p' = Qbar(t)^T p from the initial
     distribution with RK4 (kernel frozen per cell) and sets
-    y(k, i, a) = p(i, t_k) * kernel(a | i, t_k).
+    y(k, i, a) = p(i, t_k) * kernel(a | i, t_k). Steps weight the rate rows
+    of the pairs their cell plays, as evaluate_policy does.
     """
     grid.check_stability(model)
     kernel = _policy_kernel(model, grid, policy)
-    R = model.rate_rows
-    dt = grid.dt
+    changes = np.any(np.diff(kernel[:grid.n_steps] != 0.0, axis=0), axis=1)
 
     p = model.initial_dist.astype(float).copy()
     y = np.zeros((grid.n_steps, model.n_pairs))
     for k in range(grid.n_steps):
-        row = kernel[k]
+        if k == 0 or changes[k - 1]:
+            Rs = None  # the last run's rows go before the next run's are gathered
+            s, _, st, Rs = _played_rows(model, kernel[k])
+        row, w = kernel[k], kernel[k].take(s)
         y[k] = p[model.pair_state] * row
 
-        def f(v):  # Qbar^T v, spread over the pairs and pushed through R
-            return (v[model.pair_state] * row) @ R
+        def f(v):  # Qbar^T v: the played pairs' rows weighted by v(i) kernel(a | i)
+            return (v.take(st) * w) @ Rs
 
-        p = _step(f, p, dt, "rk4")
+        p = _step(f, p, grid.dt, "rk4")
         np.maximum(p, 0.0, out=p)
         p /= p.sum()
     return OccupationGrid(grid=grid, masses=y)
@@ -211,11 +214,17 @@ def _euler_forward_masses(model: CtmdpModel, grid: TimeGrid,
     """Masses of a deterministic Markov policy, cell k playing action_index[k],
     under the LP's own Euler flow; the LP's flow rows hold with equality."""
     pairs = model.action_offsets[:-1] + action_index  # (n_cells, n_states)
-    y = np.zeros((grid.n_steps, model.n_pairs))
+    changes = np.any(pairs[1:] != pairs[:-1], axis=1)
     p = model.initial_dist.astype(float)
+    held = np.empty(pairs.shape)
     for k in range(grid.n_steps):
-        y[k, pairs[k]] = p
-        p = p + grid.dt * (p @ model.rate_rows[pairs[k]])
+        if k == 0 or changes[k - 1]:
+            Rk = None  # the last run's rows go before the next run's are gathered
+            Rk = model.rate_rows[pairs[k]]
+        held[k] = p
+        p = p + grid.dt * (p @ Rk)
+    y = np.zeros((grid.n_steps, model.n_pairs))
+    np.put_along_axis(y, pairs, held, axis=1)
     return y
 
 

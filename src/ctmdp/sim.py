@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import math
+import weakref
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -212,7 +213,14 @@ class _JumpTable:
     guide: np.ndarray | None = None  # (n_pairs * (_GUIDE + 1),)
 
 
+_jumps: list = [None]  # the last table built: None or (weak model reference, table)
+
+
 def _jump_table(model: CtmdpModel) -> _JumpTable:
+    """The model's read-only jump table, built on its first call; simulate and
+    _run_batch share it, and _jumps keeps no model alive."""
+    if _jumps[0] is not None and _jumps[0][0]() is model:
+        return _jumps[0][1]
     n = model.n_states
     pairs = np.arange(model.n_pairs)
     rows = model.rate_rows.copy()
@@ -234,7 +242,11 @@ def _jump_table(model: CtmdpModel) -> _JumpTable:
     target = _target(jumps, pairs[:, None], count[:, :-1])
     guide = np.full((model.n_pairs, _GUIDE + 1), -1, dtype=np.int64)
     guide[:, :-1] = np.where(count[:, :-1] == count[:, 1:], target, -1)
-    return replace(jumps, guide=guide.ravel())
+    jumps = replace(jumps, guide=guide.ravel())
+    for arr in vars(jumps).values():
+        arr.flags.writeable = False
+    _jumps[0] = (weakref.ref(model), jumps)
+    return jumps
 
 
 def _slot_count(jumps: _JumpTable, ka: np.ndarray, u: np.ndarray) -> np.ndarray:

@@ -9,7 +9,9 @@ D(u) from one backward solve per probe (_dual_value_fn).
 
 The rest are the library's earlier formulas, kept as references for the
 reassociated ones that replaced them: RK4 policy evaluation and forward
-occupation through a dense mean generator per step, the characterization
+occupation through a dense mean generator per step, the same two through
+every state-action rate row at every stage (pair_level_evaluate_policy,
+pair_level_occupation_of_policy), the characterization
 residual with one tail quadrature per test function, the csv.writer
 exports of the value, policy and occupation tables, the full-width thinning
 batch that gathers a dense rate row per accepted jump, the per-path
@@ -30,11 +32,12 @@ import math
 import numpy as np
 from scipy.linalg import expm
 
-from ctmdp.dp import TimeGrid, solve_backward
+from ctmdp.dp import (TimeGrid, ValueGrid, _check_finite, _policy_kernel, _step,
+                      solve_backward)
 from ctmdp.lp_core import (DEFAULT_PIVOT_CAP, ENTER_TOL, FEAS_TOL, PIVOT_TOL, _BLAND_AFTER,
                            _REFACTOR_EVERY, LpProblem, LpSolution)
 from ctmdp.model import CtmdpModel, MarkovPolicy
-from ctmdp.occupation import _iter_test_functions
+from ctmdp.occupation import OccupationGrid, _iter_test_functions
 from ctmdp.sim import _MAX_ROUNDS_SLACK, Trajectory, _cell_of, _policy_cells
 
 
@@ -272,6 +275,65 @@ def dense_occupation_masses(model: CtmdpModel, grid, policy: MarkovPolicy) -> np
         np.maximum(p, 0.0, out=p)
         p /= p.sum()
     return y
+
+
+def pair_level_evaluate_policy(model: CtmdpModel, grid: TimeGrid, policy: MarkovPolicy,
+                               cost_index: int = 0, integrator: str = "rk4") -> ValueGrid:
+    """Backward evaluation of a fixed Markov policy for one cost table.
+
+    Same stepping as solve_backward with the min replaced by the policy's
+    kernel average; randomized kernels average both cost and generator. The
+    average is taken after the pair-level mat-vec R @ y, so no mean generator
+    is formed. The policy must live on this grid's nodes.
+    """
+    grid.check_stability(model)
+    kernel = _policy_kernel(model, grid, policy)
+    if not 0 <= cost_index < model.costs.shape[0]:
+        raise ValueError(f"no cost table {cost_index}")
+    starts = model.action_offsets[:-1]
+    costs = np.add.reduceat(kernel * model.costs[cost_index], starts, axis=1)
+    R = model.rate_rows
+    dt = grid.dt
+
+    g = np.zeros((grid.n_nodes, model.n_states))
+    with np.errstate(over="ignore", invalid="ignore"):  # caught by _check_finite below
+        for k in range(grid.n_steps - 1, -1, -1):
+            row, cb = kernel[k], costs[k]
+
+            def f(v):
+                return cb + np.add.reduceat(row * R.dot(v), starts)
+
+            g[k] = _step(f, g[k + 1], dt, integrator)
+    _check_finite(g, dt)
+    return ValueGrid(grid=grid, values=g)
+
+
+def pair_level_occupation_of_policy(model: CtmdpModel, grid: TimeGrid,
+                                    policy: MarkovPolicy) -> OccupationGrid:
+    """Discretized occupation measure of a Markov policy.
+
+    Integrates the forward equation p' = Qbar(t)^T p from the initial
+    distribution with RK4 (kernel frozen per cell) and sets
+    y(k, i, a) = p(i, t_k) * kernel(a | i, t_k).
+    """
+    grid.check_stability(model)
+    kernel = _policy_kernel(model, grid, policy)
+    R = model.rate_rows
+    dt = grid.dt
+
+    p = model.initial_dist.astype(float).copy()
+    y = np.zeros((grid.n_steps, model.n_pairs))
+    for k in range(grid.n_steps):
+        row = kernel[k]
+        y[k] = p[model.pair_state] * row
+
+        def f(v):  # Qbar^T v, spread over the pairs and pushed through R
+            return (v[model.pair_state] * row) @ R
+
+        p = _step(f, p, dt, "rk4")
+        np.maximum(p, 0.0, out=p)
+        p /= p.sum()
+    return OccupationGrid(grid=grid, masses=y)
 
 
 def default_test_functions(model: CtmdpModel, grid) -> list[np.ndarray]:

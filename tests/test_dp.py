@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from ctmdp.model import (CtmdpModel, DriftCertificate, MarkovPolicy, auto_certif
                          certify_drift, make_birth_death)
 from oracles import (argmin_stage_solve_backward, csv_writer_policy_table,
                      csv_writer_value_table, dense_policy_value, expm_policy_value,
-                     random_instance, random_policy)
+                     pair_level_evaluate_policy, random_instance, random_policy)
 
 TWO_STATE_EXACT = 0.5 - (1.0 - math.exp(-2.0)) / 4.0  # integral of (1-e^{-2t})/2
 
@@ -44,6 +45,67 @@ def reassociation_case(name):
 
 REASSOCIATION_CASES = ["random0", "random1", "random2", "random3",
                        "birth_death20_optimal", "birth_death20_random"]
+
+
+def played_set_case(name):
+    """(model, grid, policy) for the played-row stepping. Deterministic:
+    random policies on random instances, and on birth-death m=20, 60 or 150
+    the optimal policy or a policy whose played set never changes, changes
+    once or changes every cell. Randomized (``*_sparse``): kernels whose
+    support changes from cell to cell, where state 0 plays no pair in every
+    other cell and the last state's first pair weighs -1e-13 in the others;
+    and a two-state chain whose fast pair weighs -1e-13, where dropping that
+    entry moves the value by about 2e-8."""
+    if name == "two_state_negative":
+        model = CtmdpModel.from_tables([[0.0, 1.0], [0.0]],
+                                       [[[0.0, 0.0], [-400.0, 400.0]], [[0.0, 0.0]]],
+                                       [[[0.0, 0.0], [1e3]]], horizon=1.0, initial_dist=[1.0, 0.0])
+        grid = TimeGrid(1.0, 800)
+        return model, grid, MarkovPolicy.randomized(
+            np.tile([1.0 + 1e-13, -1e-13, 1.0], (grid.n_nodes, 1)))
+    if name.startswith("random"):
+        seed, kind = name[len("random"):].split("_")
+        rng = np.random.default_rng(int(seed))
+        model = random_instance(rng, max_states=6, max_actions=3, n_costs=2)
+        grid = TimeGrid(model.horizon, 60)
+        if kind == "deterministic":
+            return model, grid, random_policy(rng, model, grid.n_nodes)
+        kernel = rng.uniform(0.05, 1.0, size=(grid.n_nodes, model.n_pairs))
+        kernel[rng.random(kernel.shape) < 0.4] = 0.0
+        sums = np.add.reduceat(kernel, model.action_offsets[:-1], axis=1)
+        kernel /= np.where(sums > 0.0, sums, 1.0)[:, model.pair_state]
+        kernel[::2, :model.action_offsets[1]] = 0.0
+        kernel[1::2, model.action_offsets[-2]] = -1e-13
+        return model, grid, MarkovPolicy.randomized(kernel)
+    m, kind = name[len("birth_death"):].split("_")
+    model = make_birth_death(1.0, 2.0, m=int(m), grid=3, initial_dist=np.full(int(m), 1 / int(m)))
+    grid = TimeGrid(1.0, TimeGrid(1.0, 1).required_steps(model))
+    if kind == "optimal":
+        return model, grid, solve_backward(model, grid)[1]
+    index = np.zeros((grid.n_nodes, model.n_states), dtype=np.int64)
+    if kind == "once":
+        index[grid.n_nodes // 2:] = 1
+    elif kind == "alternating":
+        index[1::2] = 1
+    return model, grid, MarkovPolicy.deterministic(index)
+
+
+PLAYED_SET_CASES = ["random0_deterministic", "random1_deterministic", "random2_sparse",
+                    "random3_sparse", "birth_death20_optimal", "birth_death20_constant",
+                    "birth_death20_once", "birth_death20_alternating", "birth_death150_optimal",
+                    "two_state_negative"]
+
+
+def traced_peak(fn, *args) -> int:
+    """Peak traced bytes of fn(*args), after one untraced call has paid the
+    one-time allocations."""
+    fn(*args)
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestTimeGrid:
@@ -309,6 +371,28 @@ class TestEvaluatePolicy:
             got = evaluate_policy(model, grid, policy, cost_index, integrator).values
             want = dense_policy_value(model, grid, policy, cost_index, integrator)
             assert np.max(np.abs(got - want)) <= 1e-13 * max(1.0, np.max(np.abs(want)))
+
+    @pytest.mark.parametrize("integrator", ["rk4", "euler"])
+    @pytest.mark.parametrize("case", PLAYED_SET_CASES)
+    def test_matches_the_pair_level_oracle(self, case, integrator):
+        # dropping a pair of weight exactly 0 drops a +-0.0 term of each
+        # state's sum, so deterministic values are bit for bit the oracle's
+        model, grid, policy = played_set_case(case)
+        for cost_index in range(model.costs.shape[0]):
+            got = evaluate_policy(model, grid, policy, cost_index, integrator).values
+            want = pair_level_evaluate_policy(model, grid, policy, cost_index, integrator).values
+            if policy.kind == "deterministic":
+                assert np.array_equal(got, want)
+            else:
+                assert np.max(np.abs(got - want)) <= 1e-13 * max(1.0, np.max(np.abs(want)))
+
+    def test_holds_one_run_of_rows_at_a_time(self):
+        model, grid, policy = played_set_case("birth_death60_alternating")
+        run_bytes = model.n_states * model.n_states * 8  # the rows one run plays
+        peak = traced_peak(evaluate_policy, model, grid, policy)
+        pair_level = traced_peak(pair_level_evaluate_policy, model, grid, policy)
+        assert peak - pair_level < 1.5 * run_bytes, \
+            f"peak {peak} B, pair-level oracle {pair_level} B, one run's rows {run_bytes} B"
 
     def test_policy_grid_mismatch_rejected(self):
         model = two_state_chain()

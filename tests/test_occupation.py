@@ -17,9 +17,11 @@ from ctmdp.occupation import (OccupationGrid, build_constrained_lp, check_charac
 from ctmdp.sim import mc_value
 from oracles import (_dual_value_fn, csv_writer_occupation_table, default_test_functions,
                      dense_occupation_masses, euler_masses_of_kernel, expm_transient, golden_dual_max,
-                     random_instance, random_policy, tail_characterization_residual)
+                     pair_level_occupation_of_policy, random_instance, random_policy,
+                     tail_characterization_residual)
 from test_acceptance import slater_birth_death
-from test_dp import REASSOCIATION_CASES, reassociation_case, tiny_and_negative_model
+from test_dp import (PLAYED_SET_CASES, REASSOCIATION_CASES, played_set_case, reassociation_case,
+                     tiny_and_negative_model, traced_peak)
 
 
 def two_state_chain(horizon=1.0):
@@ -129,6 +131,32 @@ class TestOccupationOfPolicy:
         model, grid, policy = reassociation_case(case)
         got = occupation_of_policy(model, grid, policy).masses
         assert np.max(np.abs(got - dense_occupation_masses(model, grid, policy))) <= 1e-13
+
+    @pytest.mark.parametrize("case", PLAYED_SET_CASES)
+    def test_matches_the_pair_level_oracle(self, case):
+        model, grid, policy = played_set_case(case)
+        got = occupation_of_policy(model, grid, policy).masses
+        want = pair_level_occupation_of_policy(model, grid, policy).masses
+        assert np.max(np.abs(got - want)) <= 1e-13
+
+    def test_holds_one_run_of_rows_at_a_time(self):
+        # a run's rows are (states x states), more than the pair-length
+        # vectors the pair-level loop holds, so the bound allows one run
+        model, grid, policy = played_set_case("birth_death60_alternating")
+        run_bytes = model.n_states * model.n_states * 8
+        peak = traced_peak(occupation_of_policy, model, grid, policy)
+        pair_level = traced_peak(pair_level_occupation_of_policy, model, grid, policy)
+        assert peak - pair_level < 1.5 * run_bytes, \
+            f"peak {peak} B, pair-level oracle {pair_level} B, one run's rows {run_bytes} B"
+
+    @pytest.mark.parametrize("case", [c for c in PLAYED_SET_CASES
+                                      if c.startswith("birth_death") or c.endswith("deterministic")])
+    def test_euler_masses_match_the_mean_generator_oracle(self, case):
+        model, grid, policy = played_set_case(case)
+        actions = policy.action_index[:grid.n_steps]
+        got = occupation._euler_forward_masses(model, grid, actions)
+        kernel = MarkovPolicy.deterministic(actions).kernel(model)
+        assert np.max(np.abs(got - euler_masses_of_kernel(model, grid.n_steps, kernel))) <= 1e-13
 
 
 class TestCharacterization:

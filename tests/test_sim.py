@@ -1,8 +1,11 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 
+from ctmdp import sim
 from ctmdp.dp import TimeGrid, solve_backward
 from ctmdp.model import (CtmdpModel, MarkovPolicy, birth_death_certificate,
                          cost_bound_from_tables, certify_drift, make_birth_death)
@@ -367,6 +370,38 @@ def edge_model():
                [[0.0, 0.0, 0.0, 0.0], [1.0, -4.0, 2.0, 1.0]],
                [[0.0, 1.0, -1.0, 0.0]], [[0.5, 0.0, 0.0, -0.5]]],
         costs=[[[0.0], [0.0, 0.0], [0.0], [0.0]]], horizon=1.0)
+
+
+class TestJumpTableReuse:
+    def test_simulate_and_the_batch_engine_share_one_table(self, monkeypatch):
+        model = two_state_chain(horizon=8.0)
+        pol = still_policy(model)
+        table = _jump_table(model)
+
+        def no_build(**fields):
+            raise AssertionError("a second jump table was built for the model")
+
+        monkeypatch.setattr(sim, "_JumpTable", no_build)
+        for seed in range(3):
+            simulate(model, pol, 0, seed=seed)
+        mc_value(model, pol, 0, 0, 200, seed=4)
+        assert _jump_table(model) is table
+        assert not any(arr.flags.writeable for arr in vars(table).values())
+
+    def test_the_table_keeps_no_model_alive(self):
+        model = two_state_chain()
+        simulate(model, still_policy(model), 0, seed=1)
+        ref = weakref.ref(model)
+        del model
+        gc.collect()
+        assert ref() is None
+
+    def test_a_new_model_gets_its_own_table(self):
+        a, b = two_state_chain(), make_birth_death(1.0, 2.0, m=4, grid=2)
+        table_a = _jump_table(a)
+        assert _jump_table(b).normalized.shape == (b.n_pairs, b.n_states)
+        assert _jump_table(a) is not table_a
+        assert np.array_equal(_jump_table(a).normalized, table_a.normalized)
 
 
 class TestJumpSlotSearch:
