@@ -60,6 +60,18 @@ def _parse_bounds(entries):
     return [pairs[n] for n in range(1, n_max + 1)]
 
 
+def _checked(convert, ok, want: str):
+    """An argparse type: convert the flag's text, then require ok(value), so
+    argparse reports a bad value as a usage error that names the flag."""
+    def parse(text: str):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"{text} is out of range; {want}")
+        return value
+    parse.__name__ = convert.__name__  # argparse's "invalid int value: 'x'"
+    return parse
+
+
 def _state_flag(model: CtmdpModel, flag: str, value) -> int:
     """A state index given on the command line, range-checked."""
     try:
@@ -197,6 +209,10 @@ def cmd_simulate(args) -> int:
     i0 = _state_flag(model, "--i0", args.i0)
     subset = ([_state_flag(model, "--subset", s) for s in args.subset.split(",")]
               if args.subset else [i0])
+    t_check = args.t_check if args.t_check is not None else model.horizon
+    if not 0 < t_check <= model.horizon:
+        raise ModelFormatError(f"--t-check {t_check} is out of range; need 0 < t <= "
+                               f"horizon {model.horizon}")
     if validate_model(model):
         print("model fails validation; run the validate subcommand", file=sys.stderr)
         return DOMAIN_ERROR
@@ -206,7 +222,6 @@ def cmd_simulate(args) -> int:
         _, policy = dp.solve_backward(model, grid)
     else:
         policy = MarkovPolicy.uniform(model, grid.n_nodes)
-    t_check = args.t_check if args.t_check is not None else model.horizon
 
     path = sim.simulate(model, policy, i0, args.seed)
     path.write_csv(model, os.path.join(args.out, "trajectory.csv"))
@@ -235,6 +250,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="ctmdp",
         description="Finite-horizon CTMDP solver, simulator and constrained-LP pipeline")
     sub = parser.add_subparsers(dest="command", required=True)
+    steps = _checked(int, lambda n: n >= 1, "need at least 1 step")
+    at_least_2 = _checked(int, lambda n: n >= 2, "need at least 2")
 
     def add_model_args(p):
         p.add_argument("--model", help="model JSON file")
@@ -242,8 +259,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--lambda", "--lam", dest="lam", type=float,
                        help="preset birth rate")
         p.add_argument("--mu", type=float, help="preset death rate")
-        p.add_argument("--m", type=int, help="preset truncation level (state count)")
-        p.add_argument("--agrid", type=int, default=3, help="preset action grid per axis")
+        p.add_argument("--m", type=at_least_2, help="preset truncation level (state count)")
+        p.add_argument("--agrid", type=at_least_2, default=3, help="preset action grid per axis")
         p.add_argument("--horizon", type=float, default=1.0, help="preset horizon T")
         p.add_argument("--d", action="append", metavar="N=VALUE",
                        help="preset constraint bound d_N (repeatable)")
@@ -255,25 +272,27 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="backward value solve and policy extraction")
     add_model_args(p)
-    p.add_argument("--steps", type=int, default=1000, help="time grid steps")
+    p.add_argument("--steps", type=steps, default=1000, help="time grid steps")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("constrain", help="occupation LP, disintegration and duality")
     add_model_args(p)
-    p.add_argument("--steps", type=int, default=200, help="time grid steps")
+    p.add_argument("--steps", type=steps, default=200, help="time grid steps")
     p.set_defaults(func=cmd_constrain)
 
     p = sub.add_parser("simulate", help="Monte Carlo estimators and identity checks")
     add_model_args(p)
-    p.add_argument("--steps", type=int, default=200, help="policy grid steps")
-    p.add_argument("--replicates", type=int, default=10000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--steps", type=steps, default=200, help="policy grid steps")
+    p.add_argument("--replicates", type=at_least_2, default=10000)
+    p.add_argument("--seed", type=_checked(int, lambda n: n >= 0, "need at least 0"), default=0)
     p.add_argument("--i0", type=int, default=0, help="initial state")
     p.add_argument("--policy", choices=["optimal", "uniform"], default="optimal")
     p.add_argument("--subset", help="comma-separated states for the flow check")
     p.add_argument("--t-check", type=float, default=None,
                    help="time point for the flow and weight checks (default T)")
-    p.add_argument("--z", type=float, default=4.0, help="CI width in standard errors")
+    p.add_argument("--z", type=_checked(float, lambda z: 0 < z < math.inf,
+                                        "a z-width must be finite and positive"),
+                   default=4.0, help="CI width in standard errors")
     p.set_defaults(func=cmd_simulate)
     return parser
 

@@ -72,7 +72,7 @@ class McEstimate:
 def _estimate(samples: np.ndarray) -> McEstimate:
     n = samples.size
     mean = float(np.mean(samples))  # numpy pairwise summation
-    se = float(np.std(samples, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+    se = float(np.std(samples, ddof=1) / math.sqrt(n))  # _run_batch runs 2 paths or more
     return McEstimate(mean=mean, se=se, count=n)
 
 
@@ -89,11 +89,19 @@ def _cell_of(t, dt_cells: float, n_cells: int):
     return np.clip((t / dt_cells).astype(np.int64), 0, n_cells - 1)
 
 
+def _max_rounds(model: CtmdpModel) -> int:
+    return _MAX_ROUNDS_SLACK + int(20 * model.max_q_star * model.horizon)
+
+
+def _kernel_average(model: CtmdpModel, policy: MarkovPolicy, per_pair) -> np.ndarray:
+    """Kernel average of a per-pair quantity, per (cell, state)."""
+    cells, _ = _policy_cells(model, policy)
+    return np.add.reduceat(cells * per_pair[None, :], model.action_offsets[:-1], axis=1)
+
+
 def kernel_cost_cells(model: CtmdpModel, policy: MarkovPolicy, cost_index: int) -> np.ndarray:
     """Kernel-averaged cost rate per (cell, state)."""
-    cells, _ = _policy_cells(model, policy)
-    return np.add.reduceat(cells * model.costs[cost_index][None, :],
-                           model.action_offsets[:-1], axis=1)
+    return _kernel_average(model, policy, model.costs[cost_index])
 
 
 def kernel_set_rate_cells(model: CtmdpModel, policy: MarkovPolicy, subset) -> np.ndarray:
@@ -102,16 +110,26 @@ def kernel_set_rate_cells(model: CtmdpModel, policy: MarkovPolicy, subset) -> np
     The diagonal is included whenever i itself lies in B, i.e. this is the
     full signed sum of the rate row over B.
     """
-    cells, _ = _policy_cells(model, policy)
     indicator = np.zeros(model.n_states)
     indicator[list(subset)] = 1.0
-    per_pair = model.rate_rows @ indicator
-    return np.add.reduceat(cells * per_pair[None, :], model.action_offsets[:-1], axis=1)
+    return _kernel_average(model, policy, model.rate_rows @ indicator)
+
+
+def _draw_local(rows: np.ndarray, n_actions, u: np.ndarray) -> np.ndarray:
+    """Local action per kernel row: the count of its cumulative masses below u
+    times its total, clipped to the row, or its argmax if that action has no mass."""
+    u = u * rows.sum(axis=1)
+    local = (np.cumsum(rows, axis=1) < u[:, None]).sum(axis=1)
+    local = np.minimum(local, n_actions - 1)
+    off = rows[np.arange(rows.shape[0]), local] <= 0.0
+    if np.any(off):
+        local[off] = np.argmax(rows[off], axis=1)
+    return local
 
 
 def simulate(model: CtmdpModel, policy: MarkovPolicy, i0: int, seed) -> Trajectory:
     """Generate one path by thinning. Identical seeds give identical paths;
-    actions and jump targets follow the batch engine's rules (_run_batch,
+    actions and jump targets follow the batch engine's rules (_draw_local,
     _jump_targets), so neither lands on an entry of no mass."""
     rng = np.random.default_rng(seed)
     cells, dt_cells = _policy_cells(model, policy)
@@ -124,17 +142,14 @@ def simulate(model: CtmdpModel, policy: MarkovPolicy, i0: int, seed) -> Trajecto
         cell = min(int(t / dt_cells), n_cells - 1)
         if policy.kind == "deterministic":
             return int(policy.action_index[cell, i])
-        probs = cells[cell, offsets[i]:offsets[i + 1]]
-        u = rng.random() * probs.sum()
-        a = min(int(np.count_nonzero(np.cumsum(probs) < u)), probs.size - 1)
-        return a if probs[a] > 0.0 else int(np.argmax(probs))
+        row = cells[cell, offsets[i]:offsets[i + 1]]
+        return int(_draw_local(row[None, :], row.size, rng.random(1))[0])
 
     times = [0.0]
     states = [int(i0)]
     actions = [action_at(int(i0), 0.0)]
     t, i = 0.0, int(i0)
-    max_rounds = _MAX_ROUNDS_SLACK + int(20 * model.max_q_star * T)
-    for _ in range(max_rounds):
+    for _ in range(_max_rounds(model)):
         qs = float(model.q_star[i])
         if qs <= 0.0:
             break  # absorbing under every action: hold to the horizon
@@ -281,13 +296,13 @@ def _jump_targets(jumps: _JumpTable, ka: np.ndarray, u: np.ndarray) -> np.ndarra
 
 
 def _run_batch(model: CtmdpModel, policy: MarkovPolicy, i0: int, n_paths: int,
-               rng, integrands=(), capture_time: float | None = None):
+               seed, integrands=(), capture_time: float | None = None):
     """Vectorized thinning over a batch of paths.
 
     integrands: sequence of (table (n_cells, n_states), t_end) pairs whose
     pathwise integrals over [0, min(t_end, T)] are returned, one column each.
     capture_time: if set, also return the state each path holds at that time.
-    All randomness is drawn from the single counter-based stream ``rng`` with
+    All randomness is drawn from the single stream ``default_rng(seed)`` with
     a consumption pattern that is a pure function of the seed: each round
     draws the proposal clocks of the live paths in ascending path id, then,
     for those still short of the horizon, the action draws (randomized
@@ -302,6 +317,9 @@ def _run_batch(model: CtmdpModel, policy: MarkovPolicy, i0: int, n_paths: int,
     the action lookup and every integrand. See
     notes/decisions.md for why this reproduces the full-width loop bit for bit.
     """
+    if n_paths < 2:
+        raise ValueError("need at least 2 replicates")
+    rng = np.random.default_rng(seed)
     cells, dt_cells = _policy_cells(model, policy)
     n_cells = cells.shape[0]
     n_states = model.n_states
@@ -328,8 +346,7 @@ def _run_batch(model: CtmdpModel, policy: MarkovPolicy, i0: int, n_paths: int,
     cell = _cell_of(t, dt_cells, n_cells)
     start = [F(state, t, cell) for F in integrals]
 
-    max_rounds = _MAX_ROUNDS_SLACK + int(20 * model.max_q_star * T)
-    for _ in range(max_rounds):
+    for _ in range(_max_rounds(model)):
         if ids.size == 0:
             break
         t_new = t + rng.standard_exponential(ids.size) / clock_rate.take(state)
@@ -359,22 +376,12 @@ def _run_batch(model: CtmdpModel, policy: MarkovPolicy, i0: int, n_paths: int,
             ids, t, state, cell = ids.take(keep), hi.take(keep), state.take(keep), cell.take(keep)
             acc = [a.take(keep) for a in acc]
             start = [f.take(keep) for f in start]
-            if ids.size == 0:
-                break
         else:
             t = hi
 
         if randomized:
-            rows = cells[cell[:, None], pad[state]]
-            rows = np.where(mask[state], rows, 0.0)
-            u = rng.random(ids.size) * rows.sum(axis=1)
-            local = (np.cumsum(rows, axis=1) < u[:, None]).sum(axis=1)
-            local = np.minimum(local, n_actions[state] - 1)
-            chosen = rows[np.arange(rows.shape[0]), local]
-            off = chosen <= 0.0  # boundary draws may land on a zero-mass action
-            if np.any(off):
-                local[off] = np.argmax(rows[off], axis=1)
-            ka = offsets[state] + local
+            rows = np.where(mask[state], cells[cell[:, None], pad[state]], 0.0)
+            ka = offsets[state] + _draw_local(rows, n_actions[state], rng.random(ids.size))
         else:
             ka = pair_at.take(cell * n_states + state)
 
@@ -399,11 +406,8 @@ def mc_value(model: CtmdpModel, policy: MarkovPolicy, i0: int, cost_index: int,
     Each path contributes the integral of the kernel-averaged cost rate over
     its sojourns, clipped at the horizon.
     """
-    if replicates < 2:
-        raise ValueError("need at least 2 replicates")
-    rng = np.random.default_rng(seed)
     table = kernel_cost_cells(model, policy, cost_index)
-    acc, _ = _run_batch(model, policy, i0, replicates, rng,
+    acc, _ = _run_batch(model, policy, i0, replicates, seed,
                         integrands=[(table, model.horizon)])
     return _estimate(acc[:, 0])
 
@@ -432,17 +436,12 @@ def check_forward_kolmogorov(model: CtmdpModel, policy: MarkovPolicy, i0: int,
     """Estimate both sides of the transient-balance identity and difference them."""
     if not 0 < t <= model.horizon:
         raise ValueError("need 0 < t <= horizon")
-    if replicates < 2:
-        raise ValueError("need at least 2 replicates")
     subset = set(int(b) for b in subset)
-    rng = np.random.default_rng(seed)
-    table = kernel_set_rate_cells(model, policy, subset) if subset else \
-        np.zeros((policy.n_nodes - 1, model.n_states))
-    acc, captured = _run_batch(model, policy, i0, replicates, rng,
+    table = kernel_set_rate_cells(model, policy, subset)
+    acc, captured = _run_batch(model, policy, i0, replicates, seed,
                                integrands=[(table, t)], capture_time=t)
     in_b = np.isin(captured, sorted(subset)).astype(float)
-    start = 1.0 if int(i0) in subset else 0.0
-    flow = start + acc[:, 0]
+    flow = float(int(i0) in subset) + acc[:, 0]
     res = _estimate(in_b - flow)
     return FlowIdentityCheck(residual=res.mean, se=res.se, count=res.count,
                              occupancy=float(np.mean(in_b)),
@@ -469,11 +468,10 @@ def check_weight_bound(model: CtmdpModel, certificate: DriftCertificate,
         raise ValueError("need 0 <= t <= horizon")
     if replicates < 2:
         raise ValueError("need at least 2 replicates")
-    rng = np.random.default_rng(seed)
     if t == 0.0:
         est = McEstimate(mean=float(model.weight[int(i0)]), se=0.0, count=replicates)
     else:
-        _, captured = _run_batch(model, policy, i0, replicates, rng, capture_time=t)
+        _, captured = _run_batch(model, policy, i0, replicates, seed, capture_time=t)
         est = _estimate(model.weight[captured])
     bound = certificate.weight_bound(float(model.weight[int(i0)]), t)
     return WeightBoundCheck(estimate=est, bound=bound, slack=est.mean - bound)

@@ -28,6 +28,14 @@ def read_all_outputs(directory: Path) -> dict:
     return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
 
 
+def exit_code(argv) -> int:
+    """The exit code of a run, whether main returns it or argparse exits with it."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
 class TestExitCodes:
     def test_validate_preset_ok(self, tmp_path, capsys):
         assert main(["validate", *preset_args(out=tmp_path)]) == 0
@@ -398,6 +406,90 @@ class TestExitCodes:
         values = (tmp_path / "value.csv").read_text().splitlines()
         g3 = next(line for line in values if line.startswith("3,0,")).split(",")[2]
         assert f"value_initial_dist={g3}\n" in report
+
+
+class TestFlagChecks:
+    """Out-of-range flag values are usage errors that name the flag."""
+
+    @pytest.mark.parametrize("z", ["-1", "0", "nan", "inf"])
+    def test_z_width_must_be_finite_and_positive(self, tmp_path, capsys, z):
+        code = exit_code(["simulate", *preset_args("--steps", "50", "--replicates", "100",
+                                                   "--z", z, out=tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "--z" in err and "finite and positive" in err and "Traceback" not in err
+        assert not (tmp_path / "report.txt").exists()
+
+    @pytest.mark.parametrize("command, flags", [
+        ("solve", ["--steps", "0"]),
+        ("constrain", ["--steps", "0", "--d", "1=0.5"]),
+        ("simulate", ["--steps", "0"]),
+        ("simulate", ["--replicates", "1"]),
+        ("simulate", ["--t-check", "5"]),
+        ("simulate", ["--t-check", "0"]),
+        ("simulate", ["--seed", "-1"]),
+        ("validate", ["--agrid", "1"]),
+        ("simulate", ["--agrid", "1"]),
+        ("validate", ["--m", "1"]),
+    ], ids=lambda v: v if isinstance(v, str) else " ".join(v))
+    def test_out_of_range_flag_is_named(self, tmp_path, capsys, command, flags):
+        code = exit_code([command, *preset_args(*flags, out=tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{flags[0]} " in err or f"{flags[0]}:" in err
+        assert "out of range" in err and "Traceback" not in err
+        assert not (tmp_path / "report.txt").exists()
+
+    def test_in_range_flags_still_run(self, tmp_path):
+        assert main(["simulate", *preset_args("--steps", "50", "--replicates", "2",
+                                              "--agrid", "2", "--t-check", "1",
+                                              "--z", "1e300", out=tmp_path)]) in (0, 1)
+        assert (tmp_path / "report.txt").exists()
+
+
+class TestUsagePaths:
+    """Command-line paths that end in a usage or domain failure, without a traceback."""
+
+    @pytest.mark.parametrize("entries, named", [
+        (["--d", "1"], "want n=value"),
+        (["--d", "0=0.5"], "constraint indices start at 1"),
+        (["--d", "2=0.5"], "missing --d entries for constraints [1]"),
+    ], ids=["no-equals", "index-0", "gap"])
+    def test_bad_bound_entries(self, tmp_path, capsys, entries, named):
+        assert main(["constrain", *preset_args("--steps", "50", *entries, out=tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert named in err and "Traceback" not in err
+
+    def test_model_and_preset_together(self, tmp_path, capsys):
+        path = model_file(tmp_path, json.dumps(TWO_STATE))
+        assert main(["validate", "--model", path, *preset_args(out=tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "give --model or --preset, not both" in err and "Traceback" not in err
+
+    def test_preset_without_truncation_level(self, tmp_path, capsys):
+        assert main(["validate", "--preset", "birth-death", "--lam", "1", "--mu", "2",
+                     "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "needs --lam, --mu and --m" in err and "Traceback" not in err
+
+    def test_constrain_on_an_invalid_model(self, tmp_path, capsys):
+        doc = {**TWO_STATE, "rates": [[[-0.5, 1.0]], [[1.0, -1.0]]],  # row 0 sums to 0.5
+               "costs": [[[0.0], [1.0]], [[0.5], [0.5]]], "constraint_bounds": [1.0]}
+        path = model_file(tmp_path, json.dumps(doc))
+        assert main(["constrain", "--model", path, "--steps", "50",
+                     "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert "model fails validation" in err and "Traceback" not in err
+        assert not (tmp_path / "report.txt").exists()
+
+    def test_simulate_uniform_policy(self, tmp_path, capsys):
+        code = main(["simulate", *preset_args("--steps", "50", "--replicates", "2000",
+                                              "--policy", "uniform", out=tmp_path)])
+        assert code == 0
+        assert "Traceback" not in capsys.readouterr().err
+        report = (tmp_path / "report.txt").read_text()
+        assert "policy=uniform\n" in report and "fk_covers_zero=True\n" in report
+        assert (tmp_path / "trajectory.csv").exists()
 
 
 class TestOutputs:

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from ctmdp.dp import (GridStabilityError, NumericsError, TimeGrid, ValueGrid,
-                      check_value_envelope, evaluate_policy, solve_backward,
-                      truncation_error_bound, value_envelope, write_policy_csv)
+                      check_value_envelope, evaluate_policy, scalarize_costs,
+                      solve_backward, truncation_error_bound, value_envelope,
+                      write_policy_csv)
 from ctmdp.model import (CtmdpModel, DriftCertificate, MarkovPolicy, auto_certificate,
                          birth_death_certificate, cost_bound_from_tables,
                          certify_drift, make_birth_death)
@@ -106,6 +107,18 @@ def traced_peak(fn, *args) -> int:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+class TestScalarizeCosts:
+    @pytest.mark.parametrize("weights, message", [([1.0], "need 2 cost weights"),
+                                                  ([1.0, -0.5], "must be nonnegative")],
+                             ids=["count", "sign"])
+    def test_bad_weights_rejected(self, weights, message):
+        model = make_birth_death(1.0, 2.0, m=4, grid=2, cost_fns=[lambda i, a1, a2: i,
+                                                                  lambda i, a1, a2: a1],
+                                 constraint_bounds=[0.5])
+        with pytest.raises(ValueError, match=message):
+            scalarize_costs(model, weights)
 
 
 class TestTimeGrid:

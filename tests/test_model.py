@@ -58,6 +58,15 @@ class TestValidate:
                                        horizon=1.0, weight=[0.5])
         assert any(v.code == "weight" for v in validate_model(model))
 
+    def test_state_without_actions_flagged(self):
+        # equal offsets 1, 1: state 1 owns no pair
+        model = CtmdpModel(n_states=2, action_offsets=[0, 1, 1], action_points=np.zeros((1, 1)),
+                           rate_rows=np.zeros((1, 2)), costs=np.zeros((1, 1)),
+                           constraint_bounds=[], horizon=1.0, initial_dist=[1.0, 0.0],
+                           weight=np.ones(2))
+        empty = [v for v in validate_model(model) if v.code == "empty_actions"]
+        assert [v.state for v in empty] == [1]
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     @pytest.mark.parametrize("field, code", [("costs", "nonfinite_cost"),
                                              ("weight", "nonfinite_weight"),
@@ -280,6 +289,33 @@ class TestMarkovPolicy:
         model = make_birth_death(1.0, 1.0, m=3, grid=2)
         pol = MarkovPolicy.deterministic(np.full((2, 3), 99))
         assert any(v.code == "policy_range" for v in pol.validate(model))
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"kind": "greedy", "action_index": np.zeros((2, 3))}, "unknown policy kind 'greedy'"),
+        ({"kind": "randomized", "action_index": np.zeros((2, 3))}, "policy table missing"),
+        ({"kind": "deterministic", "action_index": [0, 1, 0]}, "must be 2-d"),
+    ], ids=["unknown-kind", "missing-table", "1-d-table"])
+    def test_construction_errors(self, kwargs, message):
+        with pytest.raises(ModelFormatError, match=message):
+            MarkovPolicy(**kwargs)
+
+    def test_single_node_flagged(self):
+        model = make_birth_death(1.0, 1.0, m=3, grid=2)
+        pol = MarkovPolicy.constant(model, 0, n_nodes=1)
+        assert [v.code for v in pol.validate(model)] == ["policy_nodes"]
+
+    def test_kernel_of_the_wrong_width_flagged(self):
+        model = make_birth_death(1.0, 1.0, m=3, grid=2)
+        pol = MarkovPolicy.randomized(np.ones((2, model.n_pairs + 1)))
+        assert [v.code for v in pol.validate(model)] == ["policy_shape"]
+
+    def test_negative_kernel_mass_flagged(self):
+        model = make_birth_death(1.0, 1.0, m=3, grid=2)
+        probs = MarkovPolicy.uniform(model, n_nodes=2).action_probs.copy()
+        probs[1, 0] -= 1.0  # state 0's row keeps its sum of 1
+        probs[1, 1] += 1.0
+        codes = [v.code for v in MarkovPolicy.randomized(probs).validate(model)]
+        assert codes == ["policy_negative"]
 
 
 class TestModelFiles:

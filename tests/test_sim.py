@@ -9,9 +9,9 @@ from ctmdp import sim
 from ctmdp.dp import TimeGrid, solve_backward
 from ctmdp.model import (CtmdpModel, MarkovPolicy, birth_death_certificate,
                          cost_bound_from_tables, certify_drift, make_birth_death)
-from ctmdp.sim import (_GUIDE, _jump_table, _jump_targets, _run_batch, check_forward_kolmogorov,
-                       check_weight_bound, kernel_cost_cells, kernel_set_rate_cells,
-                       mc_value, simulate)
+from ctmdp.sim import (_GUIDE, _draw_local, _jump_table, _jump_targets, _run_batch,
+                       check_forward_kolmogorov, check_weight_bound, kernel_cost_cells,
+                       kernel_set_rate_cells, mc_value, simulate)
 from oracles import dense_run_batch, loop_simulate, random_instance, random_policy
 
 TWO_STATE_EXACT = 0.5 - (1.0 - math.exp(-2.0)) / 4.0
@@ -213,6 +213,13 @@ class TestForwardKolmogorov:
         with pytest.raises(ValueError):
             check_forward_kolmogorov(model, still_policy(model), 0, {1}, 1.5, 100, seed=0)
 
+    @pytest.mark.parametrize("replicates", [0, 1])
+    def test_replicate_floor(self, replicates):
+        model = two_state_chain()
+        with pytest.raises(ValueError, match="need at least 2 replicates"):
+            check_forward_kolmogorov(model, still_policy(model), 0, {1}, 1.0, replicates,
+                                     seed=0)
+
 
 class TestWeightBound:
     def test_absorbing_model_slack_negative(self):
@@ -370,6 +377,35 @@ def edge_model():
                [[0.0, 0.0, 0.0, 0.0], [1.0, -4.0, 2.0, 1.0]],
                [[0.0, 1.0, -1.0, 0.0]], [[0.5, 0.0, 0.0, -0.5]]],
         costs=[[[0.0], [0.0, 0.0], [0.0], [0.0]]], horizon=1.0)
+
+
+class TestDrawLocal:
+    """The randomized action rule both thinning engines apply."""
+
+    def test_a_draw_at_the_row_total_takes_the_last_action_with_mass(self):
+        rows = np.array([[0.25, 0.75, 0.0]])
+        assert _draw_local(rows, 3, np.array([1.0])).tolist() == [1]
+
+    def test_a_draw_above_the_row_total_clips_then_takes_the_argmax(self):
+        # row 0 ends in a zero-mass action; row 1 has one padding column
+        rows = np.array([[0.25, 0.75, 0.0], [0.5, 0.0, 0.0]])
+        u = np.array([1.5, np.nextafter(1.0, 2.0)])
+        assert _draw_local(rows, np.array([3, 2]), u).tolist() == [1, 0]
+
+    def test_a_zero_draw_on_a_zero_mass_first_action_takes_the_argmax(self):
+        rows = np.array([[0.0, 0.25, 0.75]])
+        assert _draw_local(rows, 3, np.array([0.0])).tolist() == [2]
+
+
+class TestRunBatchSeed:
+    def test_a_seed_and_its_generator_give_the_same_batch(self):
+        model = make_birth_death(1.0, 2.0, m=5, grid=3)
+        pol = MarkovPolicy.uniform(model, n_nodes=5)
+        table = [(kernel_cost_cells(model, pol, 0), model.horizon)]
+        acc_a, cap_a = _run_batch(model, pol, 0, 300, 8, table, 0.5)
+        acc_b, cap_b = _run_batch(model, pol, 0, 300, np.random.default_rng(8), table, 0.5)
+        assert np.array_equal(acc_a, acc_b) and np.array_equal(cap_a, cap_b)
+        assert not np.array_equal(acc_a, _run_batch(model, pol, 0, 300, 9, table, 0.5)[0])
 
 
 class TestJumpTableReuse:
