@@ -1,4 +1,4 @@
-"""SHA-256 digests of every file the eight standard CLI runs write.
+"""SHA-256 digests of every file the ten standard CLI runs write.
 
 Usage (from the root of a source checkout):
 
@@ -35,6 +35,15 @@ CRITERION7 = {"preset": "birth_death", "lambda": 1.0, "mu": 2.0, "m": 2, "grid":
 CRITERION7_SCALED = {**CRITERION7, "costs": [{"i": -1.0}, {"const": 5.0, "a1": 5.0}],
                      "constraint_bounds": [3.0]}
 
+# An explicit-table model with an interior initial_state and no drift
+# certificate, so validate and solve fit one with auto_certificate; the
+# weight makes every drift offset positive.
+EXPLICIT = {"states": 3, "actions_per_state": [[[0.0]], [[0.0], [1.0]], [[0.0], [1.0]]],
+            "rates": [[[-1.0, 1.0, 0.0]], [[1.0, -2.0, 1.0], [0.5, -0.5, 0.0]],
+                      [[0.0, 2.0, -2.0], [0.0, 3.0, -3.0]]],
+            "costs": [[[0.0], [1.0, 1.5], [2.0, 1.0]]], "horizon": 2.0,
+            "weight": [1.0, 3.0, 4.0], "initial_state": 1}
+
 PRESET = ["--preset", "birth-death", "--lam", "1", "--mu", "2"]
 
 RUNS = {
@@ -49,6 +58,8 @@ RUNS = {
     "simulate-m20-uniform": ["simulate", *PRESET, "--m", "20", "--replicates", "20000",
                              "--policy", "uniform"],
     "validate-m20": ["validate", *PRESET, "--m", "20"],
+    "validate-explicit": ["validate", "--model", "{explicit}"],
+    "solve-explicit": ["solve", "--model", "{explicit}", "--steps", "400"],
 }
 
 MAIN = "import sys; from ctmdp.cli import main; sys.exit(main(sys.argv[1:]))"
@@ -57,7 +68,8 @@ MAIN = "import sys; from ctmdp.cli import main; sys.exit(main(sys.argv[1:]))"
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         models = {}
-        for key, doc in (("model", CRITERION7), ("scaled", CRITERION7_SCALED)):
+        for key, doc in (("model", CRITERION7), ("scaled", CRITERION7_SCALED),
+                         ("explicit", EXPLICIT)):
             models[key] = os.path.join(tmp, f"{key}.json")
             with open(models[key], "w", encoding="utf-8") as fh:
                 json.dump(doc, fh)

@@ -17,7 +17,7 @@ import sys
 
 from . import dp, occupation, sim
 from .model import (CtmdpModel, DriftCertificate, MarkovPolicy, ModelFormatError,
-                    auto_certificate, birth_death_certificate, certify_drift,
+                    _checked_index, auto_certificate, birth_death_certificate, certify_drift,
                     cost_bound_from_tables, load_model,
                     make_birth_death, validate_model, CERT_KEYS)
 
@@ -78,16 +78,17 @@ def _state_flag(model: CtmdpModel, flag: str, value) -> int:
         state = int(value)
     except ValueError as exc:
         raise ModelFormatError(f"{flag} {value!r} is not a state index") from exc
-    if not 0 <= state < model.n_states:
-        raise ModelFormatError(
-            f"{flag} {state} is out of range; the model has states 0..{model.n_states - 1}")
-    return state
+    return _checked_index(state, model.n_states, flag)
 
 
 def _resolve_model(args) -> tuple[CtmdpModel, DriftCertificate | None]:
     if args.model and args.preset:
         raise ModelFormatError("give --model or --preset, not both")
     if args.model:
+        dropped = [f"--{name}" for name in ("lam", "mu", "m", "agrid", "horizon", "d")
+                   if getattr(args, name) is not None]
+        if dropped:
+            raise ModelFormatError(f"--model files set the model; drop {', '.join(dropped)}")
         return load_model(args.model)
     if args.preset != "birth-death":
         raise ModelFormatError("supported preset: birth-death (with --lam --mu --m)")
@@ -95,9 +96,9 @@ def _resolve_model(args) -> tuple[CtmdpModel, DriftCertificate | None]:
         raise ModelFormatError("--preset birth-death needs --lam, --mu and --m")
     bounds = _parse_bounds(args.d)
     model = make_birth_death(
-        lam=args.lam, mu=args.mu, m=args.m, grid=args.agrid,
+        lam=args.lam, mu=args.mu, m=args.m, grid=3 if args.agrid is None else args.agrid,
         cost_fns=_preset_cost_fns(args.lam, args.mu, len(bounds)),
-        horizon=args.horizon, constraint_bounds=bounds)
+        horizon=1.0 if args.horizon is None else args.horizon, constraint_bounds=bounds)
     cert = birth_death_certificate(args.lam, args.mu, cost_bound_from_tables(model))
     return model, cert
 
@@ -260,8 +261,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="preset birth rate")
         p.add_argument("--mu", type=float, help="preset death rate")
         p.add_argument("--m", type=at_least_2, help="preset truncation level (state count)")
-        p.add_argument("--agrid", type=at_least_2, default=3, help="preset action grid per axis")
-        p.add_argument("--horizon", type=float, default=1.0, help="preset horizon T")
+        p.add_argument("--agrid", type=at_least_2, help="preset action grid per axis (default 3)")
+        p.add_argument("--horizon", type=float, help="preset horizon T (default 1)")
         p.add_argument("--d", action="append", metavar="N=VALUE",
                        help="preset constraint bound d_N (repeatable)")
         p.add_argument("--out", default=".", help="output directory")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import CtmdpModel, DriftCertificate, MarkovPolicy
+from .model import CtmdpModel, DriftCertificate, MarkovPolicy, _checked_index
 
 STABILITY_CAP = 0.5  # dt * max_i q*(i) must stay below this
 ENVELOPE_SLACK = 1e-6  # relative slack of the value-envelope check
@@ -83,16 +83,30 @@ class ValueGrid:
         return self.values[0]
 
     def write_csv(self, path) -> None:
-        """Rows (state, t_k, value), state-major, in csv.writer's dialect."""
+        """Rows (state, t_k, value), state-major."""
         nodes = _node_strings(self.grid)
-        with open(path, "w", newline="") as fh:
-            fh.write("state,t,value\r\n")
-            for i, column in enumerate(self.values.T.tolist()):
-                fh.write("".join(f"{i},{t},{v:.17g}\r\n" for t, v in zip(nodes, column)))
+        _write_csv(path, ["state", "t", "value"],
+                   ([f"{i},{t},{v:.17g}" for t, v in zip(nodes, column)]
+                    for i, column in enumerate(self.values.T.tolist())))
 
 
 def _node_strings(grid: TimeGrid) -> list[str]:
     return [f"{t:.12g}" for t in grid.nodes.tolist()]
+
+
+def _action_text(model: CtmdpModel, pairs=slice(None)) -> tuple[list[str], list[str]]:
+    """Action column names a0, a1, ... and each pair's ',x0,x1,...' text, 17 digits."""
+    names = [f"a{d}" for d in range(model.action_points.shape[1])]
+    return names, ["".join(f",{x:.17g}" for x in p) for p in model.action_points[pairs].tolist()]
+
+
+def _write_csv(path, header: list[str], blocks) -> None:
+    """A header row, then each block's rows (a list of texts), in csv.writer's CRLF dialect."""
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for rows in blocks:
+            if rows:
+                fh.write("\r\n".join(rows) + "\r\n")
 
 
 def write_policy_csv(model: CtmdpModel, grid: TimeGrid, policy: MarkovPolicy, path) -> None:
@@ -103,13 +117,11 @@ def write_policy_csv(model: CtmdpModel, grid: TimeGrid, policy: MarkovPolicy, pa
     if np.any((idx < 0) | (idx >= np.diff(model.action_offsets))):
         raise IndexError("policy action index out of range for the model")
     nodes = _node_strings(grid)
-    points = ["".join(f",{x:.17g}" for x in point) for point in model.action_points.tolist()]
+    names, points = _action_text(model)
     pairs = (model.action_offsets[:-1] + idx).T.tolist()  # (n_states, n_nodes)
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(["state", "t"] + [f"a{d}" for d in range(model.action_points.shape[1])])
-                 + "\r\n")
-        for i, row in enumerate(pairs):
-            fh.write("".join(f"{i},{t}{points[ka]}\r\n" for t, ka in zip(nodes, row)))
+    _write_csv(path, ["state", "t", *names],
+               ([f"{i},{t}{points[ka]}" for t, ka in zip(nodes, row)]
+                for i, row in enumerate(pairs)))
 
 
 def _step(f, y: np.ndarray, dt: float, integrator: str, k1=None) -> np.ndarray:
@@ -207,13 +219,15 @@ def solve_backward(model: CtmdpModel, grid: TimeGrid, cost_weights=None,
     return ValueGrid(grid=grid, values=g), MarkovPolicy.deterministic(policy)
 
 
+def _kernel_average(model: CtmdpModel, table: np.ndarray, per_pair) -> np.ndarray:
+    """Per-state kernel average of a per-pair quantity, one row per kernel row."""
+    return np.add.reduceat(table * per_pair, model.action_offsets[:-1], axis=1)
+
+
 def _played_rows(model: CtmdpModel, row: np.ndarray):
-    """Pairs s a kernel row plays (nonzero entries; a state with none keeps its
-    first pair, at weight 0), each state's start in s, s's states and rows."""
-    keep = row != 0.0
-    starts = model.action_offsets[:-1]
-    keep[starts] |= ~np.logical_or.reduceat(keep, starts)
-    s = np.flatnonzero(keep)
+    """Pairs s a checked kernel row plays (its nonzero entries, at least one
+    per state), each state's start in s, s's states and rows."""
+    s = np.flatnonzero(row)
     st = model.pair_state.take(s)
     return s, np.searchsorted(st, np.arange(model.n_states)), st, model.rate_rows.take(s, axis=0)
 
@@ -231,9 +245,8 @@ def evaluate_policy(model: CtmdpModel, grid: TimeGrid, policy: MarkovPolicy,
     """
     grid.check_stability(model)
     kernel = _policy_kernel(model, grid, policy)
-    if not 0 <= cost_index < model.costs.shape[0]:
-        raise ValueError(f"no cost table {cost_index}")
-    costs = np.add.reduceat(kernel * model.costs[cost_index], model.action_offsets[:-1], axis=1)
+    cost_index = _checked_index(cost_index, model.costs.shape[0], "cost_index", "cost table")
+    costs = _kernel_average(model, kernel, model.costs[cost_index])
     changes = np.any(np.diff(kernel[:grid.n_steps] != 0.0, axis=0), axis=1)
 
     g = np.zeros((grid.n_nodes, model.n_states))

@@ -30,7 +30,7 @@ CERT_KEYS = ("w_drift", "w2_drift", "w3_drift", "rate_growth", "cost_growth")
 
 
 class ModelFormatError(ValueError):
-    """Model tables or a model file cannot be interpreted."""
+    """Model tables, a model file or an index into them cannot be interpreted."""
 
 
 @dataclass(frozen=True)
@@ -204,16 +204,27 @@ class CtmdpModel:
                                for i in range(n)])
         counts = np.diff(offsets).tolist()
         cost_arr = np.vstack([_cost_table_of(table, c, counts) for c, table in enumerate(costs)])
-        gamma = np.zeros(n)
-        gamma[0] = 1.0
-        if initial_dist is not None:
-            gamma = np.asarray(initial_dist, dtype=float)
-        w = np.ones(n) if weight is None else np.asarray(weight, dtype=float)
         return cls(n_states=n, action_offsets=offsets, action_points=points,
                    rate_rows=rate_rows, costs=cost_arr,
                    constraint_bounds=np.asarray(constraint_bounds, dtype=float),
-                   horizon=float(horizon), initial_dist=gamma, weight=w,
+                   horizon=float(horizon),
+                   initial_dist=_point_mass(n) if initial_dist is None else initial_dist,
+                   weight=np.ones(n) if weight is None else weight,
                    truncation_level=truncation_level)
+
+
+def _point_mass(n: int, state: int = 0) -> np.ndarray:
+    """The initial distribution all of whose mass sits at one state."""
+    gamma = np.zeros(n)
+    gamma[state] = 1.0
+    return gamma
+
+
+def _checked_index(value, size: int, name: str, kind: str = "state") -> int:
+    """value as an index into size states (or cost tables), else an error naming it."""
+    if not 0 <= value < size:
+        raise ModelFormatError(f"{name} {value} is not a {kind} index in 0..{size - 1}")
+    return int(value)
 
 
 def _rate_rows_of(rows, i: int, n_actions: int, n: int) -> np.ndarray:
@@ -376,20 +387,17 @@ def auto_certificate(model: CtmdpModel) -> DriftCertificate:
     """Smallest-offset certificate with all growth rates fixed at AUTO_RHO.
 
     Any finite conservative model admits such constants; useful when no
-    hand-derived ones exist. The offsets b are the exact maxima of the drift
-    sums minus AUTO_RHO*w^p, clipped at 0.
+    hand-derived ones exist. A first certify_drift at offsets 0 finds the
+    worst slack of each drift sum against AUTO_RHO*w^p; the offsets b are
+    those slacks clipped at 0, and a second certify_drift checks them.
     """
-    w = model.weight
-    ws = w[model.pair_state]
-
-    def offset(p):
-        return float(max(0.0, np.max(model.rate_rows @ (w ** p) - AUTO_RHO * ws ** p)))
-
-    L = float(max(AUTO_RHO, np.max(model.exit_rate / ws))) if model.n_pairs else AUTO_RHO
-    M = float(max(1e-300, np.max(np.abs(model.costs) / ws))) if model.n_pairs else 1.0
-    cand = DriftCertificate(rho1=AUTO_RHO, b1=offset(1), rho2=AUTO_RHO, b2=offset(2),
-                            rho3=AUTO_RHO, b3=offset(3), L=L, M=M)
-    return certify_drift(model, cand)
+    L = float(max(AUTO_RHO, np.max(model.exit_rate / model.weight[model.pair_state])))
+    probe = certify_drift(model, DriftCertificate(
+        rho1=AUTO_RHO, b1=0.0, rho2=AUTO_RHO, rho3=AUTO_RHO, L=L,
+        M=max(1e-300, cost_bound_from_tables(model))))
+    slack = probe.worst_violation  # the three drift keys lead CERT_KEYS
+    offsets = {f"b{p}": max(0.0, slack[key]) for p, key in enumerate(CERT_KEYS[:3], start=1)}
+    return certify_drift(model, replace(probe, **offsets))
 
 
 # -- Markov policies --------------------------------------------------------
@@ -451,7 +459,10 @@ class MarkovPolicy:
         return cls.randomized(probs)
 
     def kernel(self, model: CtmdpModel) -> np.ndarray:
-        """Policy as (n_nodes, n_pairs) probabilities over flat pairs."""
+        """Policy as (n_nodes, n_pairs) probabilities over flat pairs; a policy
+        that fails validate is refused, naming its first violation."""
+        if violations := self.validate(model):
+            raise ModelFormatError(f"invalid policy: {violations[0].message}")
         if self.kind == "randomized":
             return self.action_probs
         flat = model.action_offsets[:-1][None, :] + self.action_index
@@ -460,32 +471,31 @@ class MarkovPolicy:
         return probs
 
     def validate(self, model: CtmdpModel) -> list[Violation]:
-        out: list[Violation] = []
+        """Breaches of the policy rule: nodes, table width, action range, row sums, signs."""
+        deterministic = self.kind == "deterministic"
+        table = self.action_index if deterministic else self.action_probs
+        width = model.n_states if deterministic else model.n_pairs
         if self.n_nodes < 2:
-            out.append(Violation("policy_nodes", None, None, None, float(self.n_nodes),
-                                 "policy needs at least 2 time nodes"))
-            return out
-        if self.kind == "deterministic":
+            return [Violation("policy_nodes", None, None, None, float(self.n_nodes),
+                              "policy needs at least 2 time nodes")]
+        if table.shape[1] != width:
+            return [Violation("policy_shape", None, None, None, 0.0,
+                              f"policy table has {table.shape[1]} columns, expected {width}")]
+        if deterministic:
             counts = np.diff(model.action_offsets)
-            bad = (self.action_index < 0) | (self.action_index >= counts[None, :])
-            for k, i in np.argwhere(bad):
-                out.append(Violation("policy_range", int(i), int(self.action_index[k, i]),
-                                     None, 0.0, f"action index out of range at node {k}"))
-        else:
-            if self.action_probs.shape[1] != model.n_pairs:
-                out.append(Violation("policy_shape", None, None, None, 0.0,
-                                     "kernel width does not match model pairs"))
-                return out
-            sums = np.add.reduceat(self.action_probs, model.action_offsets[:-1], axis=1)
-            for k, i in np.argwhere(np.abs(sums - 1.0) > PROB_TOL):
-                out.append(Violation("policy_norm", int(i), None, None,
-                                     float(sums[k, i] - 1.0),
-                                     f"kernel row (node {k}, state {i}) sums to {sums[k, i]!r}"))
-            if np.any(self.action_probs < -PROB_TOL):
-                k, ka = np.argwhere(self.action_probs < -PROB_TOL)[0]
-                out.append(Violation("policy_negative", int(model.pair_state[ka]), None,
-                                     None, float(self.action_probs[k, ka]),
-                                     f"negative kernel mass at node {k}"))
+            return [Violation("policy_range", int(i), int(table[k, i]), None, 0.0,
+                              f"action index {table[k, i]} out of range at node {k}, "
+                              f"state {i}, which has {counts[i]} actions")
+                    for k, i in np.argwhere((table < 0) | (table >= counts[None, :]))]
+        sums = np.add.reduceat(table, model.action_offsets[:-1], axis=1)
+        out = [Violation("policy_norm", int(i), None, None, float(sums[k, i] - 1.0),
+                         f"kernel row (node {k}, state {i}) sums to {float(sums[k, i])!r}")
+               for k, i in np.argwhere(~(np.abs(sums - 1.0) <= PROB_TOL))]  # NaN sums fail too
+        for k, ka in np.argwhere(table < -PROB_TOL)[:1]:
+            i = int(model.pair_state[ka])
+            out.append(Violation("policy_negative", i, None, None, float(table[k, ka]),
+                                 f"negative kernel mass {float(table[k, ka])!r} at node {k}, "
+                                 f"state {i}"))
         return out
 
 
@@ -549,15 +559,11 @@ def make_birth_death(lam: float, mu: float, m: int, grid: int,
     pairs = list(zip(i.tolist(), a1.tolist(), a2.tolist()))
     costs = np.array([[fn(*pair) for pair in pairs] for fn in cost_fns])
 
-    gamma = np.zeros(m)
-    gamma[0] = 1.0
-    if initial_dist is not None:
-        gamma = np.asarray(initial_dist, dtype=float)
-
     return CtmdpModel(n_states=m, action_offsets=offsets,
                       action_points=np.column_stack([a1, a2]), rate_rows=rates, costs=costs,
                       constraint_bounds=np.asarray(constraint_bounds, dtype=float),
-                      horizon=float(horizon), initial_dist=gamma,
+                      horizon=float(horizon),
+                      initial_dist=_point_mass(m) if initial_dist is None else initial_dist,
                       weight=np.arange(1, m + 1, dtype=float),
                       truncation_level=float(m))
 
@@ -635,12 +641,7 @@ def _initial_dist_from(doc: dict, n: int):
         return doc.get("initial_dist")
     if "initial_dist" in doc:
         raise ModelFormatError("give initial_dist or initial_state, not both")
-    state = doc["initial_state"]
-    if not 0 <= state < n:
-        raise ModelFormatError(f"initial_state {state!r} is not a state index in 0..{n - 1}")
-    gamma = np.zeros(n)
-    gamma[state] = 1.0
-    return gamma
+    return _point_mass(n, _checked_index(doc["initial_state"], n, "initial_state"))
 
 
 def model_from_dict(doc: dict) -> tuple[CtmdpModel, DriftCertificate | None]:

@@ -14,16 +14,15 @@ whose value from that solve certifies the optimum. The assembled LP
 
 from __future__ import annotations
 
-import csv
 import weakref
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .dp import (TimeGrid, ValueGrid, _node_strings, _played_rows, _policy_kernel, _step,
-                 scalarize_costs, solve_backward)
-from .model import CtmdpModel, MarkovPolicy
+from .dp import (TimeGrid, ValueGrid, _action_text, _node_strings, _played_rows, _policy_kernel,
+                 _step, _write_csv, scalarize_costs, solve_backward)
+from .model import CtmdpModel, MarkovPolicy, _checked_index
 from . import lp_core
 
 MASS_EPS = 1e-12       # cells below this total mass disintegrate to uniform
@@ -49,25 +48,20 @@ class OccupationGrid:
         return np.add.reduceat(self.masses, model.action_offsets[:-1], axis=1)
 
     def expected_cost(self, model: CtmdpModel, cost_index: int) -> float:
-        return float(self.grid.dt * np.sum(self.masses @ model.costs[cost_index]))
+        n = _checked_index(cost_index, model.costs.shape[0], "cost_index", "cost table")
+        return float(self.grid.dt * np.sum(self.masses @ model.costs[n]))
 
     def max_cell_norm_error(self) -> float:
         return float(np.max(np.abs(self.masses.sum(axis=1) - 1.0)))
 
     def write_csv(self, model: CtmdpModel, path) -> None:
-        """Rows (cell, t_k, state, action components, mass), cell-major, in
-        csv.writer's dialect."""
-        nodes = _node_strings(self.grid)
-        pairs = [f",{i}" + "".join(f",{x:.17g}" for x in point) + ","
-                 for i, point in zip(model.pair_state.tolist(), model.action_points.tolist())]
-        with open(path, "w", newline="") as fh:
-            fh.write(",".join(["cell", "t", "state"]
-                              + [f"a{d}" for d in range(model.action_points.shape[1])]
-                              + ["mass"]) + "\r\n")
-            for k, row in enumerate(self.masses):
-                head = f"{k},{nodes[k]}"
-                fh.write("".join(f"{head}{pair}{m:.17g}\r\n"
-                                 for pair, m in zip(pairs, row.tolist())))
+        """Rows (cell, t_k, state, action components, mass), cell-major."""
+        heads = [f"{k},{t}" for k, t in enumerate(_node_strings(self.grid))]
+        names, points = _action_text(model)
+        pairs = [f",{i}{point}," for i, point in zip(model.pair_state.tolist(), points)]
+        _write_csv(path, ["cell", "t", "state", *names, "mass"],
+                   ([f"{head}{pair}{m:.17g}" for pair, m in zip(pairs, row.tolist())]
+                    for head, row in zip(heads, self.masses)))
 
 
 def occupation_of_policy(model: CtmdpModel, grid: TimeGrid,
@@ -342,8 +336,7 @@ def disintegrate(model: CtmdpModel, grid: TimeGrid, masses: np.ndarray) -> Marko
     n_cells = masses.shape[0]
     marginal = np.add.reduceat(masses, model.action_offsets[:-1], axis=1)
     denom = marginal[:, model.pair_state]
-    counts = np.diff(model.action_offsets).astype(float)
-    fallback = np.tile((1.0 / counts)[model.pair_state], (n_cells, 1))
+    fallback = MarkovPolicy.uniform(model, n_cells).action_probs
     probs = np.where(denom > MASS_EPS, masses / np.where(denom > 0, denom, 1.0), fallback)
     probs = np.vstack([probs, probs[-1]])  # final node repeats the last cell
     # re-normalize exactly so the kernel invariant holds to float precision
@@ -442,12 +435,10 @@ class DualCertificate:
 
     def write_samples_csv(self, path) -> None:
         """One row per sample: iterate, u_1..u_N, D(u), master objective."""
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["iterate", *(f"u{n}" for n in range(1, len(self.multipliers) + 1)),
-                             "dual", "master_objective"])
-            for t, (u, dual, master) in enumerate(self.samples):
-                writer.writerow([t, *(f"{x:.17g}" for x in (*u, dual, master))])
+        _write_csv(path, ["iterate", *(f"u{n}" for n in range(1, len(self.multipliers) + 1)),
+                          "dual", "master_objective"],
+                   [[f"{t}" + "".join(f",{x:.17g}" for x in (*u, dual, master))
+                     for t, (u, dual, master) in enumerate(self.samples)]])
 
 
 def lagrangian_dual(model: CtmdpModel, grid: TimeGrid,

@@ -15,14 +15,14 @@ time), so Monte Carlo estimators only need the visited states and sojourns.
 
 from __future__ import annotations
 
-import csv
 import math
 import weakref
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import CtmdpModel, DriftCertificate, MarkovPolicy
+from .dp import _action_text, _kernel_average, _write_csv
+from .model import CtmdpModel, DriftCertificate, MarkovPolicy, _checked_index
 
 _MAX_ROUNDS_SLACK = 2000  # cap on thinning rounds beyond the expected count
 
@@ -46,15 +46,12 @@ class Trajectory:
         return len(self.times) - 1
 
     def write_csv(self, model: CtmdpModel, path) -> None:
-        dim = model.action_points.shape[1]
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["epoch", "state"] + [f"a{d}" for d in range(dim)])
-            for m in range(len(self.times)):
-                point = model.action_points[
-                    model.pair_index(int(self.states[m]), int(self.action_indices[m]))]
-                writer.writerow([f"{self.times[m]:.17g}", int(self.states[m])]
-                                + [f"{x:.17g}" for x in point])
+        """Rows (epoch, state, action components), one per sojourn."""
+        states = self.states.tolist()
+        names, points = _action_text(model, [model.pair_index(i, a) for i, a in
+                                             zip(states, self.action_indices.tolist())])
+        _write_csv(path, ["epoch", "state", *names],
+                   [[f"{t:.17g},{i}{p}" for t, i, p in zip(self.times.tolist(), states, points)]])
 
 
 @dataclass(frozen=True)
@@ -77,9 +74,7 @@ def _estimate(samples: np.ndarray) -> McEstimate:
 
 
 def _policy_cells(model: CtmdpModel, policy: MarkovPolicy):
-    """Kernel per time cell plus the cell width, from a node policy."""
-    if policy.n_nodes < 2:
-        raise ValueError("policy needs at least 2 nodes")
+    """Checked kernel per time cell plus the cell width, from a node policy."""
     kernel = policy.kernel(model)
     n_cells = policy.n_nodes - 1
     return kernel[:n_cells], model.horizon / n_cells
@@ -93,15 +88,10 @@ def _max_rounds(model: CtmdpModel) -> int:
     return _MAX_ROUNDS_SLACK + int(20 * model.max_q_star * model.horizon)
 
 
-def _kernel_average(model: CtmdpModel, policy: MarkovPolicy, per_pair) -> np.ndarray:
-    """Kernel average of a per-pair quantity, per (cell, state)."""
-    cells, _ = _policy_cells(model, policy)
-    return np.add.reduceat(cells * per_pair[None, :], model.action_offsets[:-1], axis=1)
-
-
 def kernel_cost_cells(model: CtmdpModel, policy: MarkovPolicy, cost_index: int) -> np.ndarray:
     """Kernel-averaged cost rate per (cell, state)."""
-    return _kernel_average(model, policy, model.costs[cost_index])
+    n = _checked_index(cost_index, model.costs.shape[0], "cost_index", "cost table")
+    return _kernel_average(model, _policy_cells(model, policy)[0], model.costs[n])
 
 
 def kernel_set_rate_cells(model: CtmdpModel, policy: MarkovPolicy, subset) -> np.ndarray:
@@ -111,8 +101,8 @@ def kernel_set_rate_cells(model: CtmdpModel, policy: MarkovPolicy, subset) -> np
     full signed sum of the rate row over B.
     """
     indicator = np.zeros(model.n_states)
-    indicator[list(subset)] = 1.0
-    return _kernel_average(model, policy, model.rate_rows @ indicator)
+    indicator[[_checked_index(b, model.n_states, "subset") for b in subset]] = 1.0
+    return _kernel_average(model, _policy_cells(model, policy)[0], model.rate_rows @ indicator)
 
 
 def _draw_local(rows: np.ndarray, n_actions, u: np.ndarray) -> np.ndarray:
@@ -131,6 +121,7 @@ def simulate(model: CtmdpModel, policy: MarkovPolicy, i0: int, seed) -> Trajecto
     """Generate one path by thinning. Identical seeds give identical paths;
     actions and jump targets follow the batch engine's rules (_draw_local,
     _jump_targets), so neither lands on an entry of no mass."""
+    i0 = _checked_index(i0, model.n_states, "i0")
     rng = np.random.default_rng(seed)
     cells, dt_cells = _policy_cells(model, policy)
     n_cells = cells.shape[0]
@@ -146,9 +137,9 @@ def simulate(model: CtmdpModel, policy: MarkovPolicy, i0: int, seed) -> Trajecto
         return int(_draw_local(row[None, :], row.size, rng.random(1))[0])
 
     times = [0.0]
-    states = [int(i0)]
-    actions = [action_at(int(i0), 0.0)]
-    t, i = 0.0, int(i0)
+    states = [i0]
+    actions = [action_at(i0, 0.0)]
+    t, i = 0.0, i0
     for _ in range(_max_rounds(model)):
         qs = float(model.q_star[i])
         if qs <= 0.0:
@@ -319,6 +310,7 @@ def _run_batch(model: CtmdpModel, policy: MarkovPolicy, i0: int, n_paths: int,
     """
     if n_paths < 2:
         raise ValueError("need at least 2 replicates")
+    i0 = _checked_index(i0, model.n_states, "i0")
     rng = np.random.default_rng(seed)
     cells, dt_cells = _policy_cells(model, policy)
     n_cells = cells.shape[0]
@@ -341,7 +333,7 @@ def _run_batch(model: CtmdpModel, policy: MarkovPolicy, i0: int, n_paths: int,
 
     ids = np.arange(n_paths)
     t = np.zeros(n_paths)
-    state = np.full(n_paths, int(i0), dtype=np.int64)
+    state = np.full(n_paths, i0, dtype=np.int64)
     acc = [np.zeros(n_paths) for _ in integrals]
     cell = _cell_of(t, dt_cells, n_cells)
     start = [F(state, t, cell) for F in integrals]
@@ -468,10 +460,11 @@ def check_weight_bound(model: CtmdpModel, certificate: DriftCertificate,
         raise ValueError("need 0 <= t <= horizon")
     if replicates < 2:
         raise ValueError("need at least 2 replicates")
+    i0 = _checked_index(i0, model.n_states, "i0")
     if t == 0.0:
-        est = McEstimate(mean=float(model.weight[int(i0)]), se=0.0, count=replicates)
+        est = McEstimate(mean=float(model.weight[i0]), se=0.0, count=replicates)
     else:
         _, captured = _run_batch(model, policy, i0, replicates, seed, capture_time=t)
         est = _estimate(model.weight[captured])
-    bound = certificate.weight_bound(float(model.weight[int(i0)]), t)
+    bound = certificate.weight_bound(float(model.weight[i0]), t)
     return WeightBoundCheck(estimate=est, bound=bound, slack=est.mean - bound)

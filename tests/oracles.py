@@ -13,8 +13,9 @@ occupation through a dense mean generator per step, the same two through
 every state-action rate row at every stage (pair_level_evaluate_policy,
 pair_level_occupation_of_policy), the characterization
 residual with one tail quadrature per test function, the csv.writer
-exports of the value, policy and occupation tables, the full-width thinning
-batch that gathers a dense rate row per accepted jump, the per-path
+exports of the value, policy, occupation, dual-sample and trajectory
+tables, auto_certificate with its own drift sums (sum_auto_certificate),
+the full-width thinning batch that gathers a dense rate row per accepted jump, the per-path
 simulate loop that searches one (loop_simulate), the backward DP
 that takes the padded argmin at every stage, and the dense simplex on its
 engine object (_Simplex, class_simplex_solve_lp) that lp_core's simplex
@@ -36,7 +37,7 @@ from ctmdp.dp import (TimeGrid, ValueGrid, _check_finite, _policy_kernel, _step,
                       solve_backward)
 from ctmdp.lp_core import (DEFAULT_PIVOT_CAP, ENTER_TOL, FEAS_TOL, PIVOT_TOL, _BLAND_AFTER,
                            _REFACTOR_EVERY, LpProblem, LpSolution)
-from ctmdp.model import CtmdpModel, MarkovPolicy
+from ctmdp.model import AUTO_RHO, CtmdpModel, DriftCertificate, MarkovPolicy, certify_drift
 from ctmdp.occupation import OccupationGrid, _iter_test_functions
 from ctmdp.sim import _MAX_ROUNDS_SLACK, Trajectory, _cell_of, _policy_cells
 
@@ -395,6 +396,46 @@ def csv_writer_occupation_table(occupation, model: CtmdpModel, path) -> None:
                     [k, f"{nodes[k]:.12g}", int(model.pair_state[ka])]
                     + [f"{x:.17g}" for x in model.action_points[ka]]
                     + [f"{occupation.masses[k, ka]:.17g}"])
+
+
+def csv_writer_samples_table(certificate, path) -> None:
+    """dual_samples.csv through csv.writer: iterate, u_1..u_N, D(u), master objective."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["iterate", *(f"u{n}" for n in range(1, len(certificate.multipliers) + 1)),
+                         "dual", "master_objective"])
+        for t, (u, dual, master) in enumerate(certificate.samples):
+            writer.writerow([t, *(f"{x:.17g}" for x in (*u, dual, master))])
+
+
+def csv_writer_trajectory_table(path_: Trajectory, model: CtmdpModel, path) -> None:
+    """trajectory.csv through csv.writer: one row per sojourn."""
+    dim = model.action_points.shape[1]
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["epoch", "state"] + [f"a{d}" for d in range(dim)])
+        for m in range(len(path_.times)):
+            point = model.action_points[
+                model.pair_index(int(path_.states[m]), int(path_.action_indices[m]))]
+            writer.writerow([f"{path_.times[m]:.17g}", int(path_.states[m])]
+                            + [f"{x:.17g}" for x in point])
+
+
+def sum_auto_certificate(model: CtmdpModel) -> DriftCertificate:
+    """auto_certificate as it was: offsets from drift sums formed outside
+    certify_drift, L and M from their own maxima, then one certify_drift."""
+    w = model.weight
+    ws = w[model.pair_state]
+
+    def offset(p):
+        return float(max(0.0, np.max(model.rate_rows @ (w ** p) - AUTO_RHO * ws ** p)))
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        L = float(max(AUTO_RHO, np.max(model.exit_rate / ws)))
+        M = float(max(1e-300, np.max(np.abs(model.costs) / ws)))
+        cand = DriftCertificate(rho1=AUTO_RHO, b1=offset(1), rho2=AUTO_RHO, b2=offset(2),
+                                rho3=AUTO_RHO, b3=offset(3), L=L, M=M)
+    return certify_drift(model, cand)
 
 
 def _prefix_integral(table: np.ndarray, dt_cells: float):

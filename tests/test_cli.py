@@ -466,6 +466,34 @@ class TestUsagePaths:
         err = capsys.readouterr().err
         assert "give --model or --preset, not both" in err and "Traceback" not in err
 
+    def test_preset_flags_with_a_model_file_are_named(self, tmp_path, capsys):
+        path = model_file(tmp_path, json.dumps(TWO_STATE))
+        assert main(["solve", "--model", path, "--horizon", "5", "--lam", "3", "--m", "9",
+                     "--agrid", "4", "--d", "1=0.2", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "--model files set the model; drop --lam, --m, --agrid, --horizon, --d\n" in err
+        assert "Traceback" not in err and not (tmp_path / "report.txt").exists()
+
+    @pytest.mark.parametrize("flag, value", [("--mu", "2"), ("--agrid", "3"),
+                                             ("--horizon", "1.0")])
+    def test_a_preset_default_given_with_a_model_file_is_named(self, tmp_path, capsys,
+                                                               flag, value):
+        path = model_file(tmp_path, json.dumps(TWO_STATE))
+        assert main(["validate", "--model", path, flag, value, "--out", str(tmp_path)]) == 2
+        assert f"--model files set the model; drop {flag}\n" in capsys.readouterr().err
+
+    def test_neither_model_nor_preset(self, tmp_path, capsys):
+        assert main(["validate", "--lam", "1", "--mu", "2", "--m", "3",
+                     "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "supported preset: birth-death" in err and "Traceback" not in err
+
+    def test_three_bounds_on_the_preset(self, tmp_path, capsys):
+        assert main(["constrain", *preset_args("--d", "1=0.5", "--d", "2=0.5", "--d", "3=0.5",
+                                               out=tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "at most two constraint costs" in err and "Traceback" not in err
+
     def test_preset_without_truncation_level(self, tmp_path, capsys):
         assert main(["validate", "--preset", "birth-death", "--lam", "1", "--mu", "2",
                      "--out", str(tmp_path)]) == 2

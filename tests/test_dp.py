@@ -9,9 +9,11 @@ from ctmdp.dp import (GridStabilityError, NumericsError, TimeGrid, ValueGrid,
                       check_value_envelope, evaluate_policy, scalarize_costs,
                       solve_backward, truncation_error_bound, value_envelope,
                       write_policy_csv)
-from ctmdp.model import (CtmdpModel, DriftCertificate, MarkovPolicy, auto_certificate,
-                         birth_death_certificate, cost_bound_from_tables,
+from ctmdp.model import (CtmdpModel, DriftCertificate, MarkovPolicy, ModelFormatError,
+                         auto_certificate, birth_death_certificate, cost_bound_from_tables,
                          certify_drift, make_birth_death)
+from ctmdp.occupation import occupation_of_policy
+from ctmdp.sim import mc_value, simulate
 from oracles import (argmin_stage_solve_backward, csv_writer_policy_table,
                      csv_writer_value_table, dense_policy_value, expm_policy_value,
                      pair_level_evaluate_policy, random_instance, random_policy)
@@ -52,11 +54,12 @@ def played_set_case(name):
     """(model, grid, policy) for the played-row stepping. Deterministic:
     random policies on random instances, and on birth-death m=20, 60 or 150
     the optimal policy or a policy whose played set never changes, changes
-    once or changes every cell. Randomized (``*_sparse``): kernels whose
-    support changes from cell to cell, where state 0 plays no pair in every
-    other cell and the last state's first pair weighs -1e-13 in the others;
-    and a two-state chain whose fast pair weighs -1e-13, where dropping that
-    entry moves the value by about 2e-8."""
+    once or changes every cell. Randomized (``*_sparse``): valid kernels
+    whose support changes every cell, because the last state's first pair
+    weighs 0 in even cells and -1e-13 in odd ones, while every state plays
+    its last pair and the other entries are zero at random; and a two-state
+    chain whose fast pair weighs -1e-13, where dropping that entry moves the
+    value by about 2e-8."""
     if name == "two_state_negative":
         model = CtmdpModel.from_tables([[0.0, 1.0], [0.0]],
                                        [[[0.0, 0.0], [-400.0, 400.0]], [[0.0, 0.0]]],
@@ -73,10 +76,13 @@ def played_set_case(name):
             return model, grid, random_policy(rng, model, grid.n_nodes)
         kernel = rng.uniform(0.05, 1.0, size=(grid.n_nodes, model.n_pairs))
         kernel[rng.random(kernel.shape) < 0.4] = 0.0
-        sums = np.add.reduceat(kernel, model.action_offsets[:-1], axis=1)
-        kernel /= np.where(sums > 0.0, sums, 1.0)[:, model.pair_state]
-        kernel[::2, :model.action_offsets[1]] = 0.0
-        kernel[1::2, model.action_offsets[-2]] = -1e-13
+        kernel[:, model.action_offsets[1:] - 1] = rng.uniform(0.05, 1.0, (grid.n_nodes,
+                                                                           model.n_states))
+        first = model.action_offsets[-2]  # the last state has 2 or 3 actions here
+        kernel[:, first] = 0.0
+        kernel /= np.add.reduceat(kernel, model.action_offsets[:-1], axis=1)[:, model.pair_state]
+        kernel[1::2, first] = -1e-13
+        kernel[1::2, first + 1:] *= 1.0 + 1e-13
         return model, grid, MarkovPolicy.randomized(kernel)
     m, kind = name[len("birth_death"):].split("_")
     model = make_birth_death(1.0, 2.0, m=int(m), grid=3, initial_dist=np.full(int(m), 1 / int(m)))
@@ -399,6 +405,37 @@ class TestEvaluatePolicy:
             else:
                 assert np.max(np.abs(got - want)) <= 1e-13 * max(1.0, np.max(np.abs(want)))
 
+    @pytest.mark.parametrize("case", ["random2_sparse", "random3_sparse"])
+    def test_sparse_kernels_are_valid_and_change_support_every_cell(self, case):
+        model, grid, policy = played_set_case(case)
+        kernel = policy.action_probs
+        assert policy.validate(model) == []
+        sums = np.add.reduceat(kernel, model.action_offsets[:-1], axis=1)
+        assert np.max(np.abs(sums - 1.0)) <= 1e-12
+        support = kernel != 0.0
+        assert np.all(np.any(support[1:] != support[:-1], axis=1))
+        assert np.all(kernel[1::2, model.action_offsets[-2]] == -1e-13)
+
+    @pytest.mark.parametrize("case", ["random2_sparse", "random3_sparse"])
+    def test_kernel_with_an_empty_state_row_refused(self, case):
+        # state 0 plays no pair in every other cell: not a probability kernel
+        model, grid, policy = played_set_case(case)
+        kernel = policy.action_probs.copy()
+        kernel[::2, :model.action_offsets[1]] = 0.0
+        empty = MarkovPolicy.randomized(kernel)
+        for route in (evaluate_policy, occupation_of_policy):
+            with pytest.raises(ModelFormatError,
+                               match=r"kernel row \(node 0, state 0\) sums to 0.0"):
+                route(model, grid, empty)
+
+    def test_cost_index_out_of_range_names_the_argument(self):
+        model = two_state_chain()
+        grid = TimeGrid(1.0, 10)
+        policy = MarkovPolicy.constant(model, 0, grid.n_nodes)
+        for n in (-1, 1):
+            with pytest.raises(ValueError, match=f"cost_index {n} is not a cost table index"):
+                evaluate_policy(model, grid, policy, n)
+
     def test_holds_one_run_of_rows_at_a_time(self):
         model, grid, policy = played_set_case("birth_death60_alternating")
         run_bytes = model.n_states * model.n_states * 8  # the rows one run plays
@@ -412,6 +449,34 @@ class TestEvaluatePolicy:
         _, policy = solve_backward(model, TimeGrid(1.0, 10))
         with pytest.raises(ValueError, match="nodes"):
             evaluate_policy(model, TimeGrid(1.0, 20), policy, 0)
+
+
+class TestPolicyRule:
+    """Every route that plays a policy refuses one that is not a Markov
+    kernel on the model's action sets, instead of returning a number."""
+
+    @staticmethod
+    def bad_policies(model, grid):
+        index = np.zeros((grid.n_nodes, model.n_states), dtype=np.int64)
+        index[:, 0] = 3  # state 0 has 2 actions
+        uniform = MarkovPolicy.uniform(model, grid.n_nodes).action_probs
+        return {"action 3 in state 0": MarkovPolicy.deterministic(index),
+                "rows summing to 1.4": MarkovPolicy.randomized(1.4 * uniform)}
+
+    @pytest.mark.parametrize("route", ["evaluate_policy", "occupation_of_policy", "mc_value",
+                                       "simulate"])
+    def test_routes_refuse_a_policy_off_the_action_sets(self, route):
+        model = make_birth_death(1, 2, 3, 2)
+        grid = TimeGrid(1.0, 20)
+        run = {"evaluate_policy": lambda pol: evaluate_policy(model, grid, pol),
+               "occupation_of_policy": lambda pol: occupation_of_policy(model, grid, pol),
+               "mc_value": lambda pol: mc_value(model, pol, 0, 0, 100, seed=1),
+               "simulate": lambda pol: simulate(model, pol, 0, seed=1)}[route]
+        messages = {"action 3 in state 0": "action index 3 out of range at node 0, state 0",
+                    "rows summing to 1.4": r"kernel row \(node 0, state 0\) sums to 1.4"}
+        for name, policy in self.bad_policies(model, grid).items():
+            with pytest.raises(ModelFormatError, match=f"invalid policy: {messages[name]}"):
+                run(policy)
 
 
 class TestNumericsDiagnostics:
@@ -493,6 +558,14 @@ class TestCsvExports:
         ppath = tmp_path / "policy.csv"
         write_policy_csv(model, grid, policy, ppath)
         assert ppath.read_text().startswith("state,t,a0")
+
+    def test_randomized_policy_csv_refused(self, tmp_path):
+        model = two_state_chain()
+        grid = TimeGrid(1.0, 4)
+        with pytest.raises(ValueError, match="CSV export is for deterministic policies"):
+            write_policy_csv(model, grid, MarkovPolicy.uniform(model, grid.n_nodes),
+                             tmp_path / "policy.csv")
+        assert not (tmp_path / "policy.csv").exists()
 
 
 def tiny_and_negative_model(horizon):

@@ -54,6 +54,15 @@ class TestBasics:
         # a cost above -ENTER_TOL * scale does not enter, with or without rows
         assert solve_lp(LpProblem(c=[-1e-12])).status == "optimal"
 
+    @pytest.mark.parametrize("blocks, message", [
+        ({"A_eq": [[1.0, 1.0]], "b_eq": [1.0, 2.0]}, r"eq block shape mismatch: A \(1, 2\)"),
+        ({"A_ub": [[1.0, 1.0, 1.0]], "b_ub": [1.0]}, r"ub block shape mismatch: A \(1, 3\)"),
+        ({"A_eq": [1.0, 1.0], "b_eq": [1.0]}, r"eq block shape mismatch: A \(2,\)"),
+    ], ids=["eq-rows", "ub-columns", "eq-1-d"])
+    def test_block_shape_mismatch_rejected(self, blocks, message):
+        with pytest.raises(ValueError, match=message):
+            LpProblem(c=[1.0, 2.0], **blocks)
+
     def test_beale_cycling_instance_terminates(self):
         # classic degenerate instance that cycles without an anti-cycling rule
         c = [-0.75, 150.0, -0.02, 6.0]

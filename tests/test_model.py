@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ from ctmdp.model import (CtmdpModel, DriftCertificate, MarkovPolicy,
                          birth_death_certificate, certify_drift,
                          cost_bound_from_tables, load_model, make_birth_death,
                          linear_cost, model_from_dict, model_to_dict, validate_model)
-from oracles import loop_birth_death_tables, loop_model_to_dict, random_instance
+from oracles import (loop_birth_death_tables, loop_model_to_dict, random_instance,
+                     sum_auto_certificate)
 
 
 def two_state_chain(horizon=1.0):
@@ -93,6 +95,33 @@ class TestConstruction:
             CtmdpModel.from_tables([[0.0]], [[[0.0]]], [[[0.0]]], horizon=1.0,
                                    truncation_level=level)
 
+    @pytest.mark.parametrize("change, message", [
+        ({"action_offsets": [0, 2, 1]}, "action_offsets must be a nondecreasing"),
+        ({"action_offsets": [1, 2, 3]}, "action_offsets must be a nondecreasing"),
+        ({"action_points": np.zeros((3, 1))}, "action_points has 3 rows, expected 2"),
+        ({"rate_rows": np.zeros((2, 3))}, r"rate_rows shape \(2, 3\), expected \(2, 2\)"),
+        ({"costs": np.zeros((1, 3))}, r"costs shape \(1, 3\), expected \(\*, 2\)"),
+        ({"constraint_bounds": [1.0]}, "1 constraint bounds for 1 cost tables"),
+        ({"constraint_bounds": [math.nan], "costs": np.zeros((2, 2))},
+         "constraint_bounds must be finite"),
+        ({"initial_dist": [1.0]}, "initial_dist and weight must have one entry per state"),
+        ({"weight": [1.0, 1.0, 1.0]}, "initial_dist and weight must have one entry per state"),
+    ], ids=["offsets-decrease", "offsets-start", "points", "rates", "costs", "bound-count",
+            "bound-nan", "initial-dist", "weight"])
+    def test_shape_errors_name_the_field(self, change, message):
+        fields = dict(n_states=2, action_offsets=[0, 1, 2], action_points=np.zeros((2, 1)),
+                      rate_rows=np.zeros((2, 2)), costs=np.zeros((1, 2)), constraint_bounds=[],
+                      horizon=1.0, initial_dist=[1.0, 0.0], weight=[1.0, 1.0])
+        with pytest.raises(ModelFormatError, match=message):
+            CtmdpModel(**{**fields, **change})
+
+    def test_pair_index_out_of_range(self):
+        model = make_birth_death(1.0, 2.0, m=3, grid=2)
+        assert model.pair_index(1, 3) == 2 + 3
+        for a in (-1, 4):
+            with pytest.raises(IndexError, match=f"state 1 has 4 actions, asked for {a}"):
+                model.pair_index(1, a)
+
     @pytest.mark.parametrize("offsets", [[0, 2, 2, 3], [0, 1, 4, 4], [0, 0, 0, 0], [0]])
     def test_padded_pair_maps_match_a_per_state_fill(self, offsets):
         n, n_pairs = len(offsets) - 1, offsets[-1]
@@ -144,6 +173,12 @@ class TestBirthDeathPreset:
             make_birth_death(1.0, 1.0, m=1, grid=3)
         with pytest.raises(ModelFormatError):
             make_birth_death(1.0, 1.0, m=5, grid=1)
+        with pytest.raises(ModelFormatError, match="one constraint bound per cost table"):
+            make_birth_death(1.0, 1.0, m=5, grid=2, constraint_bounds=[0.5])
+
+    def test_default_start_is_a_point_mass_at_zero(self):
+        for model in (make_birth_death(1.0, 2.0, m=4, grid=2), two_state_chain()):
+            assert model.initial_dist.tolist() == [1.0] + [0.0] * (model.n_states - 1)
 
     @pytest.mark.parametrize("lam, mu, m, grid", [(1.0, 2.0, 2, 5), (1.3, 0.7, 6, 4),
                                                   (0.3, 2.9, 20, 2), (2, 1, 7, 3)])
@@ -258,10 +293,32 @@ class TestCertifyDrift:
 
     def test_auto_certificate_always_satisfied(self):
         rng = np.random.default_rng(3)
-        from oracles import random_instance
         for _ in range(10):
             model = random_instance(rng)
             assert auto_certificate(model).all_satisfied
+
+    def test_auto_certificate_matches_its_own_drift_sums(self):
+        # two certify_drift calls give the constants, slacks and sites of the
+        # offsets computed from drift sums formed outside it, bit for bit
+        rng = np.random.default_rng(8)
+        models = [random_instance(rng, n_costs=2) for _ in range(40)]
+        models += [make_birth_death(1.0, 2.0, m=m, grid=3) for m in (2, 20, 150)]
+        models.append(CtmdpModel.from_tables([[0.0], [0.0, 1.0]],
+                                             [[[0.0, 0.0]], [[0.0, 0.0], [2.0, -2.0]]],
+                                             [[[0.0], [0.0, 0.0]]], horizon=1.0))
+        for model in models:
+            got, want = auto_certificate(model), sum_auto_certificate(model)
+            assert got == want
+
+    def test_auto_certificate_on_a_huge_weight_warns_nothing(self):
+        # w^3 overflows; certify_drift reads the inf slack as a failure
+        model = CtmdpModel.from_tables([[0.0], [0.0]], [[[-1.0, 1.0]], [[1.0, -1.0]]],
+                                       [[[0.0], [1.0]]], horizon=1.0, weight=[1.0, 1e150])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cert = auto_certificate(model)
+        assert cert.b1 == 1e150 - 2.0 and cert.b3 == math.inf
+        assert not cert.satisfied["w3_drift"] and cert.satisfied["w_drift"]
 
 
 class TestMarkovPolicy:
@@ -308,6 +365,42 @@ class TestMarkovPolicy:
         model = make_birth_death(1.0, 1.0, m=3, grid=2)
         pol = MarkovPolicy.randomized(np.ones((2, model.n_pairs + 1)))
         assert [v.code for v in pol.validate(model)] == ["policy_shape"]
+
+    def test_nan_kernel_flagged(self):
+        model = make_birth_death(1.0, 1.0, m=3, grid=2)
+        probs = MarkovPolicy.uniform(model, n_nodes=2).action_probs.copy()
+        probs[1, 2] = math.nan
+        bad = MarkovPolicy.randomized(probs).validate(model)
+        assert [(v.code, v.state) for v in bad] == [("policy_norm", 1)]
+
+    def test_deterministic_table_of_the_wrong_width_flagged(self):
+        model = make_birth_death(1.0, 1.0, m=3, grid=2)
+        pol = MarkovPolicy.deterministic(np.zeros((2, 4), dtype=int))
+        assert [v.code for v in pol.validate(model)] == ["policy_shape"]
+
+    @pytest.mark.parametrize("kind, message", [
+        ("range", "action index 3 out of range at node 0, state 0, which has 2 actions"),
+        ("norm", r"kernel row \(node 0, state 0\) sums to 1.4"),
+        ("negative", "negative kernel mass -1.0 at node 1, state 0"),
+        ("nodes", "policy needs at least 2 time nodes"),
+        ("shape", "policy table has 9 columns, expected 10")])
+    def test_kernel_refuses_what_validate_flags(self, kind, message):
+        model = make_birth_death(1.0, 2.0, m=3, grid=2)
+        probs = MarkovPolicy.uniform(model, n_nodes=2).action_probs.copy()
+        if kind == "range":
+            pol = MarkovPolicy.deterministic([[3, 0, 0], [0, 0, 0]])
+        elif kind == "norm":
+            pol = MarkovPolicy.randomized(1.4 * probs)
+        elif kind == "negative":
+            probs[1, :2] = [-1.0, 2.0]
+            pol = MarkovPolicy.randomized(probs)
+        elif kind == "nodes":
+            pol = MarkovPolicy.constant(model, 0, n_nodes=1)
+        else:
+            pol = MarkovPolicy.randomized(probs[:, 1:])
+        assert pol.validate(model)
+        with pytest.raises(ModelFormatError, match=f"invalid policy: {message}"):
+            pol.kernel(model)
 
     def test_negative_kernel_mass_flagged(self):
         model = make_birth_death(1.0, 1.0, m=3, grid=2)
@@ -362,6 +455,17 @@ class TestModelFiles:
     def test_unknown_preset_rejected(self):
         with pytest.raises(ModelFormatError, match="preset"):
             model_from_dict({"preset": "mm1"})
+
+    def test_initial_state_is_a_point_mass(self):
+        doc = {**model_to_dict(two_state_chain()), "initial_state": 1}
+        del doc["initial_dist"]
+        model, _ = model_from_dict(doc)
+        assert model.initial_dist.tolist() == [0.0, 1.0]
+
+    def test_initial_dist_and_initial_state_together_rejected(self):
+        doc = {**model_to_dict(two_state_chain()), "initial_state": 1}
+        with pytest.raises(ModelFormatError, match="give initial_dist or initial_state, not both"):
+            model_from_dict(doc)
 
     def test_invalid_json_rejected(self, tmp_path):
         path = tmp_path / "broken.json"

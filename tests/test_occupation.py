@@ -15,10 +15,10 @@ from ctmdp.occupation import (OccupationGrid, build_constrained_lp, check_charac
                               disintegrate, lagrangian_dual, occupation_of_policy,
                               solve_constrained, uniform_occupation)
 from ctmdp.sim import mc_value
-from oracles import (_dual_value_fn, csv_writer_occupation_table, default_test_functions,
-                     dense_occupation_masses, euler_masses_of_kernel, expm_transient, golden_dual_max,
-                     pair_level_occupation_of_policy, random_instance, random_policy,
-                     tail_characterization_residual)
+from oracles import (_dual_value_fn, csv_writer_occupation_table, csv_writer_samples_table,
+                     default_test_functions, dense_occupation_masses, euler_masses_of_kernel,
+                     expm_transient, golden_dual_max, pair_level_occupation_of_policy,
+                     random_instance, random_policy, tail_characterization_residual)
 from test_acceptance import slater_birth_death
 from test_dp import (PLAYED_SET_CASES, REASSOCIATION_CASES, played_set_case, reassociation_case,
                      tiny_and_negative_model, traced_peak)
@@ -160,6 +160,12 @@ class TestOccupationOfPolicy:
 
 
 class TestCharacterization:
+    def test_occupation_grid_of_another_grid_rejected(self):
+        model = two_state_chain()
+        eta = uniform_occupation(model, TimeGrid(1.0, 10))
+        with pytest.raises(ValueError, match="occupation grid does not match the time grid"):
+            check_characterization(model, TimeGrid(1.0, 20), eta)
+
     @pytest.mark.parametrize("case", REASSOCIATION_CASES)
     def test_matches_the_tail_quadrature_oracle(self, case):
         model, grid, policy = reassociation_case(case)
@@ -254,6 +260,19 @@ class TestCharacterization:
 
 
 class TestConstrainedLp:
+    def test_lp_without_a_constraint_rejected(self):
+        with pytest.raises(ValueError, match="needs at least one constraint cost"):
+            build_constrained_lp(two_state_chain(), TimeGrid(1.0, 10))
+
+    @pytest.mark.parametrize("cost_index", [-1, 2])
+    def test_expected_cost_index_out_of_range(self, cost_index):
+        model = one_state_mixing(d1=1.0)
+        eta = uniform_occupation(model, TimeGrid(1.0, 8))
+        assert eta.expected_cost(model, 1) == pytest.approx(1.0)
+        with pytest.raises(ValueError,
+                           match=f"cost_index {cost_index} is not a cost table index in 0..1"):
+            eta.expected_cost(model, cost_index)
+
     def test_one_state_mixing_optimum(self):
         # brute force over the mixing probability p of the free action:
         # constraint 2p <= 1 forces p <= 1/2, objective 1 - p is minimal at 1/2
@@ -693,6 +712,28 @@ class TestColumnGenerationHandoff:
         gc.collect()
         assert ref() is None
         assert occupation._handoff[0][0]() is None
+
+
+class TestSamplesCsvByteIdentity:
+    """The string-joined dual-sample writer emits the bytes csv.writer does."""
+
+    @pytest.mark.parametrize("case", ["criterion7", "two_bounds"])
+    def test_write_samples_csv_matches_csv_writer(self, tmp_path, case):
+        if case == "criterion7":
+            model, grid = slater_birth_death(), TimeGrid(1.0, 500)
+        else:
+            model = make_birth_death(1.0, 2.0, m=4, grid=3,
+                                     cost_fns=[lambda i, a1, a2: i,
+                                               lambda i, a1, a2: (a1 + 1.0) / 2.0,
+                                               lambda i, a1, a2: (2.0 - a2) / 4.0],
+                                     constraint_bounds=[0.5, 0.4])
+            grid = TimeGrid(1.0, 200)
+        cert = lagrangian_dual(model, grid)
+        assert math.isinf(cert.samples[0][2]) and len(cert.samples) >= 2
+        cert.write_samples_csv(tmp_path / "dual_samples.csv")
+        csv_writer_samples_table(cert, tmp_path / "dual_samples_ref.csv")
+        assert ((tmp_path / "dual_samples.csv").read_bytes()
+                == (tmp_path / "dual_samples_ref.csv").read_bytes())
 
 
 class TestOccupationCsvByteIdentity:

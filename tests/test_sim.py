@@ -12,7 +12,9 @@ from ctmdp.model import (CtmdpModel, MarkovPolicy, birth_death_certificate,
 from ctmdp.sim import (_GUIDE, _draw_local, _jump_table, _jump_targets, _run_batch,
                        check_forward_kolmogorov, check_weight_bound, kernel_cost_cells,
                        kernel_set_rate_cells, mc_value, simulate)
-from oracles import dense_run_batch, loop_simulate, random_instance, random_policy
+from oracles import (csv_writer_trajectory_table, dense_run_batch, loop_simulate,
+                     random_instance, random_policy)
+from test_dp import tiny_and_negative_model
 
 TWO_STATE_EXACT = 0.5 - (1.0 - math.exp(-2.0)) / 4.0
 
@@ -140,6 +142,81 @@ class TestSimulate:
         assert len(lines) == 1 + len(path.times)
 
 
+class TestTrajectoryCsvByteIdentity:
+    """The string-joined trajectory writer emits the bytes csv.writer does."""
+
+    @pytest.mark.parametrize("case", ["birth_death_uniform", "tiny_negative"])
+    def test_write_csv_matches_csv_writer(self, tmp_path, case):
+        if case == "birth_death_uniform":
+            model = make_birth_death(1.0, 2.0, m=5, grid=3)
+            path = simulate(model, MarkovPolicy.uniform(model, n_nodes=6), 2, seed=4)
+        else:
+            # negative, subnormal and signed-zero action components and epochs
+            model = tiny_and_negative_model(1.0)
+            path = sim.Trajectory(1.0, np.array([0.0, 5e-324, 0.5]), np.array([0, 1, 0]),
+                                  np.array([1, 0, 0]))
+        assert path.n_jumps() >= 2
+        path.write_csv(model, tmp_path / "trajectory.csv")
+        csv_writer_trajectory_table(path, model, tmp_path / "trajectory_ref.csv")
+        assert ((tmp_path / "trajectory.csv").read_bytes()
+                == (tmp_path / "trajectory_ref.csv").read_bytes())
+
+
+class TestIndexArguments:
+    """State and cost indices outside the model are refused by name, not
+    wrapped round to the last state or the constraint table."""
+
+    @staticmethod
+    def setup():
+        model = make_birth_death(1.0, 2.0, m=4, grid=2,
+                                 cost_fns=[lambda i, a1, a2: i, lambda i, a1, a2: 1.0],
+                                 constraint_bounds=[2.0])
+        _, policy = solve_backward(model, TimeGrid(1.0, 40))
+        cert = birth_death_certificate(1.0, 2.0, cost_bound_from_tables(model))
+        return model, policy, cert
+
+    @pytest.mark.parametrize("i0", [-1, 4])
+    def test_initial_state(self, i0):
+        model, policy, cert = self.setup()
+        calls = [lambda: mc_value(model, policy, i0, 0, 100, seed=1),
+                 lambda: check_forward_kolmogorov(model, policy, i0, {1}, 1.0, 100, seed=1),
+                 lambda: check_weight_bound(model, cert, policy, i0, 1.0, 100, seed=1),
+                 lambda: check_weight_bound(model, cert, policy, i0, 0.0, 100, seed=1),
+                 lambda: simulate(model, policy, i0, seed=1)]
+        for call in calls:
+            with pytest.raises(ValueError, match=f"i0 {i0} is not a state index in 0..3"):
+                call()
+
+    def test_subset_state(self):
+        model, policy, _ = self.setup()
+        with pytest.raises(ValueError, match="subset -1 is not a state index in 0..3"):
+            check_forward_kolmogorov(model, policy, 0, {1, -1}, 1.0, 100, seed=1)
+
+    @pytest.mark.parametrize("cost_index", [-1, 2])
+    def test_cost_index(self, cost_index):
+        model, policy, _ = self.setup()
+        with pytest.raises(ValueError,
+                           match=f"cost_index {cost_index} is not a cost table index in 0..1"):
+            mc_value(model, policy, 0, cost_index, 100, seed=1)
+
+
+class TestRoundCap:
+    """A path still short of the horizon when the round cap is spent is an
+    error, in both engines."""
+
+    def test_simulate(self, monkeypatch):
+        model = two_state_chain()
+        monkeypatch.setattr(sim, "_max_rounds", lambda model: 0)
+        with pytest.raises(RuntimeError, match="thinning did not reach the horizon"):
+            simulate(model, still_policy(model), 0, seed=0)
+
+    def test_batch(self, monkeypatch):
+        model = two_state_chain()
+        monkeypatch.setattr(sim, "_max_rounds", lambda model: 1)
+        with pytest.raises(RuntimeError, match="batch thinning did not finish"):
+            mc_value(model, still_policy(model), 0, 0, 1000, seed=0)
+
+
 class TestMcValue:
     def test_zero_cost_is_exactly_zero(self):
         model = make_birth_death(1.0, 2.0, m=6, grid=3,
@@ -229,6 +306,20 @@ class TestWeightBound:
         wb = check_weight_bound(model, cert, still_policy(model), 0, 1.0, 100, seed=0)
         assert wb.estimate.mean == 2.0
         assert wb.slack < 0 and wb.statistically_ok()
+
+    @pytest.mark.parametrize("t", [-0.1, 1.5])
+    def test_time_bounds_enforced(self, t):
+        model = two_state_chain()
+        cert = certify_drift(model, birth_death_certificate(1.0, 1.0, 1.0))
+        with pytest.raises(ValueError, match="need 0 <= t <= horizon"):
+            check_weight_bound(model, cert, still_policy(model), 0, t, 100, seed=0)
+
+    @pytest.mark.parametrize("t", [0.0, 1.0])
+    def test_replicate_floor(self, t):
+        model = two_state_chain()
+        cert = certify_drift(model, birth_death_certificate(1.0, 1.0, 1.0))
+        with pytest.raises(ValueError, match="need at least 2 replicates"):
+            check_weight_bound(model, cert, still_policy(model), 0, t, 1, seed=0)
 
     def test_time_zero_collapses_to_weight(self):
         model = two_state_chain()
