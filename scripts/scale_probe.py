@@ -1,0 +1,80 @@
+"""Wall time and traced peak memory of the truncation layers as m grows.
+
+Usage (from the root of a source checkout):
+
+    PYTHONPATH=src python3 scripts/scale_probe.py [M ...]
+
+For each truncation level M (default 100 300 600) the script builds the
+birth-death preset (lambda=1, mu=2, grid 3, horizon 1, uniform start) at its
+minimum stable step count and runs four layers in route order:
+``solve_backward``, ``evaluate_policy`` of the optimal policy,
+``occupation_of_policy`` of that policy and ``check_characterization`` of
+the resulting measure. Each layer runs three times untraced, for the best
+wall time, and once more under ``tracemalloc``, for the peak it allocates
+beyond its inputs. One markdown table row is printed per M. The ``ctmdp``
+package is imported from ``PYTHONPATH``, so running this on two trees
+compares them. The largest default level holds tables of about 155 MB
+(m=600: 3594 cells x 5394 pairs).
+"""
+
+from __future__ import annotations
+
+import math
+import sys
+import time
+import tracemalloc
+
+import numpy as np
+
+from ctmdp.dp import TimeGrid, evaluate_policy, solve_backward
+from ctmdp.model import make_birth_death
+from ctmdp.occupation import check_characterization, occupation_of_policy
+
+
+def measured(fn, *args, repeats: int = 3):
+    """(result, best wall seconds of ``repeats`` runs, traced peak bytes of
+    one more run) of fn(*args)."""
+    seconds = math.inf
+    for _ in range(repeats):
+        start = time.perf_counter()
+        fn(*args)
+        seconds = min(seconds, time.perf_counter() - start)
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, seconds, peak
+
+
+def row(m: int) -> str:
+    model = make_birth_death(1.0, 2.0, m=m, grid=3, initial_dist=np.full(m, 1.0 / m))
+    grid = TimeGrid(1.0, TimeGrid(1.0, 1).required_steps(model))
+    cells = [str(m), str(model.n_pairs), str(grid.n_steps)]
+    (_, policy), *cost = measured(solve_backward, model, grid)
+    cells += [f"{cost[0]:.3f} s", f"{cost[1] / 1e6:.0f} MB"]
+    _, *cost = measured(evaluate_policy, model, grid, policy)
+    cells += [f"{cost[0]:.3f} s", f"{cost[1] / 1e6:.0f} MB"]
+    eta, *cost = measured(occupation_of_policy, model, grid, policy)
+    cells += [f"{cost[0]:.3f} s", f"{cost[1] / 1e6:.0f} MB"]
+    _, *cost = measured(check_characterization, model, grid, eta)
+    cells += [f"{cost[0]:.3f} s", f"{cost[1] / 1e6:.0f} MB"]
+    return "| " + " | ".join(cells) + " |"
+
+
+def main(argv: list[str]) -> int:
+    levels = [int(a) for a in argv] or [100, 300, 600]
+    layers = ["solve_backward", "evaluate_policy", "occupation_of_policy",
+              "check_characterization"]
+    head = ["m", "Pairs", "Steps"] + [f"{name} {what}" for name in layers
+                                      for what in ("time", "peak")]
+    print("| " + " | ".join(head) + " |")
+    print("|" + " --- |" * len(head))
+    for m in levels:
+        print(row(m), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

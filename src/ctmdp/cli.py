@@ -122,6 +122,10 @@ def cmd_validate(args) -> int:
     model, cert = _resolve_model(args)
     violations = validate_model(model)
     cert, source = _ensure_certificate(model, cert)
+    overflow = [k for k in CERT_KEYS[:3] if not cert.worst_violation[k] < math.inf]
+    if overflow and not violations:  # NaN or +inf: no finite offset can hold
+        raise ModelFormatError(f"weight up to {float(model.weight.max())!r} is too large "
+                               f"to certify: its {overflow[0]} sums overflow")
     lines = {"violations": len(violations), "certificate_source": source,
              "rho1": cert.rho1, "b1": cert.b1, "rho2": cert.rho2, "b2": cert.b2,
              "rho3": cert.rho3, "b3": cert.b3, "L": cert.L, "M": cert.M}

@@ -11,6 +11,7 @@ serves both backward loops and the forward loop of occupation_of_policy.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,10 +84,10 @@ class ValueGrid:
         return self.values[0]
 
     def write_csv(self, path) -> None:
-        """Rows (state, t_k, value), state-major."""
-        nodes = _node_strings(self.grid)
+        """Rows (state, t_k, value), state-major, one % call per state column."""
+        template = "".join(f"{{i}},{t},%.17g\r\n" for t in _node_strings(self.grid))
         _write_csv(path, ["state", "t", "value"],
-                   ([f"{i},{t},{v:.17g}" for t, v in zip(nodes, column)]
+                   (template.replace("{i}", str(i)) % tuple(column)
                     for i, column in enumerate(self.values.T.tolist())))
 
 
@@ -101,11 +102,13 @@ def _action_text(model: CtmdpModel, pairs=slice(None)) -> tuple[list[str], list[
 
 
 def _write_csv(path, header: list[str], blocks) -> None:
-    """A header row, then each block's rows (a list of texts), in csv.writer's CRLF dialect."""
+    """A header row, then each block's rows (texts, or one CRLF-ended text), CRLF-ended."""
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
         for rows in blocks:
-            if rows:
+            if isinstance(rows, str):
+                fh.write(rows)
+            elif rows:
                 fh.write("\r\n".join(rows) + "\r\n")
 
 
@@ -145,13 +148,6 @@ def _check_finite(g: np.ndarray, dt: float) -> None:
     if bad.size:
         k = int(bad[-1])
         raise NumericsError(f"non-finite value at node {k} (t={k * dt:.6g})")
-
-
-def _policy_kernel(model: CtmdpModel, grid: TimeGrid, policy: MarkovPolicy) -> np.ndarray:
-    """The policy's (n_nodes, n_pairs) kernel, once its nodes are grid's."""
-    if policy.n_nodes != grid.n_nodes:
-        raise ValueError(f"policy has {policy.n_nodes} nodes, grid has {grid.n_nodes}")
-    return policy.kernel(model)
 
 
 def scalarize_costs(model: CtmdpModel, cost_weights=None) -> np.ndarray:
@@ -219,15 +215,38 @@ def solve_backward(model: CtmdpModel, grid: TimeGrid, cost_weights=None,
     return ValueGrid(grid=grid, values=g), MarkovPolicy.deterministic(policy)
 
 
-def _kernel_average(model: CtmdpModel, table: np.ndarray, per_pair) -> np.ndarray:
-    """Per-state kernel average of a per-pair quantity, one row per kernel row."""
-    return np.add.reduceat(table * per_pair, model.action_offsets[:-1], axis=1)
+_Plays = namedtuple("_Plays", "changes played weights average")
 
 
-def _played_rows(model: CtmdpModel, row: np.ndarray):
-    """Pairs s a checked kernel row plays (its nonzero entries, at least one
-    per state), each state's start in s, s's states and rows."""
-    s = np.flatnonzero(row)
+def _plays(model: CtmdpModel, policy: MarkovPolicy, grid: TimeGrid | None = None) -> _Plays:
+    """A checked policy's cells (its first n_nodes - 1 rows) as played:
+    changes[k] (cell k + 1 plays other pairs than cell k), played(k) (cell k's
+    pairs, ascending, one or more per state), weights (the kernel) and average
+    (per-state kernel average of a per-pair quantity). A deterministic policy
+    plays its indexed pairs with weight 1 and never forms its one-hot kernel;
+    its average keeps the one-hot sums' bits (notes/decisions.md)."""
+    if grid is not None and policy.n_nodes != grid.n_nodes:
+        raise ValueError(f"policy has {policy.n_nodes} nodes, grid has {grid.n_nodes}")
+    policy._refuse_invalid(model)
+    n_cells, starts = policy.n_nodes - 1, model.action_offsets[:-1]
+    if policy.kind == "randomized":
+        kernel = policy.action_probs[:n_cells]
+        return _Plays(np.any(np.diff(kernel != 0.0, axis=0), axis=1),
+                      lambda k: np.flatnonzero(kernel[k]), kernel,
+                      lambda per_pair: np.add.reduceat(kernel * per_pair, starts, axis=1))
+    pairs = starts + policy.action_index[:n_cells]
+
+    def average(per_pair):
+        # a one-hot sum is its played term x, but -0.0 for x = +-0 only if all terms are
+        negative = np.logical_and.reduceat(np.signbit(per_pair), starts)
+        return np.where(negative[model.pair_state], per_pair, per_pair + 0.0).take(pairs)
+
+    return _Plays(np.any(pairs[1:] != pairs[:-1], axis=1), pairs.__getitem__,
+                  np.broadcast_to(1.0, (n_cells, model.n_pairs)), average)
+
+
+def _played_rows(model: CtmdpModel, s: np.ndarray):
+    """The played pairs s, each state's start in s, s's states and rows."""
     st = model.pair_state.take(s)
     return s, np.searchsorted(st, np.arange(model.n_states)), st, model.rate_rows.take(s, axis=0)
 
@@ -244,18 +263,17 @@ def evaluate_policy(model: CtmdpModel, grid: TimeGrid, policy: MarkovPolicy,
     policy must live on this grid's nodes.
     """
     grid.check_stability(model)
-    kernel = _policy_kernel(model, grid, policy)
+    plays = _plays(model, policy, grid)
     cost_index = _checked_index(cost_index, model.costs.shape[0], "cost_index", "cost table")
-    costs = _kernel_average(model, kernel, model.costs[cost_index])
-    changes = np.any(np.diff(kernel[:grid.n_steps] != 0.0, axis=0), axis=1)
+    costs = plays.average(model.costs[cost_index])
 
     g = np.zeros((grid.n_nodes, model.n_states))
     with np.errstate(over="ignore", invalid="ignore"):  # caught by _check_finite below
         for k in range(grid.n_steps - 1, -1, -1):
-            if k == grid.n_steps - 1 or changes[k]:
+            if k == grid.n_steps - 1 or plays.changes[k]:
                 Rs = None  # the last run's rows go before the next run's are gathered
-                s, seg, _, Rs = _played_rows(model, kernel[k])
-            w, cb = kernel[k].take(s), costs[k]
+                s, seg, _, Rs = _played_rows(model, plays.played(k))
+            w, cb = plays.weights[k].take(s), costs[k]
 
             def f(v):
                 return cb + np.add.reduceat(w * Rs.dot(v), seg)

@@ -386,10 +386,11 @@ def certify_drift(model: CtmdpModel, candidate: DriftCertificate) -> DriftCertif
 def auto_certificate(model: CtmdpModel) -> DriftCertificate:
     """Smallest-offset certificate with all growth rates fixed at AUTO_RHO.
 
-    Any finite conservative model admits such constants; useful when no
-    hand-derived ones exist. A first certify_drift at offsets 0 finds the
-    worst slack of each drift sum against AUTO_RHO*w^p; the offsets b are
-    those slacks clipped at 0, and a second certify_drift checks them.
+    A finite conservative model whose drift sums stay finite admits such
+    constants; useful when no hand-derived ones exist. A first certify_drift
+    at offsets 0 finds the worst slack of each drift sum against AUTO_RHO*w^p;
+    the offsets b are those slacks clipped at 0, and a second certify_drift
+    checks them. Where a sum overflows, its offset is inf or its slack NaN.
     """
     L = float(max(AUTO_RHO, np.max(model.exit_rate / model.weight[model.pair_state])))
     probe = certify_drift(model, DriftCertificate(
@@ -461,14 +462,17 @@ class MarkovPolicy:
     def kernel(self, model: CtmdpModel) -> np.ndarray:
         """Policy as (n_nodes, n_pairs) probabilities over flat pairs; a policy
         that fails validate is refused, naming its first violation."""
-        if violations := self.validate(model):
-            raise ModelFormatError(f"invalid policy: {violations[0].message}")
+        self._refuse_invalid(model)
         if self.kind == "randomized":
             return self.action_probs
         flat = model.action_offsets[:-1][None, :] + self.action_index
         probs = np.zeros((self.n_nodes, model.n_pairs))
         np.put_along_axis(probs, flat, 1.0, axis=1)
         return probs
+
+    def _refuse_invalid(self, model: CtmdpModel) -> None:
+        if violations := self.validate(model):
+            raise ModelFormatError(f"invalid policy: {violations[0].message}")
 
     def validate(self, model: CtmdpModel) -> list[Violation]:
         """Breaches of the policy rule: nodes, table width, action range, row sums, signs."""

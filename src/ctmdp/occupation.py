@@ -20,7 +20,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .dp import (TimeGrid, ValueGrid, _action_text, _node_strings, _played_rows, _policy_kernel,
+from .dp import (TimeGrid, ValueGrid, _action_text, _node_strings, _played_rows, _plays,
                  _step, _write_csv, scalarize_costs, solve_backward)
 from .model import CtmdpModel, MarkovPolicy, _checked_index
 from . import lp_core
@@ -48,6 +48,8 @@ class OccupationGrid:
         return np.add.reduceat(self.masses, model.action_offsets[:-1], axis=1)
 
     def expected_cost(self, model: CtmdpModel, cost_index: int) -> float:
+        """dt * sum_k c . y(k): a first-order left-point sum in time, whatever
+        integrated the masses; evaluate_policy scores continuous-time costs."""
         n = _checked_index(cost_index, model.costs.shape[0], "cost_index", "cost table")
         return float(self.grid.dt * np.sum(self.masses @ model.costs[n]))
 
@@ -70,21 +72,20 @@ def occupation_of_policy(model: CtmdpModel, grid: TimeGrid,
 
     Integrates the forward equation p' = Qbar(t)^T p from the initial
     distribution with RK4 (kernel frozen per cell) and sets
-    y(k, i, a) = p(i, t_k) * kernel(a | i, t_k). Steps weight the rate rows
-    of the pairs their cell plays, as evaluate_policy does.
+    y(k, i, a) = p(i, t_k) * kernel(a | i, t_k) on the pairs cell k plays, 0
+    elsewhere. Steps weight those pairs' rate rows, as evaluate_policy does.
     """
     grid.check_stability(model)
-    kernel = _policy_kernel(model, grid, policy)
-    changes = np.any(np.diff(kernel[:grid.n_steps] != 0.0, axis=0), axis=1)
+    plays = _plays(model, policy, grid)
 
     p = model.initial_dist.astype(float).copy()
     y = np.zeros((grid.n_steps, model.n_pairs))
     for k in range(grid.n_steps):
-        if k == 0 or changes[k - 1]:
+        if k == 0 or plays.changes[k - 1]:
             Rs = None  # the last run's rows go before the next run's are gathered
-            s, _, st, Rs = _played_rows(model, kernel[k])
-        row, w = kernel[k], kernel[k].take(s)
-        y[k] = p[model.pair_state] * row
+            s, _, st, Rs = _played_rows(model, plays.played(k))
+        w = plays.weights[k].take(s)
+        y[k, s] = p.take(st) * w
 
         def f(v):  # Qbar^T v: the played pairs' rows weighted by v(i) kernel(a | i)
             return (v.take(st) * w) @ Rs
@@ -95,21 +96,19 @@ def occupation_of_policy(model: CtmdpModel, grid: TimeGrid,
     return OccupationGrid(grid=grid, masses=y)
 
 
-def _indicator(shape: tuple, cells: slice, state: int) -> np.ndarray:
-    g = np.zeros(shape)
-    g[cells, state] = 1.0
-    return g
-
-
 def _iter_test_functions(model: CtmdpModel, grid: TimeGrid):
-    """The default test tables, one at a time: indicators of (state, time-bin)
-    cells plus the weight and its square. No table outlives its turn in the
-    caller's loop."""
+    """The default test tables, each valid only for its turn in the caller's
+    loop: indicators of (state, time-bin) cells, set and cleared in one zeroed
+    buffer, then the weight and its square, built once the buffer is freed."""
     n_cells = grid.n_steps
     edges = np.linspace(0, n_cells, _TIME_BINS + 1).astype(int)
+    g = np.zeros((n_cells, model.n_states))
     for i in range(model.n_states):
         for b in range(_TIME_BINS):
-            yield _indicator((n_cells, model.n_states), slice(edges[b], edges[b + 1]), i)
+            g[edges[b]:edges[b + 1], i] = 1.0
+            yield g
+            g[edges[b]:edges[b + 1], i] = 0.0
+    del g
     yield np.tile(model.weight, (n_cells, 1))
     yield np.tile(model.weight ** 2, (n_cells, 1))
 

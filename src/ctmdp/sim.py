@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dp import _action_text, _kernel_average, _write_csv
+from .dp import _action_text, _plays, _write_csv
 from .model import CtmdpModel, DriftCertificate, MarkovPolicy, _checked_index
 
 _MAX_ROUNDS_SLACK = 2000  # cap on thinning rounds beyond the expected count
@@ -91,7 +91,7 @@ def _max_rounds(model: CtmdpModel) -> int:
 def kernel_cost_cells(model: CtmdpModel, policy: MarkovPolicy, cost_index: int) -> np.ndarray:
     """Kernel-averaged cost rate per (cell, state)."""
     n = _checked_index(cost_index, model.costs.shape[0], "cost_index", "cost table")
-    return _kernel_average(model, _policy_cells(model, policy)[0], model.costs[n])
+    return _plays(model, policy).average(model.costs[n])
 
 
 def kernel_set_rate_cells(model: CtmdpModel, policy: MarkovPolicy, subset) -> np.ndarray:
@@ -102,7 +102,7 @@ def kernel_set_rate_cells(model: CtmdpModel, policy: MarkovPolicy, subset) -> np
     """
     indicator = np.zeros(model.n_states)
     indicator[[_checked_index(b, model.n_states, "subset") for b in subset]] = 1.0
-    return _kernel_average(model, _policy_cells(model, policy)[0], model.rate_rows @ indicator)
+    return _plays(model, policy).average(model.rate_rows @ indicator)
 
 
 def _draw_local(rows: np.ndarray, n_actions, u: np.ndarray) -> np.ndarray:

@@ -21,7 +21,7 @@ that takes the padded argmin at every stage, and the dense simplex on its
 engine object (_Simplex, class_simplex_solve_lp) that lp_core's simplex
 functions replaced, and the per-pair loops that built the birth-death
 preset's tables and model_to_dict's nested lists. default_test_functions
-holds the default characterization family as one list.
+builds the default characterization family as one list of fresh tables.
 """
 
 from __future__ import annotations
@@ -33,13 +33,19 @@ import math
 import numpy as np
 from scipy.linalg import expm
 
-from ctmdp.dp import (TimeGrid, ValueGrid, _check_finite, _policy_kernel, _step,
-                      solve_backward)
+from ctmdp.dp import TimeGrid, ValueGrid, _check_finite, _step, solve_backward
 from ctmdp.lp_core import (DEFAULT_PIVOT_CAP, ENTER_TOL, FEAS_TOL, PIVOT_TOL, _BLAND_AFTER,
                            _REFACTOR_EVERY, LpProblem, LpSolution)
 from ctmdp.model import AUTO_RHO, CtmdpModel, DriftCertificate, MarkovPolicy, certify_drift
-from ctmdp.occupation import OccupationGrid, _iter_test_functions
+from ctmdp.occupation import _TIME_BINS, OccupationGrid
 from ctmdp.sim import _MAX_ROUNDS_SLACK, Trajectory, _cell_of, _policy_cells
+
+
+def _policy_kernel(model: CtmdpModel, grid, policy: MarkovPolicy) -> np.ndarray:
+    """The policy's (n_nodes, n_pairs) kernel, once its nodes are grid's."""
+    if policy.n_nodes != grid.n_nodes:
+        raise ValueError(f"policy has {policy.n_nodes} nodes, grid has {grid.n_nodes}")
+    return policy.kernel(model)
 
 
 def kernel_tables(model: CtmdpModel, kernel_row: np.ndarray, cost_row: np.ndarray):
@@ -339,24 +345,39 @@ def pair_level_occupation_of_policy(model: CtmdpModel, grid: TimeGrid,
 
 def default_test_functions(model: CtmdpModel, grid) -> list[np.ndarray]:
     """Indicators of (state, time-bin) cells plus the weight and its square,
-    the family check_characterization streams, held as one list."""
-    return list(_iter_test_functions(model, grid))
+    the family check_characterization streams, each held as its own table."""
+    shape = (grid.n_steps, model.n_states)
+    edges = np.linspace(0, grid.n_steps, _TIME_BINS + 1).astype(int)
+    tables = []
+    for i in range(model.n_states):
+        for b in range(_TIME_BINS):
+            g = np.zeros(shape)
+            g[edges[b]:edges[b + 1], i] = 1.0
+            tables.append(g)
+    return tables + [np.tile(model.weight ** p, (grid.n_steps, 1)) for p in (1, 2)]
+
+
+def tail_characterization_scores(model: CtmdpModel, grid, masses: np.ndarray,
+                                 test_functions) -> list[float]:
+    """Per test table g, |generator side - marginal side| with the tail
+    quadrature G(., t_k) = dt sum_{l >= k} g(., t_l) formed for each g; the
+    generator side is the inner product of G with masses @ R, formed once."""
+    dt = grid.dt
+    flow = masses @ model.rate_rows
+    marginal = np.add.reduceat(masses, model.action_offsets[:-1], axis=1)
+    scores = []
+    for g in test_functions:
+        tail = dt * np.flip(np.cumsum(np.flip(g, axis=0), axis=0), axis=0)
+        lhs = dt * float(np.vdot(tail, flow))
+        rhs = dt * float(np.vdot(g, marginal)) - float(model.initial_dist @ (dt * g.sum(axis=0)))
+        scores.append(abs(lhs - rhs))
+    return scores
 
 
 def tail_characterization_residual(model: CtmdpModel, grid, masses: np.ndarray,
                                    test_functions) -> float:
-    """Max over test tables g of |generator side - marginal side|, with the tail
-    quadrature G(., t_k) = dt sum_{l >= k} g(., t_l) formed for each g."""
-    dt = grid.dt
-    R = model.rate_rows
-    marginal = np.add.reduceat(masses, model.action_offsets[:-1], axis=1)
-    worst = 0.0
-    for g in test_functions:
-        tail = dt * np.flip(np.cumsum(np.flip(g, axis=0), axis=0), axis=0)
-        lhs = dt * float(np.sum(masses * (tail @ R.T)))
-        rhs = dt * float(np.sum(g * marginal)) - float(model.initial_dist @ (dt * g.sum(axis=0)))
-        worst = max(worst, abs(lhs - rhs))
-    return worst
+    """Max over test tables g of tail_characterization_scores."""
+    return max(tail_characterization_scores(model, grid, masses, test_functions), default=0.0)
 
 
 def csv_writer_value_table(value_grid, path) -> None:

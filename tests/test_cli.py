@@ -185,6 +185,22 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "non-finite value at node" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("cert", [None, {"rho1": 1.0, "b1": 1e150}], ids=["auto", "declared"])
+    def test_weight_too_large_to_certify_is_usage_error(self, tmp_path, capsys, cert):
+        # a valid model whose w^3 drift sums overflow: no finite offset b3 fits
+        doc = {**TWO_STATE, "weight": [1.0, 1e150]}
+        if cert is not None:
+            doc["drift_certificate"] = cert
+        path = model_file(tmp_path, json.dumps(doc))
+        assert main(["validate", "--model", path, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "weight up to 1e+150" in err and "w3_drift" in err and "Traceback" not in err
+
+    def test_solve_needs_no_w3_certificate(self, tmp_path):
+        # solve's envelope uses the w drift alone, which stays finite here
+        path = model_file(tmp_path, json.dumps({**TWO_STATE, "weight": [1.0, 1e150]}))
+        assert main(["solve", "--model", path, "--steps", "8", "--out", str(tmp_path)]) == 0
+
     @pytest.mark.parametrize("command, source", [
         ("solve", {**TWO_STATE, "costs": [[[1e308], [1.0]]], "horizon": 4.0}),
         ("validate", json.dumps({**TWO_STATE, "weight": [1.0, math.inf]})),

@@ -450,6 +450,13 @@ class TestEvaluatePolicy:
         with pytest.raises(ValueError, match="nodes"):
             evaluate_policy(model, TimeGrid(1.0, 20), policy, 0)
 
+    def test_deterministic_policy_holds_no_node_by_pair_table(self):
+        # the policy plays its indexed pairs; its one-hot kernel is never formed
+        model, grid, policy = played_set_case("birth_death60_optimal")
+        table_bytes = grid.n_nodes * model.n_pairs * 8
+        peak = traced_peak(evaluate_policy, model, grid, policy)
+        assert peak < table_bytes, f"peak {peak} B, one (nodes x pairs) table {table_bytes} B"
+
 
 class TestPolicyRule:
     """Every route that plays a policy refuses one that is not a Markov
@@ -607,6 +614,19 @@ class TestCsvByteIdentity:
         csv_writer_policy_table(model, grid, policy, tmp_path / "policy_ref.csv")
         assert (tmp_path / "value.csv").read_bytes() == (tmp_path / "value_ref.csv").read_bytes()
         assert (tmp_path / "policy.csv").read_bytes() == (tmp_path / "policy_ref.csv").read_bytes()
+
+    def test_value_table_of_special_floats_matches_csv_writer(self, tmp_path):
+        specials = [math.inf, -math.inf, math.nan, 1e308, -1e308, 5e-324, -5e-324, 0.0, -0.0,
+                    1.0 / 3.0, -2.5e-17, 123456789.0]
+        grid = TimeGrid(0.7, 5)
+        values = ValueGrid(grid, np.array(specials).reshape(grid.n_nodes, 2))
+        values.write_csv(tmp_path / "value.csv")
+        csv_writer_value_table(values, tmp_path / "value_ref.csv")
+        text = (tmp_path / "value.csv").read_bytes()
+        assert text == (tmp_path / "value_ref.csv").read_bytes()
+        for word in (b",inf\r\n", b",-inf\r\n", b",nan\r\n", b",1e+308\r\n", b",-0\r\n",
+                     b",4.9406564584124654e-324\r\n"):
+            assert word in text
 
     def test_out_of_range_action_index_rejected(self, tmp_path):
         model = two_state_chain()

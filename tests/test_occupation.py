@@ -18,7 +18,8 @@ from ctmdp.sim import mc_value
 from oracles import (_dual_value_fn, csv_writer_occupation_table, csv_writer_samples_table,
                      default_test_functions, dense_occupation_masses, euler_masses_of_kernel,
                      expm_transient, golden_dual_max, pair_level_occupation_of_policy,
-                     random_instance, random_policy, tail_characterization_residual)
+                     random_instance, random_policy, tail_characterization_residual,
+                     tail_characterization_scores)
 from test_acceptance import slater_birth_death
 from test_dp import (PLAYED_SET_CASES, REASSOCIATION_CASES, played_set_case, reassociation_case,
                      tiny_and_negative_model, traced_peak)
@@ -149,6 +150,13 @@ class TestOccupationOfPolicy:
         assert peak - pair_level < 1.5 * run_bytes, \
             f"peak {peak} B, pair-level oracle {pair_level} B, one run's rows {run_bytes} B"
 
+    def test_deterministic_policy_peak_stays_near_its_output(self):
+        # the masses are the one (cells x pairs) table; no kernel sits beside them
+        model, grid, policy = played_set_case("birth_death60_optimal")
+        output_bytes = grid.n_steps * model.n_pairs * 8
+        peak = traced_peak(occupation_of_policy, model, grid, policy)
+        assert peak < 1.25 * output_bytes, f"peak {peak} B, output {output_bytes} B"
+
     @pytest.mark.parametrize("case", [c for c in PLAYED_SET_CASES
                                       if c.startswith("birth_death") or c.endswith("deterministic")])
     def test_euler_masses_match_the_mean_generator_oracle(self, case):
@@ -237,9 +245,15 @@ class TestCharacterization:
 
     @pytest.mark.parametrize("case", ["criterion7", "birth_death_m60"])
     def test_default_family_streamed_equals_the_list(self, case):
+        # each streamed table is scored while it is current, so a table left
+        # set in the shared buffer, or an oracle list of aliases, shows up
         model, grid, eta = characterization_case(case)
-        listed = check_characterization(model, grid, eta, default_test_functions(model, grid))
-        assert check_characterization(model, grid, eta) == listed
+        listed = default_test_functions(model, grid)
+        streamed = [tail_characterization_scores(model, grid, eta.masses, [g])[0]
+                    for g in occupation._iter_test_functions(model, grid)]
+        assert streamed == tail_characterization_scores(model, grid, eta.masses, listed)
+        assert check_characterization(model, grid, eta) == \
+            check_characterization(model, grid, eta, listed)
 
     def test_default_family_peak_memory_stays_under_four_tables(self):
         model, grid, eta = characterization_case("birth_death_m60")
