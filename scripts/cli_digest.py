@@ -1,4 +1,4 @@
-"""SHA-256 digests of every file the ten standard CLI runs write.
+"""SHA-256 digests of every file the eleven standard CLI runs write.
 
 Usage (from the root of a source checkout):
 
@@ -60,6 +60,8 @@ RUNS = {
     "validate-m20": ["validate", *PRESET, "--m", "20"],
     "validate-explicit": ["validate", "--model", "{explicit}"],
     "solve-explicit": ["solve", "--model", "{explicit}", "--steps", "400"],
+    "simulate-explicit-uniform": ["simulate", "--model", "{explicit}", "--policy", "uniform",
+                                  "--i0", "1", "--subset", "1,2", "--replicates", "20000"],
 }
 
 MAIN = "import sys; from ctmdp.cli import main; sys.exit(main(sys.argv[1:]))"

@@ -85,10 +85,10 @@ class ValueGrid:
 
     def write_csv(self, path) -> None:
         """Rows (state, t_k, value), state-major, one % call per state column."""
-        template = "".join(f"{{i}},{t},%.17g\r\n" for t in _node_strings(self.grid))
         _write_csv(path, ["state", "t", "value"],
-                   (template.replace("{i}", str(i)) % tuple(column)
-                    for i, column in enumerate(self.values.T.tolist())))
+                   _csv_blocks(map(str, range(self.values.shape[1])),
+                               [f",{t}," for t in _node_strings(self.grid)], "%.17g",
+                               self.values.T.tolist()))
 
 
 def _node_strings(grid: TimeGrid) -> list[str]:
@@ -101,30 +101,30 @@ def _action_text(model: CtmdpModel, pairs=slice(None)) -> tuple[list[str], list[
     return names, ["".join(f",{x:.17g}" for x in p) for p in model.action_points[pairs].tolist()]
 
 
-def _write_csv(path, header: list[str], blocks) -> None:
-    """A header row, then each block's rows (texts, or one CRLF-ended text), CRLF-ended."""
+def _csv_blocks(keys, rows: list[str], field: str, columns):
+    """One CRLF-ended text per block b, by one % call: for each r, the row
+    keys[b] + rows[r] + field % columns[b][r]. No key or row text holds a '%'."""
+    parts = ["", *(f"{row}{field}\r\n" for row in rows)]
+    return (key.join(parts) % tuple(column) for key, column in zip(keys, columns))
+
+
+def _write_csv(path, header: list[str], texts) -> None:
+    """A header row, then the CRLF-ended texts."""
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
-        for rows in blocks:
-            if isinstance(rows, str):
-                fh.write(rows)
-            elif rows:
-                fh.write("\r\n".join(rows) + "\r\n")
+        fh.writelines(texts)
 
 
 def write_policy_csv(model: CtmdpModel, grid: TimeGrid, policy: MarkovPolicy, path) -> None:
     """Rows (state, t_k, action components) for a deterministic policy."""
     if policy.kind != "deterministic":
         raise ValueError("CSV export is for deterministic policies")
-    idx = policy.action_index
-    if np.any((idx < 0) | (idx >= np.diff(model.action_offsets))):
-        raise IndexError("policy action index out of range for the model")
-    nodes = _node_strings(grid)
+    pairs = _plays(model, policy, grid).pairs.T.tolist()  # (n_states, n_nodes)
     names, points = _action_text(model)
-    pairs = (model.action_offsets[:-1] + idx).T.tolist()  # (n_states, n_nodes)
     _write_csv(path, ["state", "t", *names],
-               ([f"{i},{t}{points[ka]}" for t, ka in zip(nodes, row)]
-                for i, row in enumerate(pairs)))
+               _csv_blocks(map(str, range(model.n_states)),
+                           [f",{t}" for t in _node_strings(grid)], "%s",
+                           ([points[ka] for ka in row] for row in pairs)))
 
 
 def _step(f, y: np.ndarray, dt: float, integrator: str, k1=None) -> np.ndarray:
@@ -215,16 +215,19 @@ def solve_backward(model: CtmdpModel, grid: TimeGrid, cost_weights=None,
     return ValueGrid(grid=grid, values=g), MarkovPolicy.deterministic(policy)
 
 
-_Plays = namedtuple("_Plays", "changes played weights average")
+_Plays = namedtuple("_Plays", "changes played weights average pairs")
 
 
 def _plays(model: CtmdpModel, policy: MarkovPolicy, grid: TimeGrid | None = None) -> _Plays:
     """A checked policy's cells (its first n_nodes - 1 rows) as played:
     changes[k] (cell k + 1 plays other pairs than cell k), played(k) (cell k's
     pairs, ascending, one or more per state), weights (the kernel) and average
-    (per-state kernel average of a per-pair quantity). A deterministic policy
-    plays its indexed pairs with weight 1 and never forms its one-hot kernel;
-    its average keeps the one-hot sums' bits (notes/decisions.md)."""
+    (per-state kernel average of a per-pair quantity); pairs is a
+    deterministic policy's pair per (node, state), at every node, and None for
+    a randomized one. The one place that reads a policy's tables. A
+    deterministic policy plays its indexed pairs with weight 1 and never forms
+    its one-hot kernel; its average keeps the one-hot sums' bits
+    (notes/decisions.md)."""
     if grid is not None and policy.n_nodes != grid.n_nodes:
         raise ValueError(f"policy has {policy.n_nodes} nodes, grid has {grid.n_nodes}")
     policy._refuse_invalid(model)
@@ -233,16 +236,18 @@ def _plays(model: CtmdpModel, policy: MarkovPolicy, grid: TimeGrid | None = None
         kernel = policy.action_probs[:n_cells]
         return _Plays(np.any(np.diff(kernel != 0.0, axis=0), axis=1),
                       lambda k: np.flatnonzero(kernel[k]), kernel,
-                      lambda per_pair: np.add.reduceat(kernel * per_pair, starts, axis=1))
-    pairs = starts + policy.action_index[:n_cells]
+                      lambda per_pair: np.add.reduceat(kernel * per_pair, starts, axis=1),
+                      None)
+    pairs = starts + policy.action_index
+    cells = pairs[:n_cells]
 
     def average(per_pair):
         # a one-hot sum is its played term x, but -0.0 for x = +-0 only if all terms are
         negative = np.logical_and.reduceat(np.signbit(per_pair), starts)
-        return np.where(negative[model.pair_state], per_pair, per_pair + 0.0).take(pairs)
+        return np.where(negative[model.pair_state], per_pair, per_pair + 0.0).take(cells)
 
-    return _Plays(np.any(pairs[1:] != pairs[:-1], axis=1), pairs.__getitem__,
-                  np.broadcast_to(1.0, (n_cells, model.n_pairs)), average)
+    return _Plays(np.any(cells[1:] != cells[:-1], axis=1), pairs.__getitem__,
+                  np.broadcast_to(1.0, (n_cells, model.n_pairs)), average, pairs)
 
 
 def _played_rows(model: CtmdpModel, s: np.ndarray):

@@ -20,8 +20,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .dp import (TimeGrid, ValueGrid, _action_text, _node_strings, _played_rows, _plays,
-                 _step, _write_csv, scalarize_costs, solve_backward)
+from .dp import (TimeGrid, ValueGrid, _action_text, _csv_blocks, _node_strings, _played_rows,
+                 _plays, _step, _write_csv, scalarize_costs, solve_backward)
 from .model import CtmdpModel, MarkovPolicy, _checked_index
 from . import lp_core
 
@@ -62,8 +62,7 @@ class OccupationGrid:
         names, points = _action_text(model)
         pairs = [f",{i}{point}," for i, point in zip(model.pair_state.tolist(), points)]
         _write_csv(path, ["cell", "t", "state", *names, "mass"],
-                   ([f"{head}{pair}{m:.17g}" for pair, m in zip(pairs, row.tolist())]
-                    for head, row in zip(heads, self.masses)))
+                   _csv_blocks(heads, pairs, "%.17g", (row.tolist() for row in self.masses)))
 
 
 def occupation_of_policy(model: CtmdpModel, grid: TimeGrid,
@@ -436,8 +435,8 @@ class DualCertificate:
         """One row per sample: iterate, u_1..u_N, D(u), master objective."""
         _write_csv(path, ["iterate", *(f"u{n}" for n in range(1, len(self.multipliers) + 1)),
                           "dual", "master_objective"],
-                   [[f"{t}" + "".join(f",{x:.17g}" for x in (*u, dual, master))
-                     for t, (u, dual, master) in enumerate(self.samples)]])
+                   (f"{t}" + "".join(f",{x:.17g}" for x in (*u, dual, master)) + "\r\n"
+                    for t, (u, dual, master) in enumerate(self.samples)))
 
 
 def lagrangian_dual(model: CtmdpModel, grid: TimeGrid,

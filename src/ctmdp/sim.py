@@ -51,7 +51,8 @@ class Trajectory:
         names, points = _action_text(model, [model.pair_index(i, a) for i, a in
                                              zip(states, self.action_indices.tolist())])
         _write_csv(path, ["epoch", "state", *names],
-                   [[f"{t:.17g},{i}{p}" for t, i, p in zip(self.times.tolist(), states, points)]])
+                   (f"{t:.17g},{i}{p}\r\n"
+                    for t, i, p in zip(self.times.tolist(), states, points)))
 
 
 @dataclass(frozen=True)
@@ -71,13 +72,6 @@ def _estimate(samples: np.ndarray) -> McEstimate:
     mean = float(np.mean(samples))  # numpy pairwise summation
     se = float(np.std(samples, ddof=1) / math.sqrt(n))  # _run_batch runs 2 paths or more
     return McEstimate(mean=mean, se=se, count=n)
-
-
-def _policy_cells(model: CtmdpModel, policy: MarkovPolicy):
-    """Checked kernel per time cell plus the cell width, from a node policy."""
-    kernel = policy.kernel(model)
-    n_cells = policy.n_nodes - 1
-    return kernel[:n_cells], model.horizon / n_cells
 
 
 def _cell_of(t, dt_cells: float, n_cells: int):
@@ -123,22 +117,23 @@ def simulate(model: CtmdpModel, policy: MarkovPolicy, i0: int, seed) -> Trajecto
     _jump_targets), so neither lands on an entry of no mass."""
     i0 = _checked_index(i0, model.n_states, "i0")
     rng = np.random.default_rng(seed)
-    cells, dt_cells = _policy_cells(model, policy)
-    n_cells = cells.shape[0]
+    plays = _plays(model, policy)
+    n_cells = policy.n_nodes - 1
+    dt_cells = model.horizon / n_cells
     T = model.horizon
     offsets = model.action_offsets
     jumps = _jump_table(model)
 
-    def action_at(i: int, t: float) -> int:
+    def pair_at(i: int, t: float) -> int:
         cell = min(int(t / dt_cells), n_cells - 1)
-        if policy.kind == "deterministic":
-            return int(policy.action_index[cell, i])
-        row = cells[cell, offsets[i]:offsets[i + 1]]
-        return int(_draw_local(row[None, :], row.size, rng.random(1))[0])
+        if plays.pairs is not None:
+            return int(plays.pairs[cell, i])
+        row = plays.weights[cell, offsets[i]:offsets[i + 1]]
+        return int(offsets[i] + _draw_local(row[None, :], row.size, rng.random(1))[0])
 
     times = [0.0]
     states = [i0]
-    actions = [action_at(i0, 0.0)]
+    pairs = [pair_at(i0, 0.0)]
     t, i = 0.0, i0
     for _ in range(_max_rounds(model)):
         qs = float(model.q_star[i])
@@ -147,20 +142,20 @@ def simulate(model: CtmdpModel, policy: MarkovPolicy, i0: int, seed) -> Trajecto
         t = t + rng.exponential(1.0 / qs)
         if t >= T:
             break
-        ka = offsets[i] + action_at(i, t)
+        ka = pair_at(i, t)
         if rng.random() * qs >= model.exit_rate[ka]:
             continue  # thinned proposal, clock keeps running
         j = int(_jump_targets(jumps, np.array([ka]), np.array([rng.random()]))[0])
         times.append(t)
         states.append(j)
-        actions.append(action_at(j, t))
+        pairs.append(pair_at(j, t))
         i = j
     else:
         raise RuntimeError("thinning did not reach the horizon within the round cap")
 
-    return Trajectory(horizon=T, times=np.asarray(times),
-                      states=np.asarray(states, dtype=np.int64),
-                      action_indices=np.asarray(actions, dtype=np.int64))
+    states = np.asarray(states, dtype=np.int64)
+    return Trajectory(horizon=T, times=np.asarray(times), states=states,
+                      action_indices=np.asarray(pairs, dtype=np.int64) - offsets.take(states))
 
 
 def _integral_fn(table: np.ndarray, dt_cells: float, t_end: float):
@@ -312,18 +307,16 @@ def _run_batch(model: CtmdpModel, policy: MarkovPolicy, i0: int, n_paths: int,
         raise ValueError("need at least 2 replicates")
     i0 = _checked_index(i0, model.n_states, "i0")
     rng = np.random.default_rng(seed)
-    cells, dt_cells = _policy_cells(model, policy)
-    n_cells = cells.shape[0]
+    plays = _plays(model, policy)
+    n_cells = policy.n_nodes - 1
+    dt_cells = model.horizon / n_cells
     n_states = model.n_states
     T = model.horizon
     offsets = model.action_offsets
     q_star = model.q_star
     clock_rate = np.where(q_star > 0, q_star, 1.0)
     absorbing = q_star <= 0.0
-    randomized = policy.kind == "randomized"
     pad, mask, n_actions = model.pad_index, model.pad_mask, np.diff(offsets)
-    if not randomized:
-        pair_at = (offsets[:-1] + policy.action_index[:n_cells]).ravel()
     jumps = _jump_table(model)
     integrals = [_integral_fn(np.asarray(tab), dt_cells, min(float(t_end), T))
                  for tab, t_end in integrands]
@@ -371,11 +364,11 @@ def _run_batch(model: CtmdpModel, policy: MarkovPolicy, i0: int, n_paths: int,
         else:
             t = hi
 
-        if randomized:
-            rows = np.where(mask[state], cells[cell[:, None], pad[state]], 0.0)
+        if plays.pairs is None:
+            rows = np.where(mask[state], plays.weights[cell[:, None], pad[state]], 0.0)
             ka = offsets[state] + _draw_local(rows, n_actions[state], rng.random(ids.size))
         else:
-            ka = pair_at.take(cell * n_states + state)
+            ka = plays.pairs.take(cell * n_states + state)
 
         accept = rng.random(ids.size) * q_star.take(state) < model.exit_rate.take(ka)
         jumped = np.flatnonzero(accept)
@@ -462,6 +455,7 @@ def check_weight_bound(model: CtmdpModel, certificate: DriftCertificate,
         raise ValueError("need at least 2 replicates")
     i0 = _checked_index(i0, model.n_states, "i0")
     if t == 0.0:
+        _plays(model, policy)  # refuses an invalid policy, as the t > 0 route does
         est = McEstimate(mean=float(model.weight[i0]), se=0.0, count=replicates)
     else:
         _, captured = _run_batch(model, policy, i0, replicates, seed, capture_time=t)

@@ -38,7 +38,7 @@ from ctmdp.lp_core import (DEFAULT_PIVOT_CAP, ENTER_TOL, FEAS_TOL, PIVOT_TOL, _B
                            _REFACTOR_EVERY, LpProblem, LpSolution)
 from ctmdp.model import AUTO_RHO, CtmdpModel, DriftCertificate, MarkovPolicy, certify_drift
 from ctmdp.occupation import _TIME_BINS, OccupationGrid
-from ctmdp.sim import _MAX_ROUNDS_SLACK, Trajectory, _cell_of, _policy_cells
+from ctmdp.sim import _MAX_ROUNDS_SLACK, Trajectory, _cell_of
 
 
 def _policy_kernel(model: CtmdpModel, grid, policy: MarkovPolicy) -> np.ndarray:
@@ -474,6 +474,14 @@ def _integral_to(pre: np.ndarray, table: np.ndarray, dt_cells: float,
     u = np.clip(u, 0.0, n_cells * dt_cells)
     cell = np.clip((u / dt_cells).astype(np.int64), 0, n_cells - 1)
     return pre[state, cell] + (u - cell * dt_cells) * table[cell, state]
+
+
+def _policy_cells(model: CtmdpModel, policy: MarkovPolicy):
+    """Checked one-hot or randomized kernel per time cell plus the cell width,
+    from a node policy: the thinning engines' policy reader before dp._plays."""
+    kernel = policy.kernel(model)
+    n_cells = policy.n_nodes - 1
+    return kernel[:n_cells], model.horizon / n_cells
 
 
 def dense_run_batch(model: CtmdpModel, policy: MarkovPolicy, i0: int, n_paths: int,

@@ -13,7 +13,7 @@ from ctmdp.model import (CtmdpModel, DriftCertificate, MarkovPolicy, ModelFormat
                          auto_certificate, birth_death_certificate, cost_bound_from_tables,
                          certify_drift, make_birth_death)
 from ctmdp.occupation import occupation_of_policy
-from ctmdp.sim import mc_value, simulate
+from ctmdp.sim import check_forward_kolmogorov, check_weight_bound, mc_value, simulate
 from oracles import (argmin_stage_solve_backward, csv_writer_policy_table,
                      csv_writer_value_table, dense_policy_value, expm_policy_value,
                      pair_level_evaluate_policy, random_instance, random_policy)
@@ -457,6 +457,18 @@ class TestEvaluatePolicy:
         peak = traced_peak(evaluate_policy, model, grid, policy)
         assert peak < table_bytes, f"peak {peak} B, one (nodes x pairs) table {table_bytes} B"
 
+    @pytest.mark.parametrize("route", ["mc_value", "check_forward_kolmogorov", "simulate"])
+    def test_monte_carlo_routes_hold_no_node_by_pair_table(self, route):
+        # the thinning engines look a deterministic policy's pairs up by index
+        model, grid, policy = played_set_case("birth_death60_optimal")
+        run = {"mc_value": lambda: mc_value(model, policy, 30, 0, 200, seed=1),
+               "check_forward_kolmogorov": lambda: check_forward_kolmogorov(
+                   model, policy, 30, [29, 30], 0.5, 200, seed=1),
+               "simulate": lambda: simulate(model, policy, 30, seed=1)}[route]
+        table_bytes = grid.n_nodes * model.n_pairs * 8
+        peak = traced_peak(run)
+        assert peak < table_bytes, f"peak {peak} B, one (nodes x pairs) table {table_bytes} B"
+
 
 class TestPolicyRule:
     """Every route that plays a policy refuses one that is not a Markov
@@ -471,14 +483,18 @@ class TestPolicyRule:
                 "rows summing to 1.4": MarkovPolicy.randomized(1.4 * uniform)}
 
     @pytest.mark.parametrize("route", ["evaluate_policy", "occupation_of_policy", "mc_value",
-                                       "simulate"])
+                                       "simulate", "check_weight_bound_at_0"])
     def test_routes_refuse_a_policy_off_the_action_sets(self, route):
         model = make_birth_death(1, 2, 3, 2)
         grid = TimeGrid(1.0, 20)
+        cert = birth_death_certificate(1.0, 2.0)
         run = {"evaluate_policy": lambda pol: evaluate_policy(model, grid, pol),
                "occupation_of_policy": lambda pol: occupation_of_policy(model, grid, pol),
                "mc_value": lambda pol: mc_value(model, pol, 0, 0, 100, seed=1),
-               "simulate": lambda pol: simulate(model, pol, 0, seed=1)}[route]
+               "simulate": lambda pol: simulate(model, pol, 0, seed=1),
+               # t = 0 needs no path, but the policy rule still holds
+               "check_weight_bound_at_0": lambda pol: check_weight_bound(
+                   model, cert, pol, 0, 0.0, 100, seed=1)}[route]
         messages = {"action 3 in state 0": "action index 3 out of range at node 0, state 0",
                     "rows summing to 1.4": r"kernel row \(node 0, state 0\) sums to 1.4"}
         for name, policy in self.bad_policies(model, grid).items():
@@ -631,6 +647,19 @@ class TestCsvByteIdentity:
     def test_out_of_range_action_index_rejected(self, tmp_path):
         model = two_state_chain()
         grid = TimeGrid(1.0, 4)
-        with pytest.raises(IndexError):
+        with pytest.raises(ModelFormatError,
+                           match="action index 1 out of range at node 0, state 0"):
             write_policy_csv(model, grid, MarkovPolicy.constant(model, 1, grid.n_nodes),
                              tmp_path / "policy.csv")
+
+    @pytest.mark.parametrize("shape, error, message", [
+        ((3, 3), ValueError, "policy has 3 nodes, grid has 13"),
+        ((13, 4), ModelFormatError, "invalid policy: policy table has 4 columns, expected 3")],
+        ids=["nodes", "width"])
+    def test_policy_off_the_grid_or_model_refused(self, tmp_path, shape, error, message):
+        # the policy rule, not a truncated file or a broadcast error
+        model = make_birth_death(1.0, 2.0, m=3, grid=2)
+        policy = MarkovPolicy.deterministic(np.zeros(shape, dtype=np.int64))
+        with pytest.raises(error, match=message):
+            write_policy_csv(model, TimeGrid(1.0, 12), policy, tmp_path / "policy.csv")
+        assert not (tmp_path / "policy.csv").exists()
