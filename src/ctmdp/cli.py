@@ -44,11 +44,14 @@ def _parse_bounds(entries):
     for entry in entries or ():
         try:
             key, value = entry.split("=", 1)
-            pairs[int(key)] = bound = float(value)
+            n, bound = int(key), float(value)
         except ValueError as exc:
             raise ModelFormatError(f"bad --d entry {entry!r}, want n=value") from exc
         if not math.isfinite(bound):
             raise ModelFormatError(f"bad --d entry {entry!r}, the bound must be finite")
+        if n in pairs:
+            raise ModelFormatError(f"--d {n} is given more than once")
+        pairs[n] = bound
     if not pairs:
         return []
     n_max = max(pairs)
@@ -213,7 +216,7 @@ def cmd_simulate(args) -> int:
     model, cert = _resolve_model(args)
     i0 = _state_flag(model, "--i0", args.i0)
     subset = ([_state_flag(model, "--subset", s) for s in args.subset.split(",")]
-              if args.subset else [i0])
+              if args.subset is not None else [i0])
     t_check = args.t_check if args.t_check is not None else model.horizon
     if not 0 < t_check <= model.horizon:
         raise ModelFormatError(f"--t-check {t_check} is out of range; need 0 < t <= "

@@ -5,7 +5,8 @@ q(j|i,a) } with g(., T) = 0. We integrate backward on a uniform node grid
 with classic RK4, re-resolving the min at every stage, and read the argmin
 off each node to get a deterministic Markov policy. A fixed policy is
 evaluated with the min replaced by the policy kernel. One stepper, _step,
-serves both backward loops and the forward loop of occupation_of_policy.
+serves both backward loops, the forward loop of occupation_of_policy and the
+LP's Euler masses (occupation._euler_forward_masses).
 """
 
 from __future__ import annotations

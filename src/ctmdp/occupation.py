@@ -209,12 +209,16 @@ def _euler_forward_masses(model: CtmdpModel, grid: TimeGrid,
     changes = np.any(pairs[1:] != pairs[:-1], axis=1)
     p = model.initial_dist.astype(float)
     held = np.empty(pairs.shape)
+
+    def f(v):  # v Q_k: the rows cell k plays, weighted by v
+        return v.dot(Rk)
+
     for k in range(grid.n_steps):
         if k == 0 or changes[k - 1]:
             Rk = None  # the last run's rows go before the next run's are gathered
             Rk = model.rate_rows[pairs[k]]
         held[k] = p
-        p = p + grid.dt * (p @ Rk)
+        p = _step(f, p, grid.dt, "euler")
     y = np.zeros((grid.n_steps, model.n_pairs))
     np.put_along_axis(y, pairs, held, axis=1)
     return y

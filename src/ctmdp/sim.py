@@ -75,7 +75,9 @@ def _estimate(samples: np.ndarray) -> McEstimate:
 
 
 def _cell_of(t, dt_cells: float, n_cells: int):
-    return np.clip((t / dt_cells).astype(np.int64), 0, n_cells - 1)
+    """Policy cell of each time t >= 0 (no lower clip: t / dt_cells >= 0)."""
+    cell = (t / dt_cells).astype(np.int64)
+    return np.minimum(cell, n_cells - 1, out=cell)
 
 
 def _max_rounds(model: CtmdpModel) -> int:
@@ -158,14 +160,15 @@ def simulate(model: CtmdpModel, policy: MarkovPolicy, i0: int, seed) -> Trajecto
                       action_indices=np.asarray(pairs, dtype=np.int64) - offsets.take(states))
 
 
-def _integral_fn(table: np.ndarray, dt_cells: float, t_end: float):
-    """F(state, u, cell): integral of table(., state) over [0, min(u, t_end)], u >= 0.
+def _integral_fn(table: np.ndarray, dt_cells: float, t_end: float, horizon: float):
+    """F(state, u, cell): integral of table(., state) over [0, min(u, t_end)], 0 <= u <= horizon.
 
     The table is piecewise constant on the cells, so F is a cumulative sum at
     the cell boundary plus a partial cell. The cumulative sums and the table
     share one (state, cell) layout, so one flat index reads both. ``cell``
     must be ``_cell_of(u)``; capped at the cell of t_end, it is the cell of
-    min(u, t_end) (notes/decisions.md).
+    min(u, t_end) (notes/decisions.md). The caps are skipped when neither can
+    bind: the end is at or past the horizon and its cell is the last.
     """
     n_cells, n_states = table.shape
     pre = np.zeros((n_states, n_cells + 1))
@@ -175,12 +178,20 @@ def _integral_fn(table: np.ndarray, dt_cells: float, t_end: float):
     pre, value = pre.ravel(), value.ravel()
     end = min(max(t_end, 0.0), n_cells * dt_cells)
     end_cell = min(int(end / dt_cells), n_cells - 1)
+    clamp = end < horizon or end_cell < n_cells - 1
 
     def integral(state: np.ndarray, u: np.ndarray, cell: np.ndarray) -> np.ndarray:
-        u = np.minimum(u, end)
-        cell = np.minimum(cell, end_cell)
-        at = state * (n_cells + 1) + cell
-        return pre.take(at) + (u - cell * dt_cells) * value.take(at)
+        if clamp:
+            u = np.minimum(u, end)
+            cell = np.minimum(cell, end_cell)
+        at = state * (n_cells + 1)
+        at += cell
+        part = cell * dt_cells
+        np.subtract(u, part, out=part)
+        part *= value.take(at)
+        out = pre.take(at)
+        out += part
+        return out
 
     return integral
 
@@ -273,7 +284,8 @@ def _jump_targets(jumps: _JumpTable, ka: np.ndarray, u: np.ndarray) -> np.ndarra
     """
     bucket = (u * _GUIDE).astype(np.int64)
     np.minimum(bucket, _GUIDE, out=bucket)
-    j = jumps.guide.take(ka * (_GUIDE + 1) + bucket)
+    bucket += ka * (_GUIDE + 1)
+    j = jumps.guide.take(bucket)
     miss = np.flatnonzero(j < 0)
     if miss.size:
         ka = ka.take(miss)
@@ -300,8 +312,12 @@ def _run_batch(model: CtmdpModel, policy: MarkovPolicy, i0: int, n_paths: int,
     carries its integral up to the start of the current stretch, which is the
     previous round's value at the stretch end unless the path jumped. The
     policy cell of each stretch end is computed once per round and shared by
-    the action lookup and every integrand. See
-    notes/decisions.md for why this reproduces the full-width loop bit for bit.
+    the action lookup and every integrand. Each round writes into arrays it
+    already owns, and skips, by a choice made once per batch, the work that
+    cannot change a value: the +inf clock when no state has q* = 0, and the
+    per-round capture test when capture_time >= T (a path's final state is
+    its state at T). See notes/decisions.md for why this reproduces the
+    full-width loop bit for bit.
     """
     if n_paths < 2:
         raise ValueError("need at least 2 replicates")
@@ -316,9 +332,11 @@ def _run_batch(model: CtmdpModel, policy: MarkovPolicy, i0: int, n_paths: int,
     q_star = model.q_star
     clock_rate = np.where(q_star > 0, q_star, 1.0)
     absorbing = q_star <= 0.0
+    any_absorbing = bool(absorbing.any())
+    capture_each_round = capture_time is not None and capture_time < T
     pad, mask, n_actions = model.pad_index, model.pad_mask, np.diff(offsets)
     jumps = _jump_table(model)
-    integrals = [_integral_fn(np.asarray(tab), dt_cells, min(float(t_end), T))
+    integrals = [_integral_fn(np.asarray(tab), dt_cells, min(float(t_end), T), T)
                  for tab, t_end in integrands]
 
     acc_out = np.zeros((n_paths, len(integrands)))
@@ -334,21 +352,26 @@ def _run_batch(model: CtmdpModel, policy: MarkovPolicy, i0: int, n_paths: int,
     for _ in range(_max_rounds(model)):
         if ids.size == 0:
             break
-        t_new = t + rng.standard_exponential(ids.size) / clock_rate.take(state)
-        t_new[absorbing.take(state)] = np.inf
+        # the stretch end min(t + E / q*, T), in one buffer; +inf where q* = 0
+        hi = rng.standard_exponential(ids.size)
+        hi /= clock_rate.take(state)
+        hi += t
+        if any_absorbing:
+            hi[absorbing.take(state)] = np.inf
+        np.minimum(hi, T, out=hi)
 
-        if capture_time is not None:
-            hit = (t <= capture_time) & (capture_time < t_new)
-            captured[ids[hit]] = state[hit]
+        if capture_each_round:
+            hit = np.flatnonzero((t <= capture_time) & (capture_time < hi))
+            captured[ids.take(hit)] = state.take(hit)
 
-        hi = np.minimum(t_new, T)
         cell = _cell_of(hi, dt_cells, n_cells)
         for m, F in enumerate(integrals):
             end = F(state, hi, cell)
-            acc[m] += end - start[m]
+            np.subtract(end, start[m], out=start[m])
+            acc[m] += start[m]
             start[m] = end
 
-        finished = t_new >= T
+        finished = hi >= T
         done = np.flatnonzero(finished)
         if done.size:
             out = ids.take(done)
@@ -368,10 +391,13 @@ def _run_batch(model: CtmdpModel, policy: MarkovPolicy, i0: int, n_paths: int,
             rows = np.where(mask[state], plays.weights[cell[:, None], pad[state]], 0.0)
             ka = offsets[state] + _draw_local(rows, n_actions[state], rng.random(ids.size))
         else:
-            ka = plays.pairs.take(cell * n_states + state)
+            at = cell * n_states
+            at += state
+            ka = plays.pairs.take(at)
 
-        accept = rng.random(ids.size) * q_star.take(state) < model.exit_rate.take(ka)
-        jumped = np.flatnonzero(accept)
+        u = rng.random(ids.size)
+        u *= q_star.take(state)
+        jumped = np.flatnonzero(u < model.exit_rate.take(ka))
         if jumped.size == 0:
             continue
         j = _jump_targets(jumps, ka.take(jumped), rng.random(jumped.size))

@@ -38,7 +38,7 @@ from ctmdp.lp_core import (DEFAULT_PIVOT_CAP, ENTER_TOL, FEAS_TOL, PIVOT_TOL, _B
                            _REFACTOR_EVERY, LpProblem, LpSolution)
 from ctmdp.model import AUTO_RHO, CtmdpModel, DriftCertificate, MarkovPolicy, certify_drift
 from ctmdp.occupation import _TIME_BINS, OccupationGrid
-from ctmdp.sim import _MAX_ROUNDS_SLACK, Trajectory, _cell_of
+from ctmdp.sim import _MAX_ROUNDS_SLACK, Trajectory
 
 
 def _policy_kernel(model: CtmdpModel, grid, policy: MarkovPolicy) -> np.ndarray:
@@ -474,6 +474,12 @@ def _integral_to(pre: np.ndarray, table: np.ndarray, dt_cells: float,
     u = np.clip(u, 0.0, n_cells * dt_cells)
     cell = np.clip((u / dt_cells).astype(np.int64), 0, n_cells - 1)
     return pre[state, cell] + (u - cell * dt_cells) * table[cell, state]
+
+
+def _cell_of(t, dt_cells: float, n_cells: int):
+    """Policy cell of each time t, clipped to [0, n_cells - 1]: the batch
+    engine's cell index before it dropped the lower clip."""
+    return np.clip((t / dt_cells).astype(np.int64), 0, n_cells - 1)
 
 
 def _policy_cells(model: CtmdpModel, policy: MarkovPolicy):

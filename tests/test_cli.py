@@ -476,6 +476,24 @@ class TestUsagePaths:
         err = capsys.readouterr().err
         assert named in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("entries", [["--d", "1=0.3", "--d", "1=0.4"],
+                                         ["--d", "1=0.3", "--d", "01=0.3"]],
+                             ids=["different-bounds", "same-bound"])
+    def test_repeated_bound_index_is_refused(self, tmp_path, capsys, entries):
+        assert main(["constrain", *preset_args("--steps", "50", *entries, out=tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "--d 1 " in err and "Traceback" not in err
+        assert not (tmp_path / "report.txt").exists()
+
+    @pytest.mark.parametrize("subset", ["", ","])
+    def test_empty_subset_is_refused(self, tmp_path, capsys, subset):
+        code = main(["simulate", *preset_args("--steps", "50", "--replicates", "100",
+                                              "--subset", subset, out=tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "--subset" in err and "Traceback" not in err
+        assert not (tmp_path / "report.txt").exists()
+
     def test_model_and_preset_together(self, tmp_path, capsys):
         path = model_file(tmp_path, json.dumps(TWO_STATE))
         assert main(["validate", "--model", path, *preset_args(out=tmp_path)]) == 2

@@ -50,7 +50,7 @@ def fuzzed_policy(rng: np.random.Generator, model: CtmdpModel, randomized: bool)
                   seed=st.integers(0, 2**63 - 1),
                   end_frac=st.one_of(st.floats(0.05, 1.5),
                                      st.sampled_from(["just below T", "T"])),
-                  capture_frac=st.one_of(st.none(), st.floats(0.0, 1.0)))
+                  capture_frac=st.one_of(st.none(), st.floats(0.0, 1.0), st.just(1.0)))
 def test_batch_matches_the_dense_oracle(model_seed, sparsity, randomized, i0, seed,
                                         end_frac, capture_frac):
     rng = np.random.default_rng(model_seed)
