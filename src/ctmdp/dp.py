@@ -4,9 +4,10 @@ The value function g(i, s) satisfies -dg/ds = min_a { c(i,a) + sum_j g(j,s)
 q(j|i,a) } with g(., T) = 0. We integrate backward on a uniform node grid
 with classic RK4, re-resolving the min at every stage, and read the argmin
 off each node to get a deterministic Markov policy. A fixed policy is
-evaluated with the min replaced by the policy kernel. One stepper, _step,
-serves both backward loops, the forward loop of occupation_of_policy and the
-LP's Euler masses (occupation._euler_forward_masses).
+evaluated with the min replaced by the policy kernel. One stepper, built by
+_stepper once per loop and writing each step into a row of the caller's
+table, serves both backward loops, the forward loop of occupation_of_policy
+and the LP's Euler masses (occupation._euler_forward_masses).
 """
 
 from __future__ import annotations
@@ -128,18 +129,39 @@ def write_policy_csv(model: CtmdpModel, grid: TimeGrid, policy: MarkovPolicy, pa
                            ([points[ka] for ka in row] for row in pairs)))
 
 
-def _step(f, y: np.ndarray, dt: float, integrator: str, k1=None) -> np.ndarray:
-    """One classic RK4 or Euler step of y' = f(y); k1, if given, is f(y)."""
-    if k1 is None:
-        k1 = f(y)
-    if integrator == "euler":
-        return y + dt * k1
-    if integrator != "rk4":
+def _stepper(n: int, dt: float, integrator: str):
+    """A classic RK4 or Euler step of y' = f(y) on length-n vectors, built
+    once per loop: step(f, y, out, k1=None) writes the step from y into out,
+    which may be y; k1, if given, is f(y) and is left as it is. f must return
+    a new array, which the step may overwrite. The updates are
+    y + dt k1 and y + dt/6 (k1 + 2 k2 + 2 k3 + k4), operand by operand, with
+    dt, dt/2 and dt/6 held as vectors and 2 k formed as k + k, so every
+    result has the bits of the scalar expressions (notes/decisions.md)."""
+    if integrator not in ("rk4", "euler"):
         raise ValueError(f"unknown integrator {integrator!r}")
-    k2 = f(y + 0.5 * dt * k1)
-    k3 = f(y + 0.5 * dt * k2)
-    k4 = f(y + dt * k3)
-    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    add, multiply = np.add, np.multiply  # closure cells are read faster than np.add
+    full, tmp = np.full(n, dt), np.empty(n)
+    if integrator == "euler":
+        def step(f, y, out, k1=None):
+            if k1 is None:
+                k1 = f(y)
+            add(y, multiply(full, k1, tmp), out)
+        return step
+    half, sixth = np.full(n, 0.5 * dt), np.full(n, dt / 6.0)
+
+    def step(f, y, out, k1=None):
+        if k1 is None:
+            k1 = f(y)
+        k2 = f(add(y, multiply(half, k1, tmp), tmp))
+        k3 = f(add(y, multiply(half, k2, tmp), tmp))
+        k4 = f(add(y, multiply(full, k3, tmp), tmp))
+        k2 += k2
+        k3 += k3
+        add(k1, k2, k2)  # k1 + 2 k2
+        add(k2, k3, k3)  # ... + 2 k3
+        add(k3, k4, k4)  # ... + k4
+        add(y, multiply(sixth, k4, k4), out)
+    return step
 
 
 def _check_finite(g: np.ndarray, dt: float) -> None:
@@ -179,38 +201,45 @@ def solve_backward(model: CtmdpModel, grid: TimeGrid, cost_weights=None,
     its Lagrangian probes use it for a matched pair.
     """
     grid.check_stability(model)
+    step = _stepper(model.n_states, grid.dt, integrator)
     cbar = scalarize_costs(model, cost_weights)
     R, starts = model.rate_rows, model.action_offsets[:-1]
-    pad, mask = model.pad_index, model.pad_mask
     dt = grid.dt
 
+    min_at, dot, add = np.minimum.reduceat, R.dot, np.add  # bound once for the loop
+
     def f(g: np.ndarray) -> np.ndarray:
-        return np.minimum.reduceat(cbar + R.dot(g), starts)
+        return min_at(cbar + dot(g), starts)
 
     g = np.zeros((grid.n_nodes, model.n_states))
     policy = np.zeros((grid.n_nodes, model.n_states), dtype=np.int64)
     # node k's rate product sits in row k % _ARGMIN_BLOCK until its block's
-    # argmins are resolved together, at the block's lowest node
-    block = np.empty((_ARGMIN_BLOCK, model.n_pairs))
-    vals = block[grid.n_steps % _ARGMIN_BLOCK]
-    np.add(cbar, R.dot(g[grid.n_steps]), out=vals)
-    mins = np.where(mask, vals[pad], np.inf).min(axis=1)
+    # argmins are resolved together, at the block's lowest node; the block's
+    # last column holds the +inf that every padded action slot reads
+    block = np.empty((_ARGMIN_BLOCK, model.n_pairs + 1))
+    block[:, -1] = np.inf
+    slots = np.where(model.pad_mask, model.pad_index, model.n_pairs)
+    rows, block_rows = list(g), list(block[:, :-1])  # row views: a list index is cheaper than g[k]
+    n_steps = grid.n_steps
+    vals = block_rows[n_steps % _ARGMIN_BLOCK]
+    add(cbar, dot(rows[n_steps]), vals)
+    mins = block[n_steps % _ARGMIN_BLOCK].take(slots).min(axis=1)
     if not np.all(np.isfinite(mins)):  # e.g. a state with an empty action set
         state = int(np.argmin(np.isfinite(mins)))
-        raise NumericsError(f"non-finite minimum at node {grid.n_steps} "
-                            f"(t={grid.n_steps * dt:.6g}) in state {state}")
+        raise NumericsError(f"non-finite minimum at node {n_steps} "
+                            f"(t={n_steps * dt:.6g}) in state {state}")
 
     with np.errstate(over="ignore", invalid="ignore"):  # caught by _check_finite below
-        for k in range(grid.n_steps, -1, -1):
-            if k < grid.n_steps:
+        for k in range(n_steps, -1, -1):
+            if k < n_steps:
                 # vals holds cbar + R g[k + 1], so its stage min is the first stage
-                g[k] = _step(f, g[k + 1], dt, integrator, k1=np.minimum.reduceat(vals, starts))
-                vals = block[k % _ARGMIN_BLOCK]
-                np.add(cbar, R.dot(g[k]), out=vals)
+                step(f, rows[k + 1], rows[k], min_at(vals, starts))
+                vals = block_rows[k % _ARGMIN_BLOCK]
+                add(cbar, dot(rows[k]), vals)
             if k % _ARGMIN_BLOCK == 0:
                 top = min(k + _ARGMIN_BLOCK, grid.n_nodes)
-                padded = np.where(mask, block[:top - k, pad], np.inf)
-                policy[k:top] = np.argmin(padded, axis=2)  # first minimum: lowest action
+                # first minimum: lowest action
+                policy[k:top] = block[:top - k].take(slots, axis=1).argmin(axis=2)
     _check_finite(g, dt)
 
     return ValueGrid(grid=grid, values=g), MarkovPolicy.deterministic(policy)
@@ -265,13 +294,22 @@ def evaluate_policy(model: CtmdpModel, grid: TimeGrid, policy: MarkovPolicy,
     kernel average; randomized kernels average both cost and generator. A
     step multiplies only the rate rows of the pairs its cell plays, gathered
     once per run of cells playing the same pairs, and averages the products
-    per state, so no mean generator is formed (notes/decisions.md). The
-    policy must live on this grid's nodes.
+    per state, so no mean generator is formed (notes/decisions.md). A
+    deterministic policy plays one pair per state with weight 1, so its
+    stage is the product alone. The policy must live on this grid's nodes.
     """
     grid.check_stability(model)
+    step = _stepper(model.n_states, grid.dt, integrator)
     plays = _plays(model, policy, grid)
     cost_index = _checked_index(cost_index, model.costs.shape[0], "cost_index", "cost table")
     costs = plays.average(model.costs[cost_index])
+    deterministic = plays.pairs is not None
+    if deterministic:
+        def f(v):
+            return cb + Rs.dot(v)
+    else:
+        def f(v):
+            return cb + np.add.reduceat(w * Rs.dot(v), seg)
 
     g = np.zeros((grid.n_nodes, model.n_states))
     with np.errstate(over="ignore", invalid="ignore"):  # caught by _check_finite below
@@ -279,12 +317,10 @@ def evaluate_policy(model: CtmdpModel, grid: TimeGrid, policy: MarkovPolicy,
             if k == grid.n_steps - 1 or plays.changes[k]:
                 Rs = None  # the last run's rows go before the next run's are gathered
                 s, seg, _, Rs = _played_rows(model, plays.played(k))
-            w, cb = plays.weights[k].take(s), costs[k]
-
-            def f(v):
-                return cb + np.add.reduceat(w * Rs.dot(v), seg)
-
-            g[k] = _step(f, g[k + 1], grid.dt, integrator)
+            if not deterministic:
+                w = plays.weights[k].take(s)
+            cb = costs[k]
+            step(f, g[k + 1], g[k])
     _check_finite(g, grid.dt)
     return ValueGrid(grid=grid, values=g)
 

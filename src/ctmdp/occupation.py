@@ -21,7 +21,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .dp import (TimeGrid, ValueGrid, _action_text, _csv_blocks, _node_strings, _played_rows,
-                 _plays, _step, _write_csv, scalarize_costs, solve_backward)
+                 _plays, _stepper, _write_csv, scalarize_costs, solve_backward)
 from .model import CtmdpModel, MarkovPolicy, _checked_index
 from . import lp_core
 
@@ -72,24 +72,32 @@ def occupation_of_policy(model: CtmdpModel, grid: TimeGrid,
     Integrates the forward equation p' = Qbar(t)^T p from the initial
     distribution with RK4 (kernel frozen per cell) and sets
     y(k, i, a) = p(i, t_k) * kernel(a | i, t_k) on the pairs cell k plays, 0
-    elsewhere. Steps weight those pairs' rate rows, as evaluate_policy does.
+    elsewhere. Steps weight those pairs' rate rows, as evaluate_policy does;
+    a deterministic policy's rows, one per state with weight 1, are its Qbar.
     """
     grid.check_stability(model)
+    step = _stepper(model.n_states, grid.dt, "rk4")
     plays = _plays(model, policy, grid)
+    deterministic = plays.pairs is not None
+    if deterministic:
+        def f(v):
+            return v @ Rs
+    else:
+        def f(v):  # Qbar^T v: the played pairs' rows weighted by v(i) kernel(a | i)
+            return (v.take(st) * w) @ Rs
 
-    p = model.initial_dist.astype(float).copy()
+    p = model.initial_dist.astype(float)
     y = np.zeros((grid.n_steps, model.n_pairs))
     for k in range(grid.n_steps):
         if k == 0 or plays.changes[k - 1]:
             Rs = None  # the last run's rows go before the next run's are gathered
             s, _, st, Rs = _played_rows(model, plays.played(k))
-        w = plays.weights[k].take(s)
-        y[k, s] = p.take(st) * w
-
-        def f(v):  # Qbar^T v: the played pairs' rows weighted by v(i) kernel(a | i)
-            return (v.take(st) * w) @ Rs
-
-        p = _step(f, p, grid.dt, "rk4")
+        if deterministic:
+            y[k, s] = p
+        else:
+            w = plays.weights[k].take(s)
+            y[k, s] = p.take(st) * w
+        step(f, p, p)
         np.maximum(p, 0.0, out=p)
         p /= p.sum()
     return OccupationGrid(grid=grid, masses=y)
@@ -207,18 +215,19 @@ def _euler_forward_masses(model: CtmdpModel, grid: TimeGrid,
     under the LP's own Euler flow; the LP's flow rows hold with equality."""
     pairs = model.action_offsets[:-1] + action_index  # (n_cells, n_states)
     changes = np.any(pairs[1:] != pairs[:-1], axis=1)
-    p = model.initial_dist.astype(float)
-    held = np.empty(pairs.shape)
+    step = _stepper(model.n_states, grid.dt, "euler")
+    held = np.empty(pairs.shape)  # p at each cell's start; no step leaves the last cell
+    held[0] = model.initial_dist
+    rows, changes = list(held), changes.tolist()  # a list index is cheaper than an array's
 
     def f(v):  # v Q_k: the rows cell k plays, weighted by v
         return v.dot(Rk)
 
-    for k in range(grid.n_steps):
+    for k in range(grid.n_steps - 1):
         if k == 0 or changes[k - 1]:
             Rk = None  # the last run's rows go before the next run's are gathered
             Rk = model.rate_rows[pairs[k]]
-        held[k] = p
-        p = _step(f, p, grid.dt, "euler")
+        step(f, rows[k], rows[k + 1])
     y = np.zeros((grid.n_steps, model.n_pairs))
     np.put_along_axis(y, pairs, held, axis=1)
     return y
@@ -260,7 +269,7 @@ def _column_generation(model: CtmdpModel, grid: TimeGrid) -> _ColumnGeneration:
     u = np.zeros(model.n_constraints)
     v, theta, values, phase1 = None, None, None, False
     objective = np.inf  # of the master that produced u; no master yet
-    columns, samples, seen = [], [], set()
+    columns, spent, samples, seen = [], [], [], set()  # spent: a column's dt * costs . y
     pivots = solves = 0
     status = "budget_exhausted"
     while solves < MAX_SOLVES:
@@ -278,10 +287,11 @@ def _column_generation(model: CtmdpModel, grid: TimeGrid) -> _ColumnGeneration:
             break
         seen.add(actions.tobytes())
         columns.append(_euler_forward_masses(model, grid, actions))
+        spent.append(grid.dt * (model.costs @ columns[-1].sum(axis=0)))
 
         # restricted master: convexity row plus one row per constraint; if the
         # columns cannot meet the bounds, phase 1 minimizes the summed violation
-        table = grid.dt * np.array([model.costs @ y.sum(axis=0) for y in columns]).T
+        table = np.array(spent).T
         K, N = table.shape[1], bounds.size
         for phase1 in (False, True):
             extra = N if phase1 else 0

@@ -11,7 +11,8 @@ The rest are the library's earlier formulas, kept as references for the
 reassociated ones that replaced them: RK4 policy evaluation and forward
 occupation through a dense mean generator per step, the same two through
 every state-action rate row at every stage (pair_level_evaluate_policy,
-pair_level_occupation_of_policy), the characterization
+pair_level_occupation_of_policy), stepped by the RK4/Euler step that
+returned a new array (_step), the characterization
 residual with one tail quadrature per test function, the csv.writer
 exports of the value, policy, occupation, dual-sample and trajectory
 tables, auto_certificate with its own drift sums (sum_auto_certificate),
@@ -33,7 +34,7 @@ import math
 import numpy as np
 from scipy.linalg import expm
 
-from ctmdp.dp import TimeGrid, ValueGrid, _check_finite, _step, solve_backward
+from ctmdp.dp import TimeGrid, ValueGrid, _check_finite, solve_backward
 from ctmdp.lp_core import (DEFAULT_PIVOT_CAP, ENTER_TOL, FEAS_TOL, PIVOT_TOL, _BLAND_AFTER,
                            _REFACTOR_EVERY, LpProblem, LpSolution)
 from ctmdp.model import AUTO_RHO, CtmdpModel, DriftCertificate, MarkovPolicy, certify_drift
@@ -282,6 +283,22 @@ def dense_occupation_masses(model: CtmdpModel, grid, policy: MarkovPolicy) -> np
         np.maximum(p, 0.0, out=p)
         p /= p.sum()
     return y
+
+
+def _step(f, y: np.ndarray, dt: float, integrator: str, k1=None) -> np.ndarray:
+    """One classic RK4 or Euler step of y' = f(y); k1, if given, is f(y): the
+    library's stepper before dp._stepper held its constants as vectors and
+    wrote into the caller's table."""
+    if k1 is None:
+        k1 = f(y)
+    if integrator == "euler":
+        return y + dt * k1
+    if integrator != "rk4":
+        raise ValueError(f"unknown integrator {integrator!r}")
+    k2 = f(y + 0.5 * dt * k1)
+    k3 = f(y + 0.5 * dt * k2)
+    k4 = f(y + dt * k3)
+    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def pair_level_evaluate_policy(model: CtmdpModel, grid: TimeGrid, policy: MarkovPolicy,

@@ -101,6 +101,8 @@ PLAYED_SET_CASES = ["random0_deterministic", "random1_deterministic", "random2_s
                     "random3_sparse", "birth_death20_optimal", "birth_death20_constant",
                     "birth_death20_once", "birth_death20_alternating", "birth_death150_optimal",
                     "two_state_negative"]
+DETERMINISTIC_CASES = [c for c in PLAYED_SET_CASES
+                       if c.endswith(("deterministic", "optimal", "constant", "once", "alternating"))]
 
 
 def traced_peak(fn, *args) -> int:
@@ -404,6 +406,20 @@ class TestEvaluatePolicy:
                 assert np.array_equal(got, want)
             else:
                 assert np.max(np.abs(got - want)) <= 1e-13 * max(1.0, np.max(np.abs(want)))
+
+    @pytest.mark.parametrize("integrator", ["rk4", "euler"])
+    @pytest.mark.parametrize("case", DETERMINISTIC_CASES)
+    def test_deterministic_stage_has_the_one_hot_stage_bits(self, case, integrator):
+        # the one-hot kernel plays the same pairs with weight 1.0, one per
+        # state: x * 1.0 and a one-element sum are x, whatever x is
+        model, grid, policy = played_set_case(case)
+        assert policy.kind == "deterministic"
+        one_hot = MarkovPolicy.randomized(policy.kernel(model))
+        for cost_index in range(model.costs.shape[0]):
+            got = evaluate_policy(model, grid, policy, cost_index, integrator).values
+            want = evaluate_policy(model, grid, one_hot, cost_index, integrator).values
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
 
     @pytest.mark.parametrize("case", ["random2_sparse", "random3_sparse"])
     def test_sparse_kernels_are_valid_and_change_support_every_cell(self, case):

@@ -1,16 +1,18 @@
 """Property tests: the value writer's bytes against csv.writer on random float
-tables, and a deterministic policy's kernel average against the one-hot
-kernel's, bit for bit."""
+tables, a deterministic policy's kernel average against the one-hot
+kernel's, and the stepper against the scalar RK4 and Euler step, bit for
+bit."""
 
+import math
 import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ctmdp.dp import TimeGrid, ValueGrid, _plays
+from ctmdp.dp import TimeGrid, ValueGrid, _plays, _stepper
 from ctmdp.model import MarkovPolicy
-from oracles import csv_writer_value_table, random_instance
+from oracles import _step, csv_writer_value_table, random_instance
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -52,3 +54,36 @@ def test_deterministic_average_has_the_one_hot_bits(seed, data):
     kernel = policy.kernel(model)[:-1]
     one_hot = np.add.reduceat(kernel * per_pair, model.action_offsets[:-1], axis=1)
     assert _plays(model, policy).average(per_pair).tobytes() == one_hot.tobytes()
+
+
+# the entries a step meets at the edges of float64: signed zeros, subnormals,
+# infinities and NaN, and +-1e308, whose k + k overflows
+EDGES = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, math.inf, -math.inf, math.nan,
+                         1e308, -1e308, 1.0, -2.5, 1.0 / 3.0])
+
+
+@hypothesis.settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@hypothesis.given(data=st.data(), n=st.integers(1, 4), integrator=st.sampled_from(["rk4", "euler"]),
+                  dt=st.sampled_from([0.1, 1.0 / 3.0, 1e-3, 0.7]), given_k1=st.booleans(),
+                  in_place=st.booleans())
+def test_stepper_has_the_bits_of_the_scalar_step(data, n, integrator, dt, given_k1, in_place):
+    def entries(shape):
+        return data.draw(hnp.arrays(np.float64, shape, elements=st.one_of(EDGES, FLOATS)))
+
+    y, c, M = entries(n), entries(n), entries((n, n))
+
+    def f(v):  # linear, c + M v: every stage's bits follow from its argument's
+        return c + M @ v
+
+    with np.errstate(all="ignore"):
+        k1 = f(y) if given_k1 else None
+        want = _step(f, y, dt, integrator, None if k1 is None else k1.copy())
+        start, kept = y.copy(), None if k1 is None else k1.copy()
+        out = y if in_place else np.empty(n)
+        _stepper(n, dt, integrator)(f, y, out, k1)
+    assert np.array_equal(out, want, equal_nan=True)
+    assert np.array_equal(np.signbit(out), np.signbit(want))
+    if not in_place:
+        assert y.tobytes() == start.tobytes()
+    if k1 is not None:
+        assert k1.tobytes() == kept.tobytes()

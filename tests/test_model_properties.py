@@ -1,9 +1,11 @@
-"""Property tests of the model-file boundary: a valid document with one field
-or table entry broken only ever gives exit code 0, 1 or 2 and no traceback,
-and explicit model documents round-trip bit for bit.
+"""Property tests of the input boundary: a valid model document with one
+field or table entry broken, and any mix of valid and garbage flag values,
+only ever give exit code 0, 1 or 2 and no traceback; explicit model
+documents round-trip bit for bit.
 
 Sizes stay at 6 states, m = 6 and grid 6 or below: the dense rate table
 has (pairs x states) entries, so larger fuzzed sizes could exhaust memory.
+For the same reason fuzzed runs take at most 400 steps and 2000 replicates.
 """
 
 import contextlib
@@ -83,9 +85,14 @@ def mutated(op: str, doc: dict, path: tuple, value) -> dict:
 
 
 def run_cli(argv: list[str]) -> tuple[int, str]:
+    """The exit code of a run, whether main returns it or argparse exits with
+    it, and what the run wrote to stderr."""
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        code = main(argv)
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
     return code, err.getvalue()
 
 
@@ -101,6 +108,64 @@ def test_one_broken_entry_never_escapes_as_a_traceback(mutation):
             code, err = run_cli([*argv, "--model", path, "--out", tmp])
             assert code in (0, 1, 2), err
             assert "Traceback" not in err
+
+
+# flag text that no parser accepts, or that parses to a value out of range
+GARBAGE = st.sampled_from(["", "x", "nan", "inf", "-inf", "1e999", "-1", "0", "-0", "1.5",
+                           "0x3", "1e-320", "1e308", "-2.5", "1", "1,x", "--m"])
+
+
+def integers(low: int, high: int) -> st.SearchStrategy:
+    return st.integers(low, high).map(str)
+
+
+def reals(low: float, high: float) -> st.SearchStrategy:
+    return st.floats(low, high).map(repr)
+
+
+# values in range for each flag; "--d" takes a list of entries
+VALID = {"--lam": reals(0.1, 3.0), "--mu": reals(0.1, 3.0), "--m": integers(2, 6),
+         "--agrid": integers(2, 6), "--horizon": reals(0.05, 1.0), "--steps": integers(1, 400)}
+COMMANDS = {
+    "solve": {},
+    "constrain": {"--d": st.sampled_from([["1=0.3"], ["1=0.9"], ["1=-5"], ["1=0.3", "2=0.5"],
+                                          ["2=0.5", "1=0.6"]])},
+    "simulate": {"--replicates": integers(2, 2000), "--seed": integers(0, 99),
+                 "--i0": integers(0, 1), "--policy": st.sampled_from(["optimal", "uniform"]),
+                 "--subset": st.sampled_from(["0", "0,1", "1,0"]),
+                 "--t-check": reals(0.01, 1.0), "--z": reals(0.5, 6.0)},
+}
+# flags given unless broken: the preset needs --lam, --mu and --m, constrain
+# needs --d, and the defaults of --steps and --replicates exceed the caps
+ALWAYS = {"--lam", "--mu", "--m", "--steps", "--replicates", "--d"}
+
+
+@st.composite
+def command_lines(draw) -> list[str]:
+    """A preset command line whose flags are in range or, if optional, left
+    out, except for up to two flags whose value is garbage or left out."""
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    flags = {**VALID, **COMMANDS[command]}
+    broken = draw(st.sets(st.sampled_from(sorted(flags)), max_size=2))
+    argv = [command, "--preset", "birth-death"]
+    for name, values in flags.items():
+        if name not in broken:
+            value = draw(values if name in ALWAYS else st.none() | values)
+        else:
+            value = draw(GARBAGE if name in ALWAYS else st.none() | GARBAGE)
+        for entry in (value if isinstance(value, list) else [value]):
+            if entry is not None:
+                argv.append(f"{name}={entry}")
+    return argv
+
+
+@hypothesis.settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@hypothesis.given(argv=command_lines())
+def test_no_flag_value_escapes_as_a_traceback(argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        code, err = run_cli([*argv, "--out", tmp])
+    assert code in (0, 1, 2), err
+    assert "Traceback" not in err
 
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)

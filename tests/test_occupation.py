@@ -21,8 +21,8 @@ from oracles import (_dual_value_fn, csv_writer_occupation_table, csv_writer_sam
                      random_instance, random_policy, tail_characterization_residual,
                      tail_characterization_scores)
 from test_acceptance import slater_birth_death
-from test_dp import (PLAYED_SET_CASES, REASSOCIATION_CASES, played_set_case, reassociation_case,
-                     tiny_and_negative_model, traced_peak)
+from test_dp import (DETERMINISTIC_CASES, PLAYED_SET_CASES, REASSOCIATION_CASES, played_set_case,
+                     reassociation_case, tiny_and_negative_model, traced_peak)
 
 
 def two_state_chain(horizon=1.0):
@@ -139,6 +139,16 @@ class TestOccupationOfPolicy:
         got = occupation_of_policy(model, grid, policy).masses
         want = pair_level_occupation_of_policy(model, grid, policy).masses
         assert np.max(np.abs(got - want)) <= 1e-13
+
+    @pytest.mark.parametrize("case", DETERMINISTIC_CASES)
+    def test_deterministic_masses_have_the_one_hot_bits(self, case):
+        model, grid, policy = played_set_case(case)
+        assert policy.kind == "deterministic"
+        got = occupation_of_policy(model, grid, policy).masses
+        want = occupation_of_policy(model, grid,
+                                    MarkovPolicy.randomized(policy.kernel(model))).masses
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
 
     def test_holds_one_run_of_rows_at_a_time(self):
         # a run's rows are (states x states), more than the pair-length
