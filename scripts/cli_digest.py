@@ -1,4 +1,4 @@
-"""SHA-256 digests of every file the eleven standard CLI runs write.
+"""SHA-256 digests of every file the twelve standard CLI runs write.
 
 Usage (from the root of a source checkout):
 
@@ -55,6 +55,8 @@ RUNS = {
     "solve-m20-agrid4": ["solve", *PRESET, "--m", "20", "--agrid", "4", "--horizon", "0.7"],
     "simulate-m20": ["simulate", *PRESET, "--m", "20", "--replicates", "20000",
                      "--subset", "0,3"],
+    "simulate-m20-tcheck": ["simulate", *PRESET, "--m", "20", "--replicates", "20000",
+                            "--t-check", "0.4", "--subset", "0,3"],
     "simulate-m20-uniform": ["simulate", *PRESET, "--m", "20", "--replicates", "20000",
                              "--policy", "uniform"],
     "validate-m20": ["validate", *PRESET, "--m", "20"],

@@ -112,6 +112,14 @@ def _ensure_certificate(model, cert):
     return certify_drift(model, cert), "declared"
 
 
+def _fails_validation(model: CtmdpModel) -> bool:
+    """True, after saying so on stderr, if the model breaks an invariant."""
+    if validate_model(model):
+        print("model fails validation; run the validate subcommand", file=sys.stderr)
+        return True
+    return False
+
+
 def _report(out_dir: str, lines: dict) -> None:
     """Print the key=value lines and write the same text to report.txt."""
     text = "".join(f"{key}={value:.17g}\n" if isinstance(value, float) else f"{key}={value}\n"
@@ -143,8 +151,7 @@ def cmd_validate(args) -> int:
 
 def cmd_solve(args) -> int:
     model, cert = _resolve_model(args)
-    if validate_model(model):
-        print("model fails validation; run the validate subcommand", file=sys.stderr)
+    if _fails_validation(model):
         return DOMAIN_ERROR
     cert, source = _ensure_certificate(model, cert)
     grid = dp.TimeGrid(model.horizon, args.steps)
@@ -172,8 +179,7 @@ def cmd_constrain(args) -> int:
         print("model declares no constraint costs; nothing to constrain",
               file=sys.stderr)
         return USAGE_ERROR
-    if validate_model(model):
-        print("model fails validation; run the validate subcommand", file=sys.stderr)
+    if _fails_validation(model):
         return DOMAIN_ERROR
     grid = dp.TimeGrid(model.horizon, args.steps)
     result = occupation.solve_constrained(model, grid)
@@ -221,8 +227,7 @@ def cmd_simulate(args) -> int:
     if not 0 < t_check <= model.horizon:
         raise ModelFormatError(f"--t-check {t_check} is out of range; need 0 < t <= "
                                f"horizon {model.horizon}")
-    if validate_model(model):
-        print("model fails validation; run the validate subcommand", file=sys.stderr)
+    if _fails_validation(model):
         return DOMAIN_ERROR
     cert, source = _ensure_certificate(model, cert)
     grid = dp.TimeGrid(model.horizon, args.steps)

@@ -209,10 +209,11 @@ def build_constrained_lp(model: CtmdpModel, grid: TimeGrid) -> lp_core.LpProblem
     return lp_core.LpProblem(c=c, A_eq=A, b_eq=b)
 
 
-def _euler_forward_masses(model: CtmdpModel, grid: TimeGrid,
-                          action_index: np.ndarray) -> np.ndarray:
-    """Masses of a deterministic Markov policy, cell k playing action_index[k],
-    under the LP's own Euler flow; the LP's flow rows hold with equality."""
+def _euler_forward_masses(model: CtmdpModel, grid: TimeGrid, action_index: np.ndarray):
+    """(pairs, held): a deterministic Markov policy's pair per (cell, state),
+    cell k playing action_index[k], and the state masses it holds there under
+    the LP's own Euler flow. Its mass table is held at pairs and 0 elsewhere;
+    the LP's flow rows hold with equality."""
     pairs = model.action_offsets[:-1] + action_index  # (n_cells, n_states)
     changes = np.any(pairs[1:] != pairs[:-1], axis=1)
     step = _stepper(model.n_states, grid.dt, "euler")
@@ -228,9 +229,7 @@ def _euler_forward_masses(model: CtmdpModel, grid: TimeGrid,
             Rk = None  # the last run's rows go before the next run's are gathered
             Rk = model.rate_rows[pairs[k]]
         step(f, rows[k], rows[k + 1])
-    y = np.zeros((grid.n_steps, model.n_pairs))
-    np.put_along_axis(y, pairs, held, axis=1)
-    return y
+    return pairs, held
 
 
 # -- column generation over deterministic Markov policies ---------------------
@@ -269,7 +268,7 @@ def _column_generation(model: CtmdpModel, grid: TimeGrid) -> _ColumnGeneration:
     u = np.zeros(model.n_constraints)
     v, theta, values, phase1 = None, None, None, False
     objective = np.inf  # of the master that produced u; no master yet
-    columns, spent, samples, seen = [], [], [], set()  # spent: a column's dt * costs . y
+    columns, spent, samples, seen = [], [], [], set()  # (pairs, held); dt * costs . masses
     pivots = solves = 0
     status = "budget_exhausted"
     while solves < MAX_SOLVES:
@@ -286,8 +285,10 @@ def _column_generation(model: CtmdpModel, grid: TimeGrid) -> _ColumnGeneration:
             status = "infeasible" if phase1 else "optimal"
             break
         seen.add(actions.tobytes())
-        columns.append(_euler_forward_masses(model, grid, actions))
-        spent.append(grid.dt * (model.costs @ columns[-1].sum(axis=0)))
+        pairs, held = _euler_forward_masses(model, grid, actions)
+        columns.append((pairs, held))
+        spent.append(grid.dt * (model.costs @ np.bincount(pairs.ravel(), held.ravel(),
+                                                           model.n_pairs)))
 
         # restricted master: convexity row plus one row per constraint; if the
         # columns cannot meet the bounds, phase 1 minimizes the summed violation
@@ -309,7 +310,12 @@ def _column_generation(model: CtmdpModel, grid: TimeGrid) -> _ColumnGeneration:
         v, u = float(sol.y[0]), np.maximum(-sol.y[1:], 0.0)
         if not phase1:
             objective, theta = sol.objective, sol.x
-    masses = None if theta is None else sum(t * y for t, y in zip(theta, columns) if t > 0)
+    masses = None
+    if theta is not None:
+        masses, cells = np.zeros((grid.n_steps, model.n_pairs)), np.arange(grid.n_steps)[:, None]
+        for t, (pairs, held) in zip(theta, columns):
+            if t > 0:
+                masses[cells, pairs] += t * held
     return _ColumnGeneration(status, masses, u, values, tuple(samples),
                              solves, len(columns), pivots)
 

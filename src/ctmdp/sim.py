@@ -81,24 +81,11 @@ def _cell_of(t, dt_cells: float, n_cells: int):
 
 
 def _max_rounds(model: CtmdpModel) -> int:
-    return _MAX_ROUNDS_SLACK + int(20 * model.max_q_star * model.horizon)
-
-
-def kernel_cost_cells(model: CtmdpModel, policy: MarkovPolicy, cost_index: int) -> np.ndarray:
-    """Kernel-averaged cost rate per (cell, state)."""
-    n = _checked_index(cost_index, model.costs.shape[0], "cost_index", "cost table")
-    return _plays(model, policy).average(model.costs[n])
-
-
-def kernel_set_rate_cells(model: CtmdpModel, policy: MarkovPolicy, subset) -> np.ndarray:
-    """Kernel-averaged rate into a state subset, q(B|i, .), per (cell, state).
-
-    The diagonal is included whenever i itself lies in B, i.e. this is the
-    full signed sum of the rate row over B.
-    """
-    indicator = np.zeros(model.n_states)
-    indicator[[_checked_index(b, model.n_states, "subset") for b in subset]] = 1.0
-    return _plays(model, policy).average(model.rate_rows @ indicator)
+    expected = 20 * model.max_q_star * model.horizon
+    if not math.isfinite(expected):
+        raise ValueError(f"horizon {model.horizon!r} is too long to simulate: "
+                         "its thinning round cap overflows")
+    return _MAX_ROUNDS_SLACK + int(expected)
 
 
 def _draw_local(rows: np.ndarray, n_actions, u: np.ndarray) -> np.ndarray:
@@ -294,12 +281,13 @@ def _jump_targets(jumps: _JumpTable, ka: np.ndarray, u: np.ndarray) -> np.ndarra
 
 
 def _run_batch(model: CtmdpModel, policy: MarkovPolicy, i0: int, n_paths: int,
-               seed, integrands=(), capture_time: float | None = None):
-    """Vectorized thinning over a batch of paths.
+               seed, t_check: float, per_pair=None):
+    """Vectorized thinning over a batch of paths: (integral, state at t_check).
 
-    integrands: sequence of (table (n_cells, n_states), t_end) pairs whose
-    pathwise integrals over [0, min(t_end, T)] are returned, one column each.
-    capture_time: if set, also return the state each path holds at that time.
+    The integral, None without ``per_pair``, is each path's integral over
+    [0, t_check] of the kernel average of that per-pair quantity; 0 <
+    t_check <= T. The policy is read first, so a faulty one is refused
+    before the other arguments.
     All randomness is drawn from the single stream ``default_rng(seed)`` with
     a consumption pattern that is a pure function of the seed: each round
     draws the proposal clocks of the live paths in ascending path id, then,
@@ -308,46 +296,47 @@ def _run_batch(model: CtmdpModel, policy: MarkovPolicy, i0: int, n_paths: int,
     accepted ones.
 
     Only live paths are held, compacted in path-id order; a path's outputs
-    are written once, in the round it reaches the horizon. Each integrand
-    carries its integral up to the start of the current stretch, which is the
-    previous round's value at the stretch end unless the path jumped. The
-    policy cell of each stretch end is computed once per round and shared by
-    the action lookup and every integrand. Each round writes into arrays it
-    already owns, and skips, by a choice made once per batch, the work that
-    cannot change a value: the +inf clock when no state has q* = 0, and the
-    per-round capture test when capture_time >= T (a path's final state is
-    its state at T). See notes/decisions.md for why this reproduces the
-    full-width loop bit for bit.
+    are written once, in the round it reaches the horizon. The integral is
+    carried up to the start of the current stretch, which is the previous
+    round's value at the stretch end unless the path jumped. The policy cell
+    of each stretch end is computed once per round and shared by the action
+    lookup and the integral. Each round writes into arrays it already owns,
+    and skips, by a choice made once per batch, the work that cannot change
+    a value: the +inf clock when no state has q* = 0, and the per-round
+    capture test when t_check = T. See notes/decisions.md for why this
+    reproduces the full-width loop bit for bit.
     """
+    plays = _plays(model, policy)
     if n_paths < 2:
         raise ValueError("need at least 2 replicates")
     i0 = _checked_index(i0, model.n_states, "i0")
     rng = np.random.default_rng(seed)
-    plays = _plays(model, policy)
     n_cells = policy.n_nodes - 1
     dt_cells = model.horizon / n_cells
     n_states = model.n_states
     T = model.horizon
+    t_check = float(t_check)
     offsets = model.action_offsets
     q_star = model.q_star
     clock_rate = np.where(q_star > 0, q_star, 1.0)
     absorbing = q_star <= 0.0
     any_absorbing = bool(absorbing.any())
-    capture_each_round = capture_time is not None and capture_time < T
+    capture_each_round = t_check < T
     pad, mask, n_actions = model.pad_index, model.pad_mask, np.diff(offsets)
     jumps = _jump_table(model)
-    integrals = [_integral_fn(np.asarray(tab), dt_cells, min(float(t_end), T), T)
-                 for tab, t_end in integrands]
+    F = None if per_pair is None else _integral_fn(plays.average(per_pair), dt_cells,
+                                                   t_check, T)
 
-    acc_out = np.zeros((n_paths, len(integrands)))
+    acc_out = None if F is None else np.zeros(n_paths)
     captured = np.full(n_paths, -1, dtype=np.int64)
 
     ids = np.arange(n_paths)
     t = np.zeros(n_paths)
     state = np.full(n_paths, i0, dtype=np.int64)
-    acc = [np.zeros(n_paths) for _ in integrals]
     cell = _cell_of(t, dt_cells, n_cells)
-    start = [F(state, t, cell) for F in integrals]
+    if F is not None:
+        acc = np.zeros(n_paths)
+        start = F(state, t, cell)
 
     for _ in range(_max_rounds(model)):
         if ids.size == 0:
@@ -361,29 +350,27 @@ def _run_batch(model: CtmdpModel, policy: MarkovPolicy, i0: int, n_paths: int,
         np.minimum(hi, T, out=hi)
 
         if capture_each_round:
-            hit = np.flatnonzero((t <= capture_time) & (capture_time < hi))
+            hit = np.flatnonzero((t <= t_check) & (t_check < hi))
             captured[ids.take(hit)] = state.take(hit)
 
         cell = _cell_of(hi, dt_cells, n_cells)
-        for m, F in enumerate(integrals):
+        if F is not None:
             end = F(state, hi, cell)
-            np.subtract(end, start[m], out=start[m])
-            acc[m] += start[m]
-            start[m] = end
+            np.subtract(end, start, out=start)
+            acc += start
+            start = end
 
         finished = hi >= T
         done = np.flatnonzero(finished)
         if done.size:
             out = ids.take(done)
-            for m in range(len(acc)):
-                acc_out[out, m] = acc[m].take(done)
-            if capture_time is not None:
-                held = captured.take(out)
-                captured[out] = np.where(held < 0, state.take(done), held)
+            held = captured.take(out)
+            captured[out] = np.where(held < 0, state.take(done), held)
             keep = np.flatnonzero(~finished)
             ids, t, state, cell = ids.take(keep), hi.take(keep), state.take(keep), cell.take(keep)
-            acc = [a.take(keep) for a in acc]
-            start = [f.take(keep) for f in start]
+            if F is not None:
+                acc_out[out] = acc.take(done)
+                acc, start = acc.take(keep), start.take(keep)
         else:
             t = hi
 
@@ -402,9 +389,8 @@ def _run_batch(model: CtmdpModel, policy: MarkovPolicy, i0: int, n_paths: int,
             continue
         j = _jump_targets(jumps, ka.take(jumped), rng.random(jumped.size))
         state[jumped] = j
-        t_jump, cell_jump = t.take(jumped), cell.take(jumped)
-        for m, F in enumerate(integrals):
-            start[m][jumped] = F(j, t_jump, cell_jump)
+        if F is not None:
+            start[jumped] = F(j, t.take(jumped), cell.take(jumped))
     if ids.size:
         raise RuntimeError("batch thinning did not finish within the round cap")
     return acc_out, captured
@@ -417,10 +403,9 @@ def mc_value(model: CtmdpModel, policy: MarkovPolicy, i0: int, cost_index: int,
     Each path contributes the integral of the kernel-averaged cost rate over
     its sojourns, clipped at the horizon.
     """
-    table = kernel_cost_cells(model, policy, cost_index)
-    acc, _ = _run_batch(model, policy, i0, replicates, seed,
-                        integrands=[(table, model.horizon)])
-    return _estimate(acc[:, 0])
+    n = _checked_index(cost_index, model.costs.shape[0], "cost_index", "cost table")
+    acc, _ = _run_batch(model, policy, i0, replicates, seed, model.horizon, model.costs[n])
+    return _estimate(acc)
 
 
 @dataclass(frozen=True)
@@ -448,11 +433,13 @@ def check_forward_kolmogorov(model: CtmdpModel, policy: MarkovPolicy, i0: int,
     if not 0 < t <= model.horizon:
         raise ValueError("need 0 < t <= horizon")
     subset = set(int(b) for b in subset)
-    table = kernel_set_rate_cells(model, policy, subset)
-    acc, captured = _run_batch(model, policy, i0, replicates, seed,
-                               integrands=[(table, t)], capture_time=t)
+    # the rate into B, q(B|i,a): the diagonal counts whenever i itself lies in B
+    indicator = np.zeros(model.n_states)
+    indicator[[_checked_index(b, model.n_states, "subset") for b in subset]] = 1.0
+    acc, captured = _run_batch(model, policy, i0, replicates, seed, t,
+                               model.rate_rows @ indicator)
     in_b = np.isin(captured, sorted(subset)).astype(float)
-    flow = float(int(i0) in subset) + acc[:, 0]
+    flow = float(int(i0) in subset) + acc
     res = _estimate(in_b - flow)
     return FlowIdentityCheck(residual=res.mean, se=res.se, count=res.count,
                              occupancy=float(np.mean(in_b)),
@@ -484,7 +471,7 @@ def check_weight_bound(model: CtmdpModel, certificate: DriftCertificate,
         _plays(model, policy)  # refuses an invalid policy, as the t > 0 route does
         est = McEstimate(mean=float(model.weight[i0]), se=0.0, count=replicates)
     else:
-        _, captured = _run_batch(model, policy, i0, replicates, seed, capture_time=t)
+        _, captured = _run_batch(model, policy, i0, replicates, seed, t)
         est = _estimate(model.weight[captured])
     bound = certificate.weight_bound(float(model.weight[i0]), t)
     return WeightBoundCheck(estimate=est, bound=bound, slack=est.mean - bound)

@@ -507,6 +507,13 @@ def _policy_cells(model: CtmdpModel, policy: MarkovPolicy):
     return kernel[:n_cells], model.horizon / n_cells
 
 
+def kernel_average_cells(model: CtmdpModel, policy: MarkovPolicy, per_pair) -> np.ndarray:
+    """Kernel average of a per-pair quantity per (cell, state): the reduceat
+    of each cell's one-hot or randomized kernel row times the quantity."""
+    cells, _ = _policy_cells(model, policy)
+    return np.add.reduceat(cells * per_pair, model.action_offsets[:-1], axis=1)
+
+
 def dense_run_batch(model: CtmdpModel, policy: MarkovPolicy, i0: int, n_paths: int,
                     rng, integrands=(), capture_time: float | None = None):
     """Vectorized thinning over a batch of paths.

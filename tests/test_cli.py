@@ -114,6 +114,16 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "no finite step count is stable" in err and "Traceback" not in err
 
+    def test_horizon_too_long_to_simulate_is_usage_error(self, tmp_path, capsys):
+        # the uniform policy needs no stable step count, so the round cap overflows
+        code = main(["simulate", "--preset", "birth-death", "--lam", "1", "--mu", "2",
+                     "--m", "3", "--horizon", "1e308", "--policy", "uniform",
+                     "--replicates", "2", "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error: horizon 1e+308 is too long to simulate" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("source, named", [
         (["--lam", "nan", "--mu", "2"], "lambda"),
         (["--lam", "1", "--mu", "inf"], "mu"),

@@ -172,7 +172,9 @@ class TestOccupationOfPolicy:
     def test_euler_masses_match_the_mean_generator_oracle(self, case):
         model, grid, policy = played_set_case(case)
         actions = policy.action_index[:grid.n_steps]
-        got = occupation._euler_forward_masses(model, grid, actions)
+        pairs, held = occupation._euler_forward_masses(model, grid, actions)
+        got = np.zeros((grid.n_steps, model.n_pairs))
+        np.put_along_axis(got, pairs, held, axis=1)
         kernel = MarkovPolicy.deterministic(actions).kernel(model)
         assert np.max(np.abs(got - euler_masses_of_kernel(model, grid.n_steps, kernel))) <= 1e-13
 
@@ -626,6 +628,22 @@ class TestColumnGeneration:
         monkeypatch.setattr(lp_core, "DEFAULT_PIVOT_CAP", free.n_pivots - 1)
         short = solve_constrained(model, grid).solution
         assert (short.status, short.n_pivots) == ("pivot_limit", free.n_pivots - 1)
+
+    @pytest.mark.usefixtures("empty_handoff")
+    def test_no_column_is_held_as_a_mass_table(self):
+        # criterion-7 costs at m = 40 from state 5 price ten columns; held as
+        # (cells x pairs) mass tables they alone would take ten tables
+        init = np.zeros(40)
+        init[5] = 1.0
+        model = make_birth_death(1.0, 2.0, m=40, grid=5, initial_dist=init,
+                                 cost_fns=[lambda i, a1, a2: -float(i),
+                                           lambda i, a1, a2: (a1 + 1.0) / 2.0],
+                                 constraint_bounds=[0.3])
+        grid = TimeGrid(1.0, TimeGrid(1.0, 1).required_steps(model))
+        table_bytes = grid.n_steps * model.n_pairs * 8
+        peak = traced_peak(solve_constrained, model, grid)
+        assert solve_constrained(model, grid).n_columns == 10
+        assert peak < 10 * table_bytes, f"peak {peak} B, one mass table {table_bytes} B"
 
     @pytest.mark.parametrize("case", ["criterion7", "random_n2"])
     def test_iterates_keep_weak_duality_and_master_descent(self, case):

@@ -10,10 +10,9 @@ from ctmdp.dp import TimeGrid, solve_backward
 from ctmdp.model import (CtmdpModel, MarkovPolicy, birth_death_certificate,
                          cost_bound_from_tables, certify_drift, make_birth_death)
 from ctmdp.sim import (_GUIDE, _draw_local, _jump_table, _jump_targets, _run_batch,
-                       check_forward_kolmogorov, check_weight_bound, kernel_cost_cells,
-                       kernel_set_rate_cells, mc_value, simulate)
-from oracles import (csv_writer_trajectory_table, dense_run_batch, loop_simulate,
-                     random_instance, random_policy)
+                       check_forward_kolmogorov, check_weight_bound, mc_value, simulate)
+from oracles import (csv_writer_trajectory_table, dense_run_batch, kernel_average_cells,
+                     loop_simulate, random_instance, random_policy)
 from test_dp import tiny_and_negative_model
 
 TWO_STATE_EXACT = 0.5 - (1.0 - math.exp(-2.0)) / 4.0
@@ -354,17 +353,28 @@ class TestWeightBound:
             assert path.states.max() <= model.n_states - 1
 
 
-def assert_batch_matches_dense(model, policy, i0, n_paths, seed, integrands=(),
-                               capture_time=None):
-    """The compacted batch and the full-width oracle: equal arrays, equal
-    random-stream position afterwards."""
+def assert_batch_matches_dense(model, policy, i0, n_paths, seed, t_check, per_pair=None):
+    """The compacted batch and the full-width oracle, whose integrand is the
+    oracle's own kernel average: equal arrays, equal random-stream position
+    afterwards."""
     rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
-    acc_a, cap_a = _run_batch(model, policy, i0, n_paths, rng_a, integrands, capture_time)
-    acc_b, cap_b = dense_run_batch(model, policy, i0, n_paths, rng_b, integrands, capture_time)
-    assert acc_a.dtype == acc_b.dtype and cap_a.dtype == cap_b.dtype
-    assert np.array_equal(acc_a, acc_b)
-    assert np.array_equal(cap_a, cap_b)
+    acc_a, cap_a = _run_batch(model, policy, i0, n_paths, rng_a, t_check, per_pair)
+    integrands = ([] if per_pair is None
+                  else [(kernel_average_cells(model, policy, per_pair), t_check)])
+    acc_b, cap_b = dense_run_batch(model, policy, i0, n_paths, rng_b, integrands, t_check)
+    if per_pair is None:
+        assert acc_a is None
+    else:
+        assert acc_a.dtype == acc_b.dtype and np.array_equal(acc_a, acc_b[:, 0])
+    assert cap_a.dtype == cap_b.dtype and np.array_equal(cap_a, cap_b)
     assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+
+def rate_into(model, subset):
+    """Per-pair rate into a state subset, the diagonal included."""
+    indicator = np.zeros(model.n_states)
+    indicator[list(subset)] = 1.0
+    return model.rate_rows @ indicator
 
 
 def absorbing_model():
@@ -399,32 +409,30 @@ class TestBatchMatchesDenseOracle:
 
     @pytest.mark.parametrize("model,policy", CASES)
     def test_cost_integral_to_the_horizon(self, model, policy):
-        table = kernel_cost_cells(model, policy, 0)
-        assert_batch_matches_dense(model, policy, 0, 3000, 17,
-                                   integrands=[(table, model.horizon)])
+        assert_batch_matches_dense(model, policy, 0, 3000, 17, model.horizon, model.costs[0])
 
     @pytest.mark.parametrize("model,policy", CASES)
-    def test_early_end_and_interior_capture(self, model, policy):
-        T = model.horizon
-        rates = kernel_set_rate_cells(model, policy, {0, model.n_states - 1})
-        costs = kernel_cost_cells(model, policy, 0)
+    def test_interior_rate_integral_and_capture(self, model, policy):
+        rates = rate_into(model, {0, model.n_states - 1})
         for i0 in (0, model.n_states - 1):
             assert_batch_matches_dense(model, policy, i0, 2000, (23, i0),
-                                       integrands=[(rates, 0.4 * T), (costs, T)],
-                                       capture_time=0.6 * T)
+                                       0.4 * model.horizon, rates)
+
+    @pytest.mark.parametrize("model,policy", CASES)
+    def test_interior_capture_only(self, model, policy):
+        for i0 in (0, model.n_states - 1):
+            assert_batch_matches_dense(model, policy, i0, 2000, (23, i0), 0.6 * model.horizon)
 
     @pytest.mark.parametrize("model,policy", CASES)
     def test_capture_at_the_horizon_only(self, model, policy):
-        assert_batch_matches_dense(model, policy, 1, 2000, 29, capture_time=model.horizon)
+        assert_batch_matches_dense(model, policy, 1, 2000, 29, model.horizon)
 
     def test_absorbing_start_holds(self):
         model = absorbing_model()
         pol = MarkovPolicy.uniform(model, n_nodes=3)
-        table = kernel_cost_cells(model, pol, 0)
-        acc, cap = _run_batch(model, pol, 2, 50, np.random.default_rng(0),
-                              [(table, model.horizon)], capture_time=1.0)
-        assert np.all(cap == 2) and np.all(acc[:, 0] == acc[0, 0])
-        assert_batch_matches_dense(model, pol, 2, 50, 0, [(table, model.horizon)], 1.0)
+        acc, cap = _run_batch(model, pol, 2, 50, np.random.default_rng(0), 1.0, model.costs[0])
+        assert np.all(cap == 2) and np.all(acc == acc[0])
+        assert_batch_matches_dense(model, pol, 2, 50, 0, 1.0, model.costs[0])
 
 
 def dense_jump_count(model, ka, u):
@@ -492,11 +500,11 @@ class TestRunBatchSeed:
     def test_a_seed_and_its_generator_give_the_same_batch(self):
         model = make_birth_death(1.0, 2.0, m=5, grid=3)
         pol = MarkovPolicy.uniform(model, n_nodes=5)
-        table = [(kernel_cost_cells(model, pol, 0), model.horizon)]
-        acc_a, cap_a = _run_batch(model, pol, 0, 300, 8, table, 0.5)
-        acc_b, cap_b = _run_batch(model, pol, 0, 300, np.random.default_rng(8), table, 0.5)
+        cost = model.costs[0]
+        acc_a, cap_a = _run_batch(model, pol, 0, 300, 8, 0.5, cost)
+        acc_b, cap_b = _run_batch(model, pol, 0, 300, np.random.default_rng(8), 0.5, cost)
         assert np.array_equal(acc_a, acc_b) and np.array_equal(cap_a, cap_b)
-        assert not np.array_equal(acc_a, _run_batch(model, pol, 0, 300, 9, table, 0.5)[0])
+        assert not np.array_equal(acc_a, _run_batch(model, pol, 0, 300, 9, 0.5, cost)[0])
 
 
 class TestJumpTableReuse:

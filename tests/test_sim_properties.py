@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 from ctmdp.model import CtmdpModel, MarkovPolicy
-from ctmdp.sim import _run_batch, kernel_cost_cells, kernel_set_rate_cells
-from oracles import dense_run_batch
+from test_sim import assert_batch_matches_dense
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -48,27 +47,22 @@ def fuzzed_policy(rng: np.random.Generator, model: CtmdpModel, randomized: bool)
                   randomized=st.booleans(),
                   i0=st.integers(0, 4),
                   seed=st.integers(0, 2**63 - 1),
-                  end_frac=st.one_of(st.floats(0.05, 1.5),
-                                     st.sampled_from(["just below T", "T"])),
-                  capture_frac=st.one_of(st.none(), st.floats(0.0, 1.0), st.just(1.0)))
+                  t_frac=st.one_of(st.floats(0.0, 1.0, exclude_min=True),
+                                   st.sampled_from(["just below T", "T"])),
+                  quantity=st.sampled_from(["cost 0", "rate into {0}", None]))
 def test_batch_matches_the_dense_oracle(model_seed, sparsity, randomized, i0, seed,
-                                        end_frac, capture_frac):
+                                        t_frac, quantity):
     rng = np.random.default_rng(model_seed)
     model = fuzzed_model(rng, sparsity)
     policy = fuzzed_policy(rng, model, randomized)
     i0 %= model.n_states
     T = model.horizon
-    # every integrand caps the round's shared cell at the cell of its end;
-    # ends below, at and above T must all give the dense oracle's cell
-    t_end = {"just below T": np.nextafter(T, 0.0), "T": T}.get(end_frac)
-    if t_end is None:
-        t_end = end_frac * T
-    integrands = [(kernel_cost_cells(model, policy, 0), t_end),
-                  (kernel_set_rate_cells(model, policy, {0}), T)]
-    capture = None if capture_frac is None else capture_frac * T
-    rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
-    acc_a, cap_a = _run_batch(model, policy, i0, 200, rng_a, integrands, capture)
-    acc_b, cap_b = dense_run_batch(model, policy, i0, 200, rng_b, integrands, capture)
-    assert np.array_equal(acc_a, acc_b)
-    assert np.array_equal(cap_a, cap_b)
-    assert rng_a.bit_generator.state == rng_b.bit_generator.state
+    # the integral caps the round's shared cell at the cell of t_check; checks
+    # inside the horizon, just below it and at it must all give the dense
+    # oracle's cell
+    t_check = {"just below T": np.nextafter(T, 0.0), "T": T}.get(t_frac)
+    if t_check is None:
+        t_check = t_frac * T
+    per_pair = {"cost 0": model.costs[0], "rate into {0}": model.rate_rows[:, 0],
+                None: None}[quantity]
+    assert_batch_matches_dense(model, policy, i0, 200, seed, t_check, per_pair)
