@@ -1,4 +1,4 @@
-"""SHA-256 digests of every file the twelve standard CLI runs write.
+"""SHA-256 digests of every file the thirteen standard CLI runs write.
 
 Usage (from the root of a source checkout):
 
@@ -44,11 +44,23 @@ EXPLICIT = {"states": 3, "actions_per_state": [[[0.0]], [[0.0], [1.0]], [[0.0], 
             "costs": [[[0.0], [1.0, 1.5], [2.0, 1.0]]], "horizon": 2.0,
             "weight": [1.0, 3.0, 4.0], "initial_state": 1}
 
+# Two unlinked copies of a two-state chain, each started with half the mass
+# and unit weights: the weight tables score about 0, and the largest
+# characterization residual is tied between a state's block and its copy's.
+MIRRORED = {"states": 4,
+            "actions_per_state": [[[0.0], [1.0]], [[0.0]], [[0.0], [1.0]], [[0.0]]],
+            "rates": [[[-0.5, 0.5, 0.0, 0.0], [-2.0, 2.0, 0.0, 0.0]], [[1.0, -1.0, 0.0, 0.0]],
+                      [[0.0, 0.0, -0.5, 0.5], [0.0, 0.0, -2.0, 2.0]], [[0.0, 0.0, 1.0, -1.0]]],
+            "costs": [[[1.0, 1.0], [0.0], [1.0, 1.0], [0.0]],
+                      [[0.0, 1.0], [0.0], [0.0, 1.0], [0.0]]],
+            "constraint_bounds": [0.3], "horizon": 1.0, "initial_dist": [0.5, 0.0, 0.5, 0.0]}
+
 PRESET = ["--preset", "birth-death", "--lam", "1", "--mu", "2"]
 
 RUNS = {
     "constrain-criterion7": ["constrain", "--model", "{model}", "--steps", "500"],
     "constrain-criterion7-scaled": ["constrain", "--model", "{scaled}", "--steps", "500"],
+    "constrain-mirrored-tie": ["constrain", "--model", "{mirrored}", "--steps", "500"],
     "constrain-m4-two-bounds": ["constrain", *PRESET, "--m", "4",
                                 "--d", "1=0.5", "--d", "2=0.4"],
     "solve-m150": ["solve", *PRESET, "--m", "150", "--steps", "894"],
@@ -73,7 +85,7 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         models = {}
         for key, doc in (("model", CRITERION7), ("scaled", CRITERION7_SCALED),
-                         ("explicit", EXPLICIT)):
+                         ("explicit", EXPLICIT), ("mirrored", MIRRORED)):
             models[key] = os.path.join(tmp, f"{key}.json")
             with open(models[key], "w", encoding="utf-8") as fh:
                 json.dump(doc, fh)

@@ -29,7 +29,8 @@ _REFACTOR_EVERY = 256
 
 @dataclass(frozen=True)
 class LpProblem:
-    """Dense LP data; empty blocks may be passed as None."""
+    """Dense LP data; empty blocks may be passed as None. Every entry must be
+    finite: a NaN or infinity is refused with a ValueError naming its block."""
 
     c: np.ndarray
     A_eq: np.ndarray | None = None
@@ -44,6 +45,8 @@ class LpProblem:
         au, bu = _block(self.A_ub, self.b_ub, n, "ub")
         for name, arr in (("c", c), ("A_eq", ae), ("b_eq", be),
                           ("A_ub", au), ("b_ub", bu)):
+            if not np.isfinite(arr).all():
+                raise ValueError(f"LP data {name} holds a NaN or infinite entry")
             object.__setattr__(self, name, arr)
 
     @property

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -103,25 +103,42 @@ def occupation_of_policy(model: CtmdpModel, grid: TimeGrid,
     return OccupationGrid(grid=grid, masses=y)
 
 
-def _iter_test_functions(model: CtmdpModel, grid: TimeGrid):
-    """The default test tables, each valid only for its turn in the caller's
-    loop: indicators of (state, time-bin) cells, set and cleared in one zeroed
-    buffer, then the weight and its square, built once the buffer is freed."""
-    n_cells = grid.n_steps
-    edges = np.linspace(0, n_cells, _TIME_BINS + 1).astype(int)
-    g = np.zeros((n_cells, model.n_states))
-    for i in range(model.n_states):
-        for b in range(_TIME_BINS):
-            g[edges[b]:edges[b + 1], i] = 1.0
-            yield g
-            g[edges[b]:edges[b + 1], i] = 0.0
-    del g
-    yield np.tile(model.weight, (n_cells, 1))
-    yield np.tile(model.weight ** 2, (n_cells, 1))
+def _residual_table(model: CtmdpModel, grid: TimeGrid, eta: OccupationGrid) -> np.ndarray:
+    """W with <g, W> = L(g) - M(g) for every test table g (notes/decisions.md)."""
+    if eta.n_cells != grid.n_steps:
+        raise ValueError("occupation grid does not match the time grid")
+    dt = grid.dt
+    W = np.cumsum(eta.masses @ model.rate_rows, axis=0)
+    W *= dt * dt
+    W -= dt * eta.state_marginal(model)
+    W += dt * model.initial_dist
+    return W
 
 
-def check_characterization(model: CtmdpModel, grid: TimeGrid, eta: OccupationGrid,
-                           test_functions: Sequence[np.ndarray] | None = None) -> float:
+def _default_family_score(W: np.ndarray, weight: np.ndarray) -> float:
+    """max |vdot(g, W)| over the tables of w and w**2 and the indicators of
+    (state, time-bin) blocks; NaN if W is not finite. Every summation order of
+    a block lies within 4 N eps sum|block| (N = W.size) of its reduceat sum, so
+    only blocks whose bound exceeds the best lower bound are scored, each on
+    one indicator table set and cleared in turn (notes/decisions.md)."""
+    if not np.isfinite(W).all():
+        return np.nan
+    worst = max(abs(float(np.vdot(np.tile(w, (len(W), 1)), W))) for w in (weight, weight ** 2))
+    edges = np.linspace(0, len(W), _TIME_BINS + 1).astype(int)
+    starts, ends = edges[:-1], edges[1:]
+    sums = np.abs(np.add.reduceat(W, starts, axis=0))
+    slack = np.add.reduceat(np.abs(W), starts, axis=0) * (4 * W.size * np.finfo(float).eps)
+    sums[starts == ends] = slack[starts == ends] = 0.0  # reduceat reads one row of an empty bin
+    best = max(worst, float(np.max(sums - slack)))
+    g = np.zeros(W.shape)
+    for b, i in np.argwhere(sums + slack > best):
+        g[starts[b]:ends[b], i] = 1.0
+        worst = max(worst, abs(float(np.vdot(g, W))))
+        g[starts[b]:ends[b], i] = 0.0
+    return worst
+
+
+def check_characterization(model: CtmdpModel, grid: TimeGrid, eta: OccupationGrid) -> float:
     """Max absolute residual of the occupation-measure balance identity.
 
     For each test table g(i, t) the generator side
@@ -129,29 +146,10 @@ def check_characterization(model: CtmdpModel, grid: TimeGrid, eta: OccupationGri
     tail quadrature of g, must match the marginal side
     dt * sum_k sum_i g(i,t_k) ybar(k,i) - sum_i gamma(i) int g(i,.) dt.
     Measures produced by a consistent forward solve leave O(dt); measures
-    that ignore the dynamics do not. Summing by parts in time turns both
-    sides into one inner product of g with a table W built once from eta
-    (derivation in notes/decisions.md), so each test function costs O(size).
-    The default family is built one table at a time, so the check holds at
-    most a few (cells x states) tables whatever the number of states.
+    that ignore the dynamics do not. The tables are the indicators of each
+    state on each of 4 time bins, w and w**2; a NaN mass gives NaN.
     """
-    if eta.n_cells != grid.n_steps:
-        raise ValueError("occupation grid does not match the time grid")
-    if test_functions is None:
-        test_functions = _iter_test_functions(model, grid)
-    dt = grid.dt
-    W = np.cumsum(eta.masses @ model.rate_rows, axis=0)
-    W *= dt * dt
-    W -= dt * eta.state_marginal(model)
-    W += dt * model.initial_dist
-
-    worst = 0.0
-    for g in test_functions:
-        g = np.asarray(g, dtype=float)
-        if g.shape != W.shape:
-            raise ValueError(f"test function shape {g.shape}, expected {W.shape}")
-        worst = max(worst, abs(float(np.vdot(g, W))))
-    return worst
+    return _default_family_score(_residual_table(model, grid, eta), model.weight)
 
 
 def uniform_occupation(model: CtmdpModel, grid: TimeGrid) -> OccupationGrid:

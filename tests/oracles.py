@@ -22,7 +22,9 @@ that takes the padded argmin at every stage, and the dense simplex on its
 engine object (_Simplex, class_simplex_solve_lp) that lp_core's simplex
 functions replaced, and the per-pair loops that built the birth-death
 preset's tables and model_to_dict's nested lists. default_test_functions
-builds the default characterization family as one list of fresh tables.
+builds the default characterization family as one list of fresh tables, and
+full_scan_score scores every table of it, as check_characterization did
+before it screened the indicator blocks by their sums.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from ctmdp.dp import TimeGrid, ValueGrid, _check_finite, solve_backward
 from ctmdp.lp_core import (DEFAULT_PIVOT_CAP, ENTER_TOL, FEAS_TOL, PIVOT_TOL, _BLAND_AFTER,
                            _REFACTOR_EVERY, LpProblem, LpSolution)
 from ctmdp.model import AUTO_RHO, CtmdpModel, DriftCertificate, MarkovPolicy, certify_drift
-from ctmdp.occupation import _TIME_BINS, OccupationGrid
+from ctmdp.occupation import _TIME_BINS, OccupationGrid, _residual_table
 from ctmdp.sim import _MAX_ROUNDS_SLACK, Trajectory
 
 
@@ -362,7 +364,7 @@ def pair_level_occupation_of_policy(model: CtmdpModel, grid: TimeGrid,
 
 def default_test_functions(model: CtmdpModel, grid) -> list[np.ndarray]:
     """Indicators of (state, time-bin) cells plus the weight and its square,
-    the family check_characterization streams, each held as its own table."""
+    the family check_characterization scores, each held as its own table."""
     shape = (grid.n_steps, model.n_states)
     edges = np.linspace(0, grid.n_steps, _TIME_BINS + 1).astype(int)
     tables = []
@@ -372,6 +374,28 @@ def default_test_functions(model: CtmdpModel, grid) -> list[np.ndarray]:
             g[edges[b]:edges[b + 1], i] = 1.0
             tables.append(g)
     return tables + [np.tile(model.weight ** p, (grid.n_steps, 1)) for p in (1, 2)]
+
+
+def full_scan_score(W: np.ndarray, weight: np.ndarray) -> float:
+    """The default family's score before its block screen: |vdot(g, W)| for
+    every indicator of a (state, time-bin) block, each set and cleared in one
+    buffer, then for the tables of w and w**2; the largest, or 0.0."""
+    edges = np.linspace(0, len(W), _TIME_BINS + 1).astype(int)
+    g = np.zeros(W.shape)
+    worst = 0.0
+    for i in range(W.shape[1]):
+        for b in range(_TIME_BINS):
+            g[edges[b]:edges[b + 1], i] = 1.0
+            worst = max(worst, abs(float(np.vdot(g, W))))
+            g[edges[b]:edges[b + 1], i] = 0.0
+    for w in (weight, weight ** 2):
+        worst = max(worst, abs(float(np.vdot(np.tile(w, (len(W), 1)), W))))
+    return worst
+
+
+def full_scan_characterization(model: CtmdpModel, grid, eta: OccupationGrid) -> float:
+    """check_characterization scored by full_scan_score."""
+    return full_scan_score(_residual_table(model, grid, eta), model.weight)
 
 
 def tail_characterization_scores(model: CtmdpModel, grid, masses: np.ndarray,
@@ -389,12 +413,6 @@ def tail_characterization_scores(model: CtmdpModel, grid, masses: np.ndarray,
         rhs = dt * float(np.vdot(g, marginal)) - float(model.initial_dist @ (dt * g.sum(axis=0)))
         scores.append(abs(lhs - rhs))
     return scores
-
-
-def tail_characterization_residual(model: CtmdpModel, grid, masses: np.ndarray,
-                                   test_functions) -> float:
-    """Max over test tables g of tail_characterization_scores."""
-    return max(tail_characterization_scores(model, grid, masses, test_functions), default=0.0)
 
 
 def csv_writer_value_table(value_grid, path) -> None:

@@ -63,6 +63,18 @@ class TestBasics:
         with pytest.raises(ValueError, match=message):
             LpProblem(c=[1.0, 2.0], **blocks)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("block", ["c", "A_eq", "b_eq", "A_ub", "b_ub"])
+    def test_non_finite_data_rejected(self, block, bad):
+        # NaN in c or A_eq used to come back "optimal" with a NaN objective
+        # or residual, and NaN in b_eq ended in an argmax over no candidates
+        data = {"c": [1.0, 2.0], "A_eq": [[1.0, 1.0]], "b_eq": [1.0],
+                "A_ub": [[1.0, 0.0]], "b_ub": [0.5]}
+        data[block] = np.array(data[block])
+        data[block].flat[-1] = bad
+        with pytest.raises(ValueError, match=f"LP data {block} holds a NaN or infinite entry"):
+            LpProblem(**data)
+
     def test_beale_cycling_instance_terminates(self):
         # classic degenerate instance that cycles without an anti-cycling rule
         c = [-0.75, 150.0, -0.02, 6.0]

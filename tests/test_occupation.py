@@ -17,9 +17,9 @@ from ctmdp.occupation import (OccupationGrid, build_constrained_lp, check_charac
 from ctmdp.sim import mc_value
 from oracles import (_dual_value_fn, csv_writer_occupation_table, csv_writer_samples_table,
                      default_test_functions, dense_occupation_masses, euler_masses_of_kernel,
-                     expm_transient, golden_dual_max, pair_level_occupation_of_policy,
-                     random_instance, random_policy, tail_characterization_residual,
-                     tail_characterization_scores)
+                     expm_transient, full_scan_characterization, full_scan_score,
+                     golden_dual_max, pair_level_occupation_of_policy, random_instance,
+                     random_policy, tail_characterization_scores)
 from test_acceptance import slater_birth_death
 from test_dp import (DETERMINISTIC_CASES, PLAYED_SET_CASES, REASSOCIATION_CASES, played_set_case,
                      reassociation_case, tiny_and_negative_model, traced_peak)
@@ -61,6 +61,12 @@ CG_CASES = {
     "random_n1": lambda: random_constrained(7, 1, 60),
     "random_n2": lambda: random_constrained(7, 2, 60),
 }
+
+
+def table_scores(model, grid, eta, tables):
+    """The residual |<g, W>| of each test table g."""
+    W = occupation._residual_table(model, grid, eta)
+    return [abs(float(np.vdot(g, W))) for g in tables]
 
 
 def characterization_case(case):
@@ -191,28 +197,30 @@ class TestCharacterization:
         model, grid, policy = reassociation_case(case)
         rng = np.random.default_rng(11)
         shape = (grid.n_steps, model.n_states)
-        families = (default_test_functions(model, grid),
-                    [rng.normal(size=shape), rng.uniform(-1.0, 1.0, size=shape) ** 3,
-                     np.outer(np.linspace(1.0, 0.0, grid.n_steps), model.weight)])
+        tables = [rng.normal(size=shape), rng.uniform(-1.0, 1.0, size=shape) ** 3,
+                  np.outer(np.linspace(1.0, 0.0, grid.n_steps), model.weight)]
         for eta in (occupation_of_policy(model, grid, policy), uniform_occupation(model, grid)):
-            for tests in families:
-                got = check_characterization(model, grid, eta, tests)
-                want = tail_characterization_residual(model, grid, eta.masses, tests)
-                assert abs(got - want) <= 1e-12 * want
+            maxima = []
+            for tests in (default_test_functions(model, grid), tables):
+                got = table_scores(model, grid, eta, tests)
+                want = tail_characterization_scores(model, grid, eta.masses, tests)
+                assert np.max(np.abs(np.subtract(got, want))) <= 1e-12 * max(want)
+                maxima.append(max(got))
+            assert check_characterization(model, grid, eta) == maxima[0]
 
     def test_constant_test_function_balances_exactly(self):
         model = two_state_chain()
         grid = TimeGrid(1.0, 200)
         eta = occupation_of_policy(model, grid, MarkovPolicy.constant(model, 0, grid.n_nodes))
-        const = [np.full((grid.n_steps, model.n_states), 3.7)]
-        assert check_characterization(model, grid, eta, const) < 1e-12
+        const = np.full((grid.n_steps, model.n_states), 3.7)
+        assert table_scores(model, grid, eta, [const])[0] < 1e-12
 
     def test_weight_test_function_residual_small(self):
         model = two_state_chain()
         grid = TimeGrid(1.0, 1000)
         eta = occupation_of_policy(model, grid, MarkovPolicy.constant(model, 0, grid.n_nodes))
-        w_table = [np.tile(model.weight, (grid.n_steps, 1))]
-        assert check_characterization(model, grid, eta, w_table) < 1e-3
+        w_table = np.tile(model.weight, (grid.n_steps, 1))
+        assert table_scores(model, grid, eta, [w_table])[0] < 1e-3
 
     def test_residual_halves_under_refinement(self):
         model = two_state_chain()
@@ -248,24 +256,54 @@ class TestCharacterization:
         assert residuals[100] <= 5.0 * (1.0 / 100)  # residual <= C dt, C ~ O(1)
         assert residuals[200] <= 0.8 * residuals[100]
 
-    def test_shape_mismatch_rejected(self):
-        model = two_state_chain()
-        grid = TimeGrid(1.0, 10)
-        eta = occupation_of_policy(model, grid, MarkovPolicy.constant(model, 0, grid.n_nodes))
-        with pytest.raises(ValueError):
-            check_characterization(model, grid, eta, [np.zeros((3, 3))])
-
     @pytest.mark.parametrize("case", ["criterion7", "birth_death_m60"])
-    def test_default_family_streamed_equals_the_list(self, case):
-        # each streamed table is scored while it is current, so a table left
-        # set in the shared buffer, or an oracle list of aliases, shows up
+    def test_default_family_equals_the_full_scan(self, case):
+        # the screen returns the full scan's float, and the full scan's one
+        # buffer, set and cleared, scores as fresh tables do
         model, grid, eta = characterization_case(case)
-        listed = default_test_functions(model, grid)
-        streamed = [tail_characterization_scores(model, grid, eta.masses, [g])[0]
-                    for g in occupation._iter_test_functions(model, grid)]
-        assert streamed == tail_characterization_scores(model, grid, eta.masses, listed)
+        fresh = max(table_scores(model, grid, eta, default_test_functions(model, grid)))
         assert check_characterization(model, grid, eta) == \
-            check_characterization(model, grid, eta, listed)
+            full_scan_characterization(model, grid, eta) == fresh
+
+    @pytest.mark.parametrize("bad", ["all", "one"])
+    def test_nan_measure_scores_nan(self, bad):
+        # max() over the scores dropped NaN: an all-NaN grid scored 0.0 and
+        # one NaN mass left a finite residual
+        model = make_birth_death(1.0, 2.0, m=4, grid=2)
+        grid = TimeGrid(1.0, 40)
+        masses = uniform_occupation(model, grid).masses
+        if bad == "all":
+            masses[:] = np.nan
+        else:
+            masses[17, 3] = np.nan
+        assert math.isnan(check_characterization(model, grid, OccupationGrid(grid, masses)))
+
+    def test_screen_keeps_every_block_vdot_may_rank_first(self):
+        # entries of +-1e16 swamp 1, 3, -2 and 0.5, so a block's sum in row
+        # order and its vdot differ by units; on some tables the block that
+        # row order ranks first is not the maximum, and only the slack keeps
+        # the block that is. Weights 0 leave the blocks alone to decide.
+        rng = np.random.default_rng(2024)
+        values = np.array([1e16, -1e16, 1.0, 3.0, -2.0, 0.5])
+        zero = np.zeros(2)
+        reranked = 0
+        for _ in range(2000):
+            W = rng.choice(values, size=(16, 2))
+            want = full_scan_score(W, zero)
+            assert occupation._default_family_score(W, zero) == want
+            first = np.unravel_index(np.argmax(np.abs(np.add.reduceat(W, [0, 4, 8, 12]))), (4, 2))
+            g = np.zeros(W.shape)
+            g[4 * first[0]:4 * first[0] + 4, first[1]] = 1.0
+            reranked += abs(float(np.vdot(g, W))) != want
+        assert reranked > 0
+
+    def test_two_candidates_in_one_state_are_scored_apart(self):
+        # time bins 1 and 2 of state 1 tie at the maximum; an indicator left
+        # set would score the second as the sum of both blocks
+        W = np.zeros((8, 3))
+        W[2:6, 1] = 1.5
+        assert occupation._default_family_score(W, np.zeros(3)) == \
+            full_scan_score(W, np.zeros(3)) == 3.0
 
     def test_default_family_peak_memory_stays_under_four_tables(self):
         model, grid, eta = characterization_case("birth_death_m60")
