@@ -70,11 +70,15 @@ class TimeGrid:
         return max(1, math.ceil(steps)) if steps < math.inf else math.inf
 
     def check_stability(self, model: CtmdpModel) -> None:
+        """Refuse a step too coarse for the model, then a horizon not the model's."""
         if self.dt * model.max_q_star > STABILITY_CAP:
             raise GridStabilityError(self.n_steps, self.required_steps(model))
+        if self.horizon != model.horizon:
+            raise ValueError(f"grid horizon {self.horizon} differs from the model horizon "
+                             f"{model.horizon}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ValueGrid:
     """Value table g(i, t_k), one row per node."""
 
@@ -325,7 +329,7 @@ def evaluate_policy(model: CtmdpModel, grid: TimeGrid, policy: MarkovPolicy,
     return ValueGrid(grid=grid, values=g)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EnvelopeReport:
     """Per-state growth envelope check for a value table."""
 

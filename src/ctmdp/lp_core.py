@@ -27,7 +27,7 @@ _BLAND_AFTER = 40    # consecutive degenerate pivots before Bland engages
 _REFACTOR_EVERY = 256
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LpProblem:
     """Dense LP data; empty blocks may be passed as None. Every entry must be
     finite: a NaN or infinity is refused with a ValueError naming its block."""
@@ -64,7 +64,7 @@ def _block(A, b, n, label):
     return A, b
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LpSolution:
     """Solver outcome. x, y, objective are None unless status is optimal.
 

@@ -45,7 +45,7 @@ class Violation:
     message: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CtmdpModel:
     """Immutable CTMDP instance. All arrays are read-only after construction.
 
@@ -404,7 +404,7 @@ def auto_certificate(model: CtmdpModel) -> DriftCertificate:
 # -- Markov policies --------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MarkovPolicy:
     """Piecewise-constant-in-time Markov policy on a node grid.
 

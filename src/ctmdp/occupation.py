@@ -29,7 +29,7 @@ MASS_EPS = 1e-12       # cells below this total mass disintegrate to uniform
 _TIME_BINS = 4         # time bins per state among the default test tables
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OccupationGrid:
     """Nonnegative mass per (time cell, state-action pair), unit per cell.
 
@@ -103,9 +103,10 @@ def occupation_of_policy(model: CtmdpModel, grid: TimeGrid,
     return OccupationGrid(grid=grid, masses=y)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a mass that is not finite scores NaN
 def _residual_table(model: CtmdpModel, grid: TimeGrid, eta: OccupationGrid) -> np.ndarray:
     """W with <g, W> = L(g) - M(g) for every test table g (notes/decisions.md)."""
-    if eta.n_cells != grid.n_steps:
+    if eta.grid != grid or eta.n_cells != grid.n_steps:
         raise ValueError("occupation grid does not match the time grid")
     dt = grid.dt
     W = np.cumsum(eta.masses @ model.rate_rows, axis=0)
@@ -147,7 +148,8 @@ def check_characterization(model: CtmdpModel, grid: TimeGrid, eta: OccupationGri
     dt * sum_k sum_i g(i,t_k) ybar(k,i) - sum_i gamma(i) int g(i,.) dt.
     Measures produced by a consistent forward solve leave O(dt); measures
     that ignore the dynamics do not. The tables are the indicators of each
-    state on each of 4 time bins, w and w**2; a NaN mass gives NaN.
+    state on each of 4 time bins, w and w**2; a mass that is not finite, or
+    one that overflows, gives NaN. eta must be a measure on grid.
     """
     return _default_family_score(_residual_table(model, grid, eta), model.weight)
 
@@ -318,26 +320,11 @@ def _column_generation(model: CtmdpModel, grid: TimeGrid) -> _ColumnGeneration:
                              solves, len(columns), pivots)
 
 
-# One-slot handoff of a column-generation run from solve_constrained to the
-# next lagrangian_dual on the same problem: None or (weak model reference,
-# grid, run). Emptied by every lagrangian_dual, never read by
-# solve_constrained; see notes/decisions.md.
-_handoff: list = [None]
-
-
-def _leave_run(model: CtmdpModel, grid: TimeGrid, cg: _ColumnGeneration) -> None:
-    for arr in (cg.masses, cg.multipliers, None if cg.values is None else cg.values.values):
-        if arr is not None:
-            arr.flags.writeable = False
-    _handoff[0] = (weakref.ref(model), grid, cg)
-
-
-def _take_run(model: CtmdpModel, grid: TimeGrid) -> _ColumnGeneration:
-    """The run solve_constrained left for this problem, else a fresh one."""
-    slot, _handoff[0] = _handoff[0], None
-    if slot is not None and slot[0]() is model and slot[1] == grid:
-        return slot[2]
-    return _column_generation(model, grid)
+# Handoff of a column-generation run from solve_constrained to the next
+# lagrangian_dual on the same problem: model -> (grid, run), at most one
+# entry. Emptied by every lagrangian_dual, never read by solve_constrained;
+# see notes/decisions.md.
+_handoff = weakref.WeakKeyDictionary()
 
 
 class ConstrainedResult(NamedTuple):
@@ -406,7 +393,11 @@ def solve_constrained(model: CtmdpModel, grid: TimeGrid) -> ConstrainedResult:
     and grid, which certifies it without repeating the loop.
     """
     cg = _column_generation(model, grid)
-    _leave_run(model, grid, cg)
+    for arr in (cg.masses, cg.multipliers, None if cg.values is None else cg.values.values):
+        if arr is not None:
+            arr.flags.writeable = False
+    _handoff.clear()
+    _handoff[model] = (grid, cg)
     if cg.status != "optimal":
         sol = lp_core.LpSolution(cg.status, None, None, None, cg.n_pivots)
         return ConstrainedResult(sol, None, None, cg.n_columns)
@@ -417,7 +408,7 @@ def solve_constrained(model: CtmdpModel, grid: TimeGrid) -> ConstrainedResult:
 # -- Lagrangian dual ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DualCertificate:
     """Outcome of the dual maximization, with the duality gap report.
 
@@ -472,7 +463,9 @@ def lagrangian_dual(model: CtmdpModel, grid: TimeGrid,
     same bit for bit, and n_solves counts the pricing solves of that run. Any
     other call runs the loop afresh.
     """
-    cg = _take_run(model, grid)
+    left = _handoff.pop(model, None)
+    _handoff.clear()
+    cg = left[1] if left is not None and left[0] == grid else _column_generation(model, grid)
     if cg.status == "infeasible":
         raise RuntimeError("constrained LP is infeasible; no primal value to certify against")
     u_best, dual_value, _ = max(cg.samples, key=lambda s: s[1])

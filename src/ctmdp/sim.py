@@ -27,7 +27,7 @@ from .model import CtmdpModel, DriftCertificate, MarkovPolicy, _checked_index
 _MAX_ROUNDS_SLACK = 2000  # cap on thinning rounds beyond the expected count
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
     """One simulated path: jump epochs, visited states, sojourn actions.
 
@@ -186,7 +186,7 @@ def _integral_fn(table: np.ndarray, dt_cells: float, t_end: float, horizon: floa
 _GUIDE = 256  # guide-table buckets per pair; a power of two, so u * _GUIDE is exact
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _JumpTable:
     """Per-pair tables for choosing the target of an accepted jump.
 
@@ -212,14 +212,15 @@ class _JumpTable:
     guide: np.ndarray | None = None  # (n_pairs * (_GUIDE + 1),)
 
 
-_jumps: list = [None]  # the last table built: None or (weak model reference, table)
+_jumps = weakref.WeakKeyDictionary()  # the last model simulated -> its table
 
 
 def _jump_table(model: CtmdpModel) -> _JumpTable:
     """The model's read-only jump table, built on its first call; simulate and
     _run_batch share it, and _jumps keeps no model alive."""
-    if _jumps[0] is not None and _jumps[0][0]() is model:
-        return _jumps[0][1]
+    jumps = _jumps.get(model)
+    if jumps is not None:
+        return jumps
     n = model.n_states
     pairs = np.arange(model.n_pairs)
     rows = model.rate_rows.copy()
@@ -244,7 +245,8 @@ def _jump_table(model: CtmdpModel) -> _JumpTable:
     jumps = replace(jumps, guide=guide.ravel())
     for arr in vars(jumps).values():
         arr.flags.writeable = False
-    _jumps[0] = (weakref.ref(model), jumps)
+    _jumps.clear()
+    _jumps[model] = jumps
     return jumps
 
 

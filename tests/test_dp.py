@@ -12,7 +12,7 @@ from ctmdp.dp import (GridStabilityError, NumericsError, TimeGrid, ValueGrid,
 from ctmdp.model import (CtmdpModel, DriftCertificate, MarkovPolicy, ModelFormatError,
                          auto_certificate, birth_death_certificate, cost_bound_from_tables,
                          certify_drift, make_birth_death)
-from ctmdp.occupation import occupation_of_policy
+from ctmdp.occupation import build_constrained_lp, occupation_of_policy
 from ctmdp.sim import check_forward_kolmogorov, check_weight_bound, mc_value, simulate
 from oracles import (argmin_stage_solve_backward, csv_writer_policy_table,
                      csv_writer_value_table, dense_policy_value, expm_policy_value,
@@ -151,6 +151,24 @@ class TestTimeGrid:
         assert TimeGrid(1e308, 1).required_steps(model) == math.inf
         with pytest.raises(GridStabilityError, match="no finite step count is stable"):
             solve_backward(model, TimeGrid(1e308, 10))
+
+    @pytest.mark.parametrize("route", ["solve_backward", "evaluate_policy",
+                                       "occupation_of_policy", "build_constrained_lp"])
+    def test_grid_of_another_horizon_rejected(self, route):
+        # a horizon-1 model on a horizon-2 grid gave horizon-2 values, while
+        # the simulator and the value envelope read the model's horizon
+        model = make_birth_death(1.0, 2.0, m=4, grid=2,
+                                 cost_fns=[lambda i, a1, a2: i, lambda i, a1, a2: a1],
+                                 constraint_bounds=[0.5])
+        grid = TimeGrid(2.0, 80)
+        policy = MarkovPolicy.uniform(model, grid.n_nodes)
+        calls = {"solve_backward": lambda: solve_backward(model, grid),
+                 "evaluate_policy": lambda: evaluate_policy(model, grid, policy),
+                 "occupation_of_policy": lambda: occupation_of_policy(model, grid, policy),
+                 "build_constrained_lp": lambda: build_constrained_lp(model, grid)}
+        message = r"grid horizon 2\.0 differs from the model horizon 1\.0"
+        with pytest.raises(ValueError, match=message):
+            calls[route]()
 
     def test_grid_rejects_nonpositive(self):
         with pytest.raises(ValueError):

@@ -1,3 +1,5 @@
+import copy
+import dataclasses
 import json
 import math
 import warnings
@@ -5,11 +7,15 @@ import warnings
 import numpy as np
 import pytest
 
+from ctmdp.dp import TimeGrid, check_value_envelope, solve_backward
+from ctmdp.lp_core import LpProblem, solve_lp
 from ctmdp.model import (CtmdpModel, DriftCertificate, MarkovPolicy,
                          ModelFormatError, auto_certificate,
                          birth_death_certificate, certify_drift,
                          cost_bound_from_tables, load_model, make_birth_death,
                          linear_cost, model_from_dict, model_to_dict, validate_model)
+from ctmdp.occupation import lagrangian_dual, occupation_of_policy
+from ctmdp.sim import _jump_table, simulate
 from oracles import (loop_birth_death_tables, loop_model_to_dict, random_instance,
                      sum_auto_certificate)
 
@@ -484,3 +490,45 @@ class TestTruncationExample:
         expected = (math.exp(3.0) + (1.0 / 3.0) * (math.exp(3.0) - 1.0)) / 20.0
         assert truncation_error_bound(model, cert) == pytest.approx(expected, rel=1e-12)
         assert expected == pytest.approx(1.32237, abs=5e-6)
+
+
+@pytest.fixture(scope="module")
+def records():
+    """One instance of each frozen record that holds arrays, on a small
+    constrained birth-death model."""
+    model = make_birth_death(1.0, 2.0, m=3, grid=2,
+                             cost_fns=[lambda i, a1, a2: i, lambda i, a1, a2: a1],
+                             constraint_bounds=[1.0])
+    grid = TimeGrid(1.0, 20)
+    values, policy = solve_backward(model, grid)
+    problem = LpProblem(c=[1.0, 2.0], A_eq=[[1.0, 1.0]], b_eq=[1.0])
+    return {"MarkovPolicy": policy, "ValueGrid": values,
+            "EnvelopeReport": check_value_envelope(model, auto_certificate(model), values),
+            "OccupationGrid": occupation_of_policy(model, grid, policy),
+            "DualCertificate": lagrangian_dual(model, grid),
+            "Trajectory": simulate(model, policy, 0, seed=1),
+            "_JumpTable": _jump_table(model),
+            "LpProblem": problem, "LpSolution": solve_lp(problem)}
+
+
+class TestIdentity:
+    """Models and the records that hold arrays compare and hash by identity;
+    comparing their arrays field by field raised ValueError."""
+
+    def test_a_model_is_a_set_member_and_a_dict_key(self):
+        model = two_state_chain()
+        assert model in {model}
+        assert {model: 1}[model] == 1
+
+    def test_an_equal_model_is_another_key(self):
+        model = two_state_chain()
+        assert model not in [dataclasses.replace(model)]  # equal tables, another object
+
+    @pytest.mark.parametrize("name", ["MarkovPolicy", "ValueGrid", "EnvelopeReport",
+                                      "OccupationGrid", "DualCertificate", "Trajectory",
+                                      "_JumpTable", "LpProblem", "LpSolution"])
+    def test_a_record_is_not_its_copy(self, records, name):
+        record = records[name]
+        twin = copy.copy(record)
+        assert record not in [twin]
+        assert len({record, twin}) == 2

@@ -191,6 +191,9 @@ class TestCharacterization:
         eta = uniform_occupation(model, TimeGrid(1.0, 10))
         with pytest.raises(ValueError, match="occupation grid does not match the time grid"):
             check_characterization(model, TimeGrid(1.0, 20), eta)
+        # the same cell count on twice the horizon was scored with twice the step
+        with pytest.raises(ValueError, match="occupation grid does not match the time grid"):
+            check_characterization(model, TimeGrid(2.0, 10), eta)
 
     @pytest.mark.parametrize("case", REASSOCIATION_CASES)
     def test_matches_the_tail_quadrature_oracle(self, case):
@@ -265,17 +268,21 @@ class TestCharacterization:
         assert check_characterization(model, grid, eta) == \
             full_scan_characterization(model, grid, eta) == fresh
 
-    @pytest.mark.parametrize("bad", ["all", "one"])
-    def test_nan_measure_scores_nan(self, bad):
+    @pytest.mark.parametrize("bad, mass", [("all", np.nan), ("one", np.nan),
+                                           ("one", math.inf), ("one", 1e308)],
+                             ids=["all", "one", "inf", "overflow"])
+    def test_nan_measure_scores_nan(self, bad, mass):
         # max() over the scores dropped NaN: an all-NaN grid scored 0.0 and
-        # one NaN mass left a finite residual
+        # one NaN mass left a finite residual; inf times a zero rate and 1e308
+        # times a rate raised numpy's RuntimeWarning, an error under the
+        # warnings filter
         model = make_birth_death(1.0, 2.0, m=4, grid=2)
         grid = TimeGrid(1.0, 40)
         masses = uniform_occupation(model, grid).masses
         if bad == "all":
-            masses[:] = np.nan
+            masses[:] = mass
         else:
-            masses[17, 3] = np.nan
+            masses[17, 3] = mass
         assert math.isnan(check_characterization(model, grid, OccupationGrid(grid, masses)))
 
     def test_screen_keeps_every_block_vdot_may_rank_first(self):
@@ -699,9 +706,9 @@ class TestColumnGeneration:
 
 @pytest.fixture
 def empty_handoff():
-    occupation._handoff[0] = None
+    occupation._handoff.clear()
     yield
-    occupation._handoff[0] = None
+    occupation._handoff.clear()
 
 
 @pytest.fixture
@@ -730,7 +737,7 @@ class TestColumnGenerationHandoff:
         assert cert.n_solves == n_solves
         assert len(counted_solves) == n_solves + 1  # the RK4 re-evaluation only
         assert counted_solves[-1] == "rk4"
-        assert occupation._handoff == [None]
+        assert not occupation._handoff
 
     def test_second_solve_reruns_the_loop(self, counted_solves):
         model, grid = CG_CASES["random_n1"]()
@@ -778,7 +785,7 @@ class TestColumnGenerationHandoff:
     def test_handed_out_arrays_are_read_only(self):
         model, grid = CG_CASES["random_n1"]()
         result = solve_constrained(model, grid)
-        cg = occupation._handoff[0][2]
+        cg = occupation._handoff[model][1]
         for arr in (cg.masses, cg.multipliers, cg.values.values, result.occupation.masses):
             assert not arr.flags.writeable
         with pytest.raises(ValueError):
@@ -791,7 +798,7 @@ class TestColumnGenerationHandoff:
         del model
         gc.collect()
         assert ref() is None
-        assert occupation._handoff[0][0]() is None
+        assert not occupation._handoff  # the run went with its model
 
 
 class TestSamplesCsvByteIdentity:

@@ -530,6 +530,7 @@ class TestJumpTableReuse:
         del model
         gc.collect()
         assert ref() is None
+        assert not sim._jumps  # the table went with its model
 
     def test_a_new_model_gets_its_own_table(self):
         a, b = two_state_chain(), make_birth_death(1.0, 2.0, m=4, grid=2)
