@@ -319,6 +319,10 @@ def main(argv=None) -> int:
     except (ModelFormatError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    except MemoryError as exc:
+        print(f"error: the problem is too large to hold in memory ({exc}); "
+              "reduce --m, --agrid, --steps or --replicates", file=sys.stderr)
+        return USAGE_ERROR
     except (dp.GridStabilityError, dp.NumericsError) as exc:
         print(f"{exc}", file=sys.stderr)
         return DOMAIN_ERROR

@@ -13,6 +13,7 @@ and the LP's Euler masses (occupation._euler_forward_masses).
 from __future__ import annotations
 
 import math
+import numbers
 from collections import namedtuple
 from dataclasses import dataclass
 
@@ -47,6 +48,8 @@ class TimeGrid:
     n_steps: int
 
     def __post_init__(self):
+        if isinstance(self.n_steps, bool) or not isinstance(self.n_steps, numbers.Integral):
+            raise ValueError(f"n_steps must be an integer, got {self.n_steps}")
         if self.n_steps < 1:
             raise ValueError("n_steps must be at least 1")
         if not 0 < self.horizon < math.inf:

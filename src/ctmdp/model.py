@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import sys
 from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
@@ -221,8 +222,10 @@ def _point_mass(n: int, state: int = 0) -> np.ndarray:
 
 
 def _checked_index(value, size: int, name: str, kind: str = "state") -> int:
-    """value as an index into size states (or cost tables), else an error naming it."""
-    if not 0 <= value < size:
+    """value, an integer other than a bool, as an index into size states (or
+    cost tables), else an error naming it."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or not 0 <= value < size):
         raise ModelFormatError(f"{name} {value} is not a {kind} index in 0..{size - 1}")
     return int(value)
 

@@ -16,7 +16,6 @@ time), so Monte Carlo estimators only need the visited states and sojourns.
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -212,15 +211,8 @@ class _JumpTable:
     guide: np.ndarray | None = None  # (n_pairs * (_GUIDE + 1),)
 
 
-_jumps = weakref.WeakKeyDictionary()  # the last model simulated -> its table
-
-
 def _jump_table(model: CtmdpModel) -> _JumpTable:
-    """The model's read-only jump table, built on its first call; simulate and
-    _run_batch share it, and _jumps keeps no model alive."""
-    jumps = _jumps.get(model)
-    if jumps is not None:
-        return jumps
+    """The model's jump table, built anew by each simulate and _run_batch call."""
     n = model.n_states
     pairs = np.arange(model.n_pairs)
     rows = model.rate_rows.copy()
@@ -242,12 +234,7 @@ def _jump_table(model: CtmdpModel) -> _JumpTable:
     target = _target(jumps, pairs[:, None], count[:, :-1])
     guide = np.full((model.n_pairs, _GUIDE + 1), -1, dtype=np.int64)
     guide[:, :-1] = np.where(count[:, :-1] == count[:, 1:], target, -1)
-    jumps = replace(jumps, guide=guide.ravel())
-    for arr in vars(jumps).values():
-        arr.flags.writeable = False
-    _jumps.clear()
-    _jumps[model] = jumps
-    return jumps
+    return replace(jumps, guide=guide.ravel())
 
 
 def _slot_count(jumps: _JumpTable, ka: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -434,14 +421,14 @@ def check_forward_kolmogorov(model: CtmdpModel, policy: MarkovPolicy, i0: int,
     """Estimate both sides of the transient-balance identity and difference them."""
     if not 0 < t <= model.horizon:
         raise ValueError("need 0 < t <= horizon")
-    subset = set(int(b) for b in subset)
+    subset = sorted({_checked_index(b, model.n_states, "subset") for b in subset})
     # the rate into B, q(B|i,a): the diagonal counts whenever i itself lies in B
     indicator = np.zeros(model.n_states)
-    indicator[[_checked_index(b, model.n_states, "subset") for b in subset]] = 1.0
+    indicator[subset] = 1.0
     acc, captured = _run_batch(model, policy, i0, replicates, seed, t,
                                model.rate_rows @ indicator)
-    in_b = np.isin(captured, sorted(subset)).astype(float)
-    flow = float(int(i0) in subset) + acc
+    in_b = np.isin(captured, subset).astype(float)
+    flow = float(i0 in subset) + acc
     res = _estimate(in_b - flow)
     return FlowIdentityCheck(residual=res.mean, se=res.se, count=res.count,
                              occupancy=float(np.mean(in_b)),

@@ -68,6 +68,18 @@ class TestExitCodes:
             main(["solve", "--frobnicate", "--out", str(tmp_path)])
         assert err.value.code == 2
 
+    @pytest.mark.parametrize("command, extra", [
+        ("solve", ["--steps", "25000000000000000"]),
+        ("simulate", ["--replicates", "125000000000000000"])], ids=["steps", "replicates"])
+    def test_oversized_problem_is_usage_error(self, tmp_path, capsys, command, extra):
+        # the first large array is 888 PiB, which no address space holds
+        code = main([command, *preset_args(*extra, out=tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error: the problem is too large to hold in memory (Unable to allocate" in err
+        assert "reduce --m, --agrid, --steps or --replicates" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("command, extra", [("solve", []), ("constrain", ["--d", "1=0.5"]),
                                                 ("simulate", [])],
                              ids=["solve", "constrain", "simulate"])

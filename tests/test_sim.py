@@ -7,7 +7,7 @@ import pytest
 
 from ctmdp import sim
 from ctmdp.dp import TimeGrid, solve_backward
-from ctmdp.model import (CtmdpModel, MarkovPolicy, birth_death_certificate,
+from ctmdp.model import (CtmdpModel, MarkovPolicy, ModelFormatError, birth_death_certificate,
                          cost_bound_from_tables, certify_drift, make_birth_death)
 from ctmdp.sim import (_GUIDE, _draw_local, _jump_table, _jump_targets, _run_batch,
                        check_forward_kolmogorov, check_weight_bound, mc_value, simulate)
@@ -197,6 +197,39 @@ class TestIndexArguments:
         with pytest.raises(ValueError,
                            match=f"cost_index {cost_index} is not a cost table index in 0..1"):
             mc_value(model, policy, 0, cost_index, 100, seed=1)
+
+    @pytest.mark.parametrize("i0", [2.7, True, np.float64(1.0)], ids=["2.7", "True", "np.float64"])
+    def test_initial_state_that_is_not_an_integer(self, i0):
+        # each was read as int(i0): 2.7 started at state 2, True at state 1
+        model, policy, cert = self.setup()
+        calls = [lambda: mc_value(model, policy, i0, 0, 100, seed=1),
+                 lambda: check_forward_kolmogorov(model, policy, i0, {1}, 1.0, 100, seed=1),
+                 lambda: check_weight_bound(model, cert, policy, i0, 1.0, 100, seed=1),
+                 lambda: check_weight_bound(model, cert, policy, i0, 0.0, 100, seed=1),
+                 lambda: simulate(model, policy, i0, seed=1)]
+        for call in calls:
+            with pytest.raises(ModelFormatError, match=f"i0 {i0} is not a state index in 0..3"):
+                call()
+        path = simulate(model, policy, np.int64(3), seed=1)  # a numpy integer is an index
+        assert np.array_equal(path.states, simulate(model, policy, 3, seed=1).states)
+
+    @pytest.mark.parametrize("b", [1.5, True], ids=["1.5", "True"])
+    def test_subset_state_that_is_not_an_integer(self, b):
+        model, policy, _ = self.setup()
+        with pytest.raises(ModelFormatError, match=f"subset {b} is not a state index in 0..3"):
+            check_forward_kolmogorov(model, policy, 0, [b], 1.0, 100, seed=1)
+        check = check_forward_kolmogorov(model, policy, 3, [np.int64(3)], 1.0, 100, seed=1)
+        assert check.residual == check_forward_kolmogorov(model, policy, 3, [3], 1.0, 100,
+                                                          seed=1).residual
+
+    @pytest.mark.parametrize("cost_index", [True, 1.0], ids=["True", "1.0"])
+    def test_cost_index_that_is_not_an_integer(self, cost_index):
+        model, policy, _ = self.setup()
+        with pytest.raises(ModelFormatError,
+                           match=f"cost_index {cost_index} is not a cost table index in 0..1"):
+            mc_value(model, policy, 0, cost_index, 100, seed=1)
+        est = mc_value(model, policy, 0, np.int64(1), 100, seed=1)
+        assert est.mean == mc_value(model, policy, 0, 1, 100, seed=1).mean
 
 
 class TestRoundCap:
@@ -508,29 +541,15 @@ class TestRunBatchSeed:
 
 
 class TestJumpTableReuse:
-    def test_simulate_and_the_batch_engine_share_one_table(self, monkeypatch):
-        model = two_state_chain(horizon=8.0)
-        pol = still_policy(model)
-        table = _jump_table(model)
-
-        def no_build(**fields):
-            raise AssertionError("a second jump table was built for the model")
-
-        monkeypatch.setattr(sim, "_JumpTable", no_build)
-        for seed in range(3):
-            simulate(model, pol, 0, seed=seed)
-        mc_value(model, pol, 0, 0, 200, seed=4)
-        assert _jump_table(model) is table
-        assert not any(arr.flags.writeable for arr in vars(table).values())
-
     def test_the_table_keeps_no_model_alive(self):
         model = two_state_chain()
         simulate(model, still_policy(model), 0, seed=1)
+        mc_value(model, still_policy(model), 0, 0, 200, seed=4)
+        assert weakref.getweakrefcount(model) == 0  # no module map holds the model
         ref = weakref.ref(model)
         del model
         gc.collect()
         assert ref() is None
-        assert not sim._jumps  # the table went with its model
 
     def test_a_new_model_gets_its_own_table(self):
         a, b = two_state_chain(), make_birth_death(1.0, 2.0, m=4, grid=2)
