@@ -237,12 +237,12 @@ def cmd_simulate(args) -> int:
         policy = MarkovPolicy.uniform(model, grid.n_nodes)
 
     path = sim.simulate(model, policy, i0, args.seed)
-    path.write_csv(model, os.path.join(args.out, "trajectory.csv"))
     estimate = sim.mc_value(model, policy, i0, 0, args.replicates, args.seed)
     fk = sim.check_forward_kolmogorov(model, policy, i0, subset, t_check,
                                       args.replicates, args.seed + 1)
     wb = sim.check_weight_bound(model, cert, policy, i0, t_check,
                                 args.replicates, args.seed + 2)
+    path.write_csv(model, os.path.join(args.out, "trajectory.csv"))
     lines = {
         "mc_mean": estimate.mean, "mc_se": estimate.se, "replicates": estimate.count,
         "fk_residual": fk.residual, "fk_se": fk.se,

@@ -13,13 +13,12 @@ and the LP's Euler masses (occupation._euler_forward_masses).
 from __future__ import annotations
 
 import math
-import numbers
 from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import CtmdpModel, DriftCertificate, MarkovPolicy, _checked_index
+from .model import CtmdpModel, DriftCertificate, MarkovPolicy, _checked_index, _integer
 
 STABILITY_CAP = 0.5  # dt * max_i q*(i) must stay below this
 ENVELOPE_SLACK = 1e-6  # relative slack of the value-envelope check
@@ -48,7 +47,7 @@ class TimeGrid:
     n_steps: int
 
     def __post_init__(self):
-        if isinstance(self.n_steps, bool) or not isinstance(self.n_steps, numbers.Integral):
+        if _integer(self.n_steps) is None:
             raise ValueError(f"n_steps must be an integer, got {self.n_steps}")
         if self.n_steps < 1:
             raise ValueError("n_steps must be at least 1")

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
+import operator
 import sys
 from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
@@ -221,13 +221,23 @@ def _point_mass(n: int, state: int = 0) -> np.ndarray:
     return gamma
 
 
+def _integer(value) -> int | None:
+    """value as an int if it is an integer (operator.index) other than a bool, else None."""
+    if isinstance(value, bool):
+        return None
+    try:
+        return operator.index(value)
+    except TypeError:
+        return None
+
+
 def _checked_index(value, size: int, name: str, kind: str = "state") -> int:
-    """value, an integer other than a bool, as an index into size states (or
-    cost tables), else an error naming it."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
-            or not 0 <= value < size):
+    """value, an integer, as an index into size states (or cost tables), else
+    an error naming it."""
+    index = _integer(value)
+    if index is None or not 0 <= index < size:
         raise ModelFormatError(f"{name} {value} is not a {kind} index in 0..{size - 1}")
-    return int(value)
+    return index
 
 
 def _rate_rows_of(rows, i: int, n_actions: int, n: int) -> np.ndarray:

@@ -16,6 +16,7 @@ time), so Monte Carlo estimators only need the visited states and sojourns.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -211,8 +212,15 @@ class _JumpTable:
     guide: np.ndarray | None = None  # (n_pairs * (_GUIDE + 1),)
 
 
+_jumps = weakref.WeakKeyDictionary()  # the last model simulated -> its table
+
+
 def _jump_table(model: CtmdpModel) -> _JumpTable:
-    """The model's jump table, built anew by each simulate and _run_batch call."""
+    """The model's read-only jump table, built on its first call; simulate and
+    _run_batch share it, and _jumps keeps no model alive."""
+    jumps = _jumps.get(model)
+    if jumps is not None:
+        return jumps
     n = model.n_states
     pairs = np.arange(model.n_pairs)
     rows = model.rate_rows.copy()
@@ -234,7 +242,12 @@ def _jump_table(model: CtmdpModel) -> _JumpTable:
     target = _target(jumps, pairs[:, None], count[:, :-1])
     guide = np.full((model.n_pairs, _GUIDE + 1), -1, dtype=np.int64)
     guide[:, :-1] = np.where(count[:, :-1] == count[:, 1:], target, -1)
-    return replace(jumps, guide=guide.ravel())
+    jumps = replace(jumps, guide=guide.ravel())
+    for arr in vars(jumps).values():
+        arr.flags.writeable = False
+    _jumps.clear()
+    _jumps[model] = jumps
+    return jumps
 
 
 def _slot_count(jumps: _JumpTable, ka: np.ndarray, u: np.ndarray) -> np.ndarray:

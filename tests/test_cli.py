@@ -79,6 +79,7 @@ class TestExitCodes:
         assert "error: the problem is too large to hold in memory (Unable to allocate" in err
         assert "reduce --m, --agrid, --steps or --replicates" in err
         assert "Traceback" not in err
+        assert not any(tmp_path.iterdir())  # nothing written before the refusal
 
     @pytest.mark.parametrize("command, extra", [("solve", []), ("constrain", ["--d", "1=0.5"]),
                                                 ("simulate", [])],

@@ -5,7 +5,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ctmdp import sim
 from ctmdp.dp import (GridStabilityError, NumericsError, TimeGrid, ValueGrid,
                       check_value_envelope, evaluate_policy, scalarize_costs,
                       solve_backward, truncation_error_bound, value_envelope,
@@ -171,12 +170,12 @@ class TestTimeGrid:
         with pytest.raises(ValueError, match=message):
             calls[route]()
 
-    @pytest.mark.parametrize("n_steps", [2.5, 240.5, 240.0, True])
-    def test_step_count_must_be_an_integer(self, n_steps):
+    def test_step_count_must_be_an_integer(self):
         # 2.5 read as "use n_steps >= 24"; 240.5 passed the stability check
         # and failed in np.zeros
-        with pytest.raises(ValueError, match=f"^n_steps must be an integer, got {n_steps}$"):
-            TimeGrid(1.0, n_steps)
+        for n_steps in (2.5, 240.5, 240.0, True):
+            with pytest.raises(ValueError, match=f"^n_steps must be an integer, got {n_steps}$"):
+                TimeGrid(1.0, n_steps)
         assert TimeGrid(1.0, np.int64(240)).n_nodes == 241
 
     def test_grid_rejects_nonpositive(self):
@@ -501,13 +500,9 @@ class TestEvaluatePolicy:
         assert peak < table_bytes, f"peak {peak} B, one (nodes x pairs) table {table_bytes} B"
 
     @pytest.mark.parametrize("route", ["mc_value", "check_forward_kolmogorov", "simulate"])
-    def test_monte_carlo_routes_hold_no_node_by_pair_table(self, monkeypatch, route):
-        # the thinning engines look a deterministic policy's pairs up by index;
-        # each call's jump table (pairs x (states + 257), whatever the node
-        # count) is built once here and handed to the measured call
+    def test_monte_carlo_routes_hold_no_node_by_pair_table(self, route):
+        # the thinning engines look a deterministic policy's pairs up by index
         model, grid, policy = played_set_case("birth_death60_optimal")
-        jumps = sim._jump_table(model)
-        monkeypatch.setattr(sim, "_jump_table", lambda model: jumps)
         run = {"mc_value": lambda: mc_value(model, policy, 30, 0, 200, seed=1),
                "check_forward_kolmogorov": lambda: check_forward_kolmogorov(
                    model, policy, 30, [29, 30], 0.5, 200, seed=1),

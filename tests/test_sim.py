@@ -199,16 +199,16 @@ class TestIndexArguments:
                            match=f"cost_index {cost_index} is not a cost table index in 0..1"):
             mc_value(model, policy, 0, cost_index, 100, seed=1)
 
-    @pytest.mark.parametrize("b", [1.5, True])
-    def test_subset_state_that_is_not_an_integer(self, b):
+    def test_subset_state_that_is_not_an_integer(self):
         # int(b) read 1.5 as state 1
         model, policy, _ = self.setup()
-        with pytest.raises(ValueError, match=f"subset {b} is not a state index in 0..3"):
-            check_forward_kolmogorov(model, policy, 0, [1, b], 1.0, 100, seed=1)
-        three = np.int64(3)  # numpy integers are indices
-        got = check_forward_kolmogorov(model, policy, three, [three], 1.0, 100, seed=1)
-        assert got.residual == check_forward_kolmogorov(model, policy, 3, [3], 1.0, 100,
-                                                        seed=1).residual
+        for b in (1.5, True):
+            with pytest.raises(ValueError, match=f"subset {b} is not a state index in 0..3"):
+                check_forward_kolmogorov(model, policy, 0, [1, b], 1.0, 100, seed=1)
+        want = check_forward_kolmogorov(model, policy, 3, [3], 1.0, 100, seed=1).residual
+        for three in (np.int64(3), np.array(3)):  # numpy integers are indices
+            got = check_forward_kolmogorov(model, policy, three, [three], 1.0, 100, seed=1)
+            assert got.residual == want
 
 
 class TestRoundCap:
@@ -520,15 +520,29 @@ class TestRunBatchSeed:
 
 
 class TestJumpTableReuse:
+    def test_simulate_and_the_batch_engine_share_one_table(self, monkeypatch):
+        model = two_state_chain(horizon=8.0)
+        pol = still_policy(model)
+        table = _jump_table(model)
+
+        def no_build(**fields):
+            raise AssertionError("a second jump table was built for the model")
+
+        monkeypatch.setattr(sim, "_JumpTable", no_build)
+        for seed in range(3):
+            simulate(model, pol, 0, seed=seed)
+        mc_value(model, pol, 0, 0, 200, seed=4)
+        assert _jump_table(model) is table
+        assert not any(arr.flags.writeable for arr in vars(table).values())
+
     def test_the_table_keeps_no_model_alive(self):
         model = two_state_chain()
         simulate(model, still_policy(model), 0, seed=1)
-        mc_value(model, still_policy(model), 0, 0, 200, seed=4)
-        assert weakref.getweakrefcount(model) == 0  # no module map holds the model
         ref = weakref.ref(model)
         del model
         gc.collect()
         assert ref() is None
+        assert not sim._jumps  # the table went with its model
 
     def test_a_new_model_gets_its_own_table(self):
         a, b = two_state_chain(), make_birth_death(1.0, 2.0, m=4, grid=2)
