@@ -1,0 +1,56 @@
+"""Wall time and traced peak memory of the randomized Monte Carlo batches.
+
+Usage (from the root of a source checkout):
+
+    PYTHONPATH=src python3 scripts/batch_probe.py [M ...]
+
+For each truncation level M (default 60 150) the script builds the
+birth-death preset (lambda=1, mu=2, grid 3, horizon 1, uniform start) at its
+minimum stable step count and plays the uniform randomized policy from state
+M // 2 with 20000 paths and seed 1 through three batch estimators:
+``mc_value`` of cost 0, ``check_forward_kolmogorov`` of the subset
+{M // 2 - 1, M // 2} at t = 0.5 and ``check_weight_bound`` at t = 0.5. Each
+runs three times untraced, for the best wall time, and once more under
+``tracemalloc``, for the peak it allocates beyond its inputs. One JSON object
+is printed, keyed ``m<M>-<estimator>``, each value [seconds, peak bytes]. The
+``ctmdp`` package is imported from ``PYTHONPATH``, so running this on two
+trees compares them.
+"""
+
+from __future__ import annotations
+
+import json
+import sys
+
+import numpy as np
+
+from scale_probe import measured
+
+from ctmdp.dp import TimeGrid
+from ctmdp.model import MarkovPolicy, birth_death_certificate, make_birth_death
+from ctmdp.sim import check_forward_kolmogorov, check_weight_bound, mc_value
+
+PATHS = 20000
+
+
+def main(argv: list[str]) -> int:
+    out = {}
+    for m in [int(a) for a in argv] or [60, 150]:
+        model = make_birth_death(1.0, 2.0, m=m, grid=3, initial_dist=np.full(m, 1.0 / m))
+        grid = TimeGrid(1.0, TimeGrid(1.0, 1).required_steps(model))
+        policy = MarkovPolicy.uniform(model, grid.n_nodes)
+        cert, i0 = birth_death_certificate(1.0, 2.0), m // 2
+        runs = {"mc_value": lambda: mc_value(model, policy, i0, 0, PATHS, 1),
+                "check_forward_kolmogorov": lambda: check_forward_kolmogorov(
+                    model, policy, i0, [i0 - 1, i0], 0.5, PATHS, 1),
+                "check_weight_bound": lambda: check_weight_bound(
+                    model, cert, policy, i0, 0.5, PATHS, 1)}
+        for name, run in runs.items():
+            _, seconds, peak = measured(run)
+            out[f"m{m}-{name}"] = [seconds, peak]
+    print(json.dumps(out))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -1,4 +1,4 @@
-"""SHA-256 digests of every file the thirteen standard CLI runs write.
+"""SHA-256 digests of every file the fourteen standard CLI runs write.
 
 Usage (from the root of a source checkout):
 
@@ -71,6 +71,10 @@ RUNS = {
                             "--t-check", "0.4", "--subset", "0,3"],
     "simulate-m20-uniform": ["simulate", *PRESET, "--m", "20", "--replicates", "20000",
                              "--policy", "uniform"],
+    # a repeated subset member, i0 = 0 outside the subset, randomized draws 16 slots wide
+    "simulate-m20-subset-repeat": ["simulate", *PRESET, "--m", "20", "--agrid", "4",
+                                   "--policy", "uniform", "--replicates", "20000",
+                                   "--subset", "5,2,5"],
     "validate-m20": ["validate", *PRESET, "--m", "20"],
     "validate-explicit": ["validate", "--model", "{explicit}"],
     "solve-explicit": ["solve", "--model", "{explicit}", "--steps", "400"],

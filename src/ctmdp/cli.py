@@ -320,8 +320,13 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except MemoryError as exc:
-        print(f"error: the problem is too large to hold in memory ({exc}); "
-              "reduce --m, --agrid, --steps or --replicates", file=sys.stderr)
+        sizes = [f"the model in {args.model}"] if args.model else ["--m", "--agrid"]
+        sizes += [flag for flag in ("--steps", "--replicates") if hasattr(args, flag[2:])]
+        *rest, last = sizes
+        named = f"{', '.join(rest)} or {last}" if rest else last
+        detail = f" ({exc})" if str(exc) else ""
+        print(f"error: the problem is too large to hold in memory{detail}; reduce {named}",
+              file=sys.stderr)
         return USAGE_ERROR
     except (dp.GridStabilityError, dp.NumericsError) as exc:
         print(f"{exc}", file=sys.stderr)

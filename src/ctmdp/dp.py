@@ -224,12 +224,11 @@ def solve_backward(model: CtmdpModel, grid: TimeGrid, cost_weights=None,
     # last column holds the +inf that every padded action slot reads
     block = np.empty((_ARGMIN_BLOCK, model.n_pairs + 1))
     block[:, -1] = np.inf
-    slots = np.where(model.pad_mask, model.pad_index, model.n_pairs)
     rows, block_rows = list(g), list(block[:, :-1])  # row views: a list index is cheaper than g[k]
     n_steps = grid.n_steps
     vals = block_rows[n_steps % _ARGMIN_BLOCK]
     add(cbar, dot(rows[n_steps]), vals)
-    mins = block[n_steps % _ARGMIN_BLOCK].take(slots).min(axis=1)
+    mins = block[n_steps % _ARGMIN_BLOCK].take(model.pad_index).min(axis=1)
     if not np.all(np.isfinite(mins)):  # e.g. a state with an empty action set
         state = int(np.argmin(np.isfinite(mins)))
         raise NumericsError(f"non-finite minimum at node {n_steps} "
@@ -245,7 +244,7 @@ def solve_backward(model: CtmdpModel, grid: TimeGrid, cost_weights=None,
             if k % _ARGMIN_BLOCK == 0:
                 top = min(k + _ARGMIN_BLOCK, grid.n_nodes)
                 # first minimum: lowest action
-                policy[k:top] = block[:top - k].take(slots, axis=1).argmin(axis=2)
+                policy[k:top] = block[:top - k].take(model.pad_index, axis=1).argmin(axis=2)
     _check_finite(g, dt)
 
     return ValueGrid(grid=grid, values=g), MarkovPolicy.deterministic(policy)
@@ -261,9 +260,9 @@ def _plays(model: CtmdpModel, policy: MarkovPolicy, grid: TimeGrid | None = None
     (per-state kernel average of a per-pair quantity); pairs is a
     deterministic policy's pair per (node, state), at every node, and None for
     a randomized one. The one place that reads a policy's tables. A
-    deterministic policy plays its indexed pairs with weight 1 and never forms
-    its one-hot kernel; its average keeps the one-hot sums' bits
-    (notes/decisions.md)."""
+    deterministic policy plays its indexed pairs with weight 1: its weights
+    are None and it never forms its one-hot kernel; its average keeps the
+    one-hot sums' bits (notes/decisions.md)."""
     if grid is not None and policy.n_nodes != grid.n_nodes:
         raise ValueError(f"policy has {policy.n_nodes} nodes, grid has {grid.n_nodes}")
     policy._refuse_invalid(model)
@@ -282,8 +281,7 @@ def _plays(model: CtmdpModel, policy: MarkovPolicy, grid: TimeGrid | None = None
         negative = np.logical_and.reduceat(np.signbit(per_pair), starts)
         return np.where(negative[model.pair_state], per_pair, per_pair + 0.0).take(cells)
 
-    return _Plays(np.any(cells[1:] != cells[:-1], axis=1), pairs.__getitem__,
-                  np.broadcast_to(1.0, (n_cells, model.n_pairs)), average, pairs)
+    return _Plays(np.any(cells[1:] != cells[:-1], axis=1), pairs.__getitem__, None, average, pairs)
 
 
 def _played_rows(model: CtmdpModel, s: np.ndarray):

@@ -79,7 +79,6 @@ class CtmdpModel:
     exit_rate: np.ndarray = field(init=False, repr=False)
     q_star: np.ndarray = field(init=False, repr=False)
     pad_index: np.ndarray = field(init=False, repr=False)
-    pad_mask: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         offsets = np.asarray(self.action_offsets, dtype=np.int64)
@@ -120,17 +119,16 @@ class CtmdpModel:
         with np.errstate(invalid="ignore"):  # a NaN rate is validate_model's to report
             np.maximum.at(q_star, pair_state, exit_rate)
 
-        # padded (state, local action) -> flat pair map for vectorized argmins
+        # padded (state, local action) -> flat pair map; padding slots hold n_pairs
         local = np.arange(int(counts.max()) if n_pairs else 1)
-        pad_mask = local < counts[:, None]
-        pad_index = np.where(pad_mask, offsets[:-1, None] + local, 0)
+        pad_index = np.where(local < counts[:, None], offsets[:-1, None] + local, n_pairs)
 
         for name, arr in (
             ("action_offsets", offsets), ("action_points", points),
             ("rate_rows", rates), ("costs", costs),
             ("constraint_bounds", bounds), ("initial_dist", gamma),
             ("weight", w), ("pair_state", pair_state), ("exit_rate", exit_rate),
-            ("q_star", q_star), ("pad_index", pad_index), ("pad_mask", pad_mask),
+            ("q_star", q_star), ("pad_index", pad_index),
         ):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
@@ -542,6 +540,9 @@ def make_birth_death(lam: float, mu: float, m: int, grid: int,
     for name, rate in (("lambda", lam), ("mu", mu)):
         if not 0 < rate < math.inf:
             raise ModelFormatError(f"{name} must be finite and positive, got {rate}")
+    for name, count in (("m", m), ("grid", grid)):
+        if _integer(count) is None:
+            raise ModelFormatError(f"{name} must be an integer, got {count!r}")
     if m < 2:
         raise ModelFormatError("need at least two states (m >= 2)")
     if grid < 2:

@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dp import _action_text, _plays, _write_csv
-from .model import CtmdpModel, DriftCertificate, MarkovPolicy, _checked_index
+from .model import CtmdpModel, DriftCertificate, MarkovPolicy, _checked_index, _integer
 
 _MAX_ROUNDS_SLACK = 2000  # cap on thinning rounds beyond the expected count
 
@@ -282,14 +282,24 @@ def _jump_targets(jumps: _JumpTable, ka: np.ndarray, u: np.ndarray) -> np.ndarra
     return j
 
 
+def _batch_arguments(model: CtmdpModel, policy: MarkovPolicy, n_paths, i0):
+    """(plays, n_paths, i0) of a batch, refused in this order: a faulty
+    policy, a path count that is not an integer of at least 2, an i0 that is
+    not a state index."""
+    plays = _plays(model, policy)
+    count = _integer(n_paths)
+    if count is None or count < 2:
+        raise ValueError(f"need at least 2 replicates, as an integer, got {n_paths!r}")
+    return plays, count, _checked_index(i0, model.n_states, "i0")
+
+
 def _run_batch(model: CtmdpModel, policy: MarkovPolicy, i0: int, n_paths: int,
                seed, t_check: float, per_pair=None):
     """Vectorized thinning over a batch of paths: (integral, state at t_check).
 
     The integral, None without ``per_pair``, is each path's integral over
     [0, t_check] of the kernel average of that per-pair quantity; 0 <
-    t_check <= T. The policy is read first, so a faulty one is refused
-    before the other arguments.
+    t_check <= T. _batch_arguments checks the policy, n_paths and i0.
     All randomness is drawn from the single stream ``default_rng(seed)`` with
     a consumption pattern that is a pure function of the seed: each round
     draws the proposal clocks of the live paths in ascending path id, then,
@@ -308,10 +318,7 @@ def _run_batch(model: CtmdpModel, policy: MarkovPolicy, i0: int, n_paths: int,
     capture test when t_check = T. See notes/decisions.md for why this
     reproduces the full-width loop bit for bit.
     """
-    plays = _plays(model, policy)
-    if n_paths < 2:
-        raise ValueError("need at least 2 replicates")
-    i0 = _checked_index(i0, model.n_states, "i0")
+    plays, n_paths, i0 = _batch_arguments(model, policy, n_paths, i0)
     rng = np.random.default_rng(seed)
     n_cells = policy.n_nodes - 1
     dt_cells = model.horizon / n_cells
@@ -324,7 +331,10 @@ def _run_batch(model: CtmdpModel, policy: MarkovPolicy, i0: int, n_paths: int,
     absorbing = q_star <= 0.0
     any_absorbing = bool(absorbing.any())
     capture_each_round = t_check < T
-    pad, mask, n_actions = model.pad_index, model.pad_mask, np.diff(offsets)
+    # a padding slot (pad_index n_pairs) reads pair 0, then is zeroed: a zero-padded
+    # kernel copy would outlive every round (notes/decisions.md)
+    real = model.pad_index < model.n_pairs
+    pad, n_actions = np.where(real, model.pad_index, 0), np.diff(offsets)
     jumps = _jump_table(model)
     F = None if per_pair is None else _integral_fn(plays.average(per_pair), dt_cells,
                                                    t_check, T)
@@ -377,7 +387,7 @@ def _run_batch(model: CtmdpModel, policy: MarkovPolicy, i0: int, n_paths: int,
             t = hi
 
         if plays.pairs is None:
-            rows = np.where(mask[state], plays.weights[cell[:, None], pad[state]], 0.0)
+            rows = np.where(real[state], plays.weights[cell[:, None], pad[state]], 0.0)
             ka = offsets[state] + _draw_local(rows, n_actions[state], rng.random(ids.size))
         else:
             at = cell * n_states
@@ -434,14 +444,14 @@ def check_forward_kolmogorov(model: CtmdpModel, policy: MarkovPolicy, i0: int,
     """Estimate both sides of the transient-balance identity and difference them."""
     if not 0 < t <= model.horizon:
         raise ValueError("need 0 < t <= horizon")
-    subset = sorted({_checked_index(b, model.n_states, "subset") for b in subset})
     # the rate into B, q(B|i,a): the diagonal counts whenever i itself lies in B
     indicator = np.zeros(model.n_states)
-    indicator[subset] = 1.0
+    for b in subset:
+        indicator[_checked_index(b, model.n_states, "subset")] = 1.0
     acc, captured = _run_batch(model, policy, i0, replicates, seed, t,
                                model.rate_rows @ indicator)
-    in_b = np.isin(captured, subset).astype(float)
-    flow = float(i0 in subset) + acc
+    in_b = indicator.take(captured)
+    flow = indicator[i0] + acc
     res = _estimate(in_b - flow)
     return FlowIdentityCheck(residual=res.mean, se=res.se, count=res.count,
                              occupancy=float(np.mean(in_b)),
@@ -466,12 +476,9 @@ def check_weight_bound(model: CtmdpModel, certificate: DriftCertificate,
     """Monte Carlo check of the mean-weight growth bound at one time point."""
     if not 0 <= t <= model.horizon:
         raise ValueError("need 0 <= t <= horizon")
-    if replicates < 2:
-        raise ValueError("need at least 2 replicates")
-    i0 = _checked_index(i0, model.n_states, "i0")
     if t == 0.0:
-        _plays(model, policy)  # refuses an invalid policy, as the t > 0 route does
-        est = McEstimate(mean=float(model.weight[i0]), se=0.0, count=replicates)
+        _, count, i0 = _batch_arguments(model, policy, replicates, i0)
+        est = McEstimate(mean=float(model.weight[i0]), se=0.0, count=count)
     else:
         _, captured = _run_batch(model, policy, i0, replicates, seed, t)
         est = _estimate(model.weight[captured])

@@ -549,7 +549,8 @@ def dense_run_batch(model: CtmdpModel, policy: MarkovPolicy, i0: int, n_paths: i
     offsets = model.action_offsets
     q_star = model.q_star
     randomized = policy.kind == "randomized"
-    pad, mask = model.pad_index, model.pad_mask
+    mask = model.pad_index < model.n_pairs
+    pad = np.where(mask, model.pad_index, 0)  # padding slots read pair 0, then masked
 
     tables = [np.ascontiguousarray(tab) for tab, _ in integrands]
     ends = [min(float(t_end), T) for _, t_end in integrands]
@@ -690,7 +691,8 @@ def loop_simulate(model: CtmdpModel, policy: MarkovPolicy, i0: int, seed) -> Tra
 def _min_operator(model: CtmdpModel, cbar: np.ndarray):
     """Return f(g) -> per-state min of c(i,a) + q(.|i,a) . g, plus argmins."""
     R = model.rate_rows
-    pad, mask = model.pad_index, model.pad_mask
+    mask = model.pad_index < model.n_pairs
+    pad = np.where(mask, model.pad_index, 0)  # padding slots read pair 0, then masked
 
     def f(g: np.ndarray):
         vals = cbar + R @ g

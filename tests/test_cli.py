@@ -68,18 +68,39 @@ class TestExitCodes:
             main(["solve", "--frobnicate", "--out", str(tmp_path)])
         assert err.value.code == 2
 
-    @pytest.mark.parametrize("command, extra", [
-        ("solve", ["--steps", "25000000000000000"]),
-        ("simulate", ["--replicates", "125000000000000000"])], ids=["steps", "replicates"])
-    def test_oversized_problem_is_usage_error(self, tmp_path, capsys, command, extra):
+    @pytest.mark.parametrize("command, extra, flags", [
+        ("solve", ["--steps", "25000000000000000"], "--m, --agrid or --steps"),
+        ("simulate", ["--replicates", "125000000000000000"],
+         "--m, --agrid, --steps or --replicates")], ids=["steps", "replicates"])
+    def test_oversized_problem_is_usage_error(self, tmp_path, capsys, command, extra, flags):
         # the first large array is 888 PiB, which no address space holds
         code = main([command, *preset_args(*extra, out=tmp_path)])
         assert code == 2
         err = capsys.readouterr().err
         assert "error: the problem is too large to hold in memory (Unable to allocate" in err
-        assert "reduce --m, --agrid, --steps or --replicates" in err
+        assert err.endswith(f"; reduce {flags}\n")
         assert "Traceback" not in err
         assert not any(tmp_path.iterdir())  # nothing written before the refusal
+
+    @pytest.mark.parametrize("command, from_file, flags", [
+        ("validate", False, "--m or --agrid"),
+        ("simulate", False, "--m, --agrid, --steps or --replicates"),
+        ("validate", True, "the model in {model}"),
+        ("simulate", True, "the model in {model}, --steps or --replicates")],
+        ids=["validate", "simulate", "validate-model-file", "simulate-model-file"])
+    def test_out_of_memory_advice_names_the_flags_of_its_command(
+            self, tmp_path, capsys, monkeypatch, command, from_file, flags):
+        # validate was told to reduce --steps and --replicates, which it does not take,
+        # and an error without a message printed "()"
+        def out_of_memory(model):
+            raise MemoryError()
+        monkeypatch.setattr("ctmdp.cli.validate_model", out_of_memory)
+        path = model_file(tmp_path, json.dumps(TWO_STATE))
+        args = ["--model", path, "--out", str(tmp_path)] if from_file else preset_args(
+            out=tmp_path)
+        assert main([command, *args]) == 2
+        assert capsys.readouterr().err == ("error: the problem is too large to hold in memory; "
+                                           f"reduce {flags.format(model=path)}\n")
 
     @pytest.mark.parametrize("command, extra", [("solve", []), ("constrain", ["--d", "1=0.5"]),
                                                 ("simulate", [])],

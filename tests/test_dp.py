@@ -511,6 +511,25 @@ class TestEvaluatePolicy:
         peak = traced_peak(run)
         assert peak < table_bytes, f"peak {peak} B, one (nodes x pairs) table {table_bytes} B"
 
+    @pytest.mark.parametrize("route", ["mc_value", "check_forward_kolmogorov",
+                                       "check_weight_bound"])
+    def test_randomized_monte_carlo_routes_read_the_kernel_in_place(self, route):
+        # the kernel average's product is the one (nodes x pairs) array a batch
+        # forms, beside its (nodes x states) sums; the draws copy no kernel
+        model, grid, _ = played_set_case("birth_death60_optimal")
+        policy = MarkovPolicy.uniform(model, grid.n_nodes)
+        cert = birth_death_certificate(1.0, 2.0)
+        run = {"mc_value": lambda: mc_value(model, policy, 30, 0, 200, seed=1),
+               "check_forward_kolmogorov": lambda: check_forward_kolmogorov(
+                   model, policy, 30, [29, 30], 0.5, 200, seed=1),
+               "check_weight_bound": lambda: check_weight_bound(
+                   model, cert, policy, 30, 0.5, 200, seed=1)}[route]
+        kernel_bytes = grid.n_nodes * model.n_pairs * 8
+        sums_bytes = grid.n_nodes * model.n_states * 8
+        bound = kernel_bytes + 2 * sums_bytes if route != "check_weight_bound" else kernel_bytes
+        peak = traced_peak(run)
+        assert peak < bound, f"peak {peak} B, bound {bound} B (kernel {kernel_bytes} B)"
+
 
 class TestPolicyRule:
     """Every route that plays a policy refuses one that is not a Markov

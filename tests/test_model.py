@@ -137,14 +137,11 @@ class TestConstruction:
                            constraint_bounds=[], horizon=1.0,
                            initial_dist=np.full(n, 1.0 / max(n, 1)), weight=np.ones(n))
         n_max = max(int(np.diff(offsets).max(initial=0)), 1)
-        index, mask = np.zeros((n, n_max), dtype=np.int64), np.zeros((n, n_max), dtype=bool)
+        index = np.full((n, n_max), n_pairs, dtype=np.int64)  # padding: one past every pair
         for i in range(n):
-            k = offsets[i + 1] - offsets[i]
-            index[i, :k] = np.arange(offsets[i], offsets[i + 1])
-            mask[i, :k] = True
-        assert model.pad_index.dtype == np.int64 and model.pad_mask.dtype == bool
+            index[i, :offsets[i + 1] - offsets[i]] = np.arange(offsets[i], offsets[i + 1])
+        assert model.pad_index.dtype == np.int64
         assert np.array_equal(model.pad_index, index)
-        assert np.array_equal(model.pad_mask, mask)
 
 
 class TestBirthDeathPreset:
@@ -181,6 +178,14 @@ class TestBirthDeathPreset:
             make_birth_death(1.0, 1.0, m=5, grid=1)
         with pytest.raises(ModelFormatError, match="one constraint bound per cost table"):
             make_birth_death(1.0, 1.0, m=5, grid=2, constraint_bounds=[0.5])
+
+    def test_state_and_grid_counts_are_integers(self):
+        # a float count ended in a numpy TypeError
+        for name, counts in (("m", dict(m=5.0, grid=2)), ("m", dict(m=True, grid=2)),
+                             ("grid", dict(m=5, grid=2.5)), ("grid", dict(m=5, grid=2.0))):
+            with pytest.raises(ModelFormatError, match=f"{name} must be an integer, got "):
+                make_birth_death(1.0, 2.0, **counts)
+        assert make_birth_death(1.0, 2.0, m=np.int64(5), grid=np.int64(2)).n_pairs == 2 + 4 * 4
 
     def test_default_start_is_a_point_mass_at_zero(self):
         for model in (make_birth_death(1.0, 2.0, m=4, grid=2), two_state_chain()):

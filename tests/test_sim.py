@@ -164,7 +164,7 @@ class TestTrajectoryCsvByteIdentity:
 class TestIndexArguments:
     """State and cost indices outside the model, or not integers, are refused
     by name, not wrapped round to the last state or the constraint table, nor
-    rounded to an index."""
+    rounded to an index. So are replicate counts that are not integers."""
 
     @staticmethod
     def setup():
@@ -209,6 +209,36 @@ class TestIndexArguments:
         for three in (np.int64(3), np.array(3)):  # numpy integers are indices
             got = check_forward_kolmogorov(model, policy, three, [three], 1.0, 100, seed=1)
             assert got.residual == want
+
+    @pytest.mark.parametrize("replicates", [2.5, 50.5, 100.0, True])
+    def test_replicate_count_that_is_not_an_integer(self, replicates):
+        # check_weight_bound at t = 0 returned a count of 50.5; the batches
+        # ended in numpy TypeErrors
+        model, policy, cert = self.setup()
+        calls = [lambda: mc_value(model, policy, 0, 0, replicates, seed=1),
+                 lambda: check_forward_kolmogorov(model, policy, 0, {1}, 1.0, replicates, 1),
+                 lambda: check_weight_bound(model, cert, policy, 0, 1.0, replicates, seed=1),
+                 lambda: check_weight_bound(model, cert, policy, 0, 0.0, replicates, seed=1)]
+        message = f"need at least 2 replicates, as an integer, got {replicates}"
+        for call in calls:
+            with pytest.raises(ValueError, match=message):
+                call()
+
+    def test_numpy_integer_replicate_count(self):
+        model, policy, cert = self.setup()
+        n = np.int64(100)
+        assert mc_value(model, policy, 0, 0, n, seed=1) == mc_value(model, policy, 0, 0, 100, 1)
+        est = check_weight_bound(model, cert, policy, 0, 0.0, n, seed=1).estimate
+        assert est.count == 100 and type(est.count) is int
+
+    @pytest.mark.parametrize("t", [0.0, 1.0])
+    def test_policy_then_replicates_then_initial_state(self, t):
+        model, policy, cert = self.setup()
+        one_node = MarkovPolicy.deterministic(np.zeros((1, 4)))
+        with pytest.raises(ValueError, match="policy needs at least 2 time nodes"):
+            check_weight_bound(model, cert, one_node, 9, t, 1, seed=1)
+        with pytest.raises(ValueError, match="need at least 2 replicates, as an integer, got 1"):
+            check_weight_bound(model, cert, policy, 9, t, 1, seed=1)
 
 
 class TestRoundCap:
