@@ -1,4 +1,4 @@
-"""Wall time and traced peak memory of the randomized Monte Carlo batches.
+"""Wall time and traced peak memory of the Monte Carlo batches.
 
 Usage (from the root of a source checkout):
 
@@ -6,13 +6,15 @@ Usage (from the root of a source checkout):
 
 For each truncation level M (default 60 150) the script builds the
 birth-death preset (lambda=1, mu=2, grid 3, horizon 1, uniform start) at its
-minimum stable step count and plays the uniform randomized policy from state
-M // 2 with 20000 paths and seed 1 through three batch estimators:
-``mc_value`` of cost 0, ``check_forward_kolmogorov`` of the subset
-{M // 2 - 1, M // 2} at t = 0.5 and ``check_weight_bound`` at t = 0.5. Each
-runs three times untraced, for the best wall time, and once more under
-``tracemalloc``, for the peak it allocates beyond its inputs. One JSON object
-is printed, keyed ``m<M>-<estimator>``, each value [seconds, peak bytes]. The
+minimum stable step count and plays two policies from state M // 2 with
+20000 paths and seed 1: the uniform randomized policy and the deterministic
+optimal policy of ``solve_backward``. Each policy runs through three batch
+estimators: ``mc_value`` of cost 0, ``check_forward_kolmogorov`` of the
+subset {M // 2 - 1, M // 2} at t = 0.5 and ``check_weight_bound`` at
+t = 0.5. Each runs three times untraced, for the best wall time, and once
+more under ``tracemalloc``, for the peak it allocates beyond its inputs. One
+JSON object is printed, keyed ``m<M>-<policy>-<estimator>`` with policy
+``uniform`` or ``optimal``, each value [seconds, peak bytes]. The
 ``ctmdp`` package is imported from ``PYTHONPATH``, so running this on two
 trees compares them.
 """
@@ -26,7 +28,7 @@ import numpy as np
 
 from scale_probe import measured
 
-from ctmdp.dp import TimeGrid
+from ctmdp.dp import TimeGrid, solve_backward
 from ctmdp.model import MarkovPolicy, birth_death_certificate, make_birth_death
 from ctmdp.sim import check_forward_kolmogorov, check_weight_bound, mc_value
 
@@ -38,16 +40,18 @@ def main(argv: list[str]) -> int:
     for m in [int(a) for a in argv] or [60, 150]:
         model = make_birth_death(1.0, 2.0, m=m, grid=3, initial_dist=np.full(m, 1.0 / m))
         grid = TimeGrid(1.0, TimeGrid(1.0, 1).required_steps(model))
-        policy = MarkovPolicy.uniform(model, grid.n_nodes)
+        policies = {"uniform": MarkovPolicy.uniform(model, grid.n_nodes),
+                    "optimal": solve_backward(model, grid)[1]}
         cert, i0 = birth_death_certificate(1.0, 2.0), m // 2
-        runs = {"mc_value": lambda: mc_value(model, policy, i0, 0, PATHS, 1),
-                "check_forward_kolmogorov": lambda: check_forward_kolmogorov(
-                    model, policy, i0, [i0 - 1, i0], 0.5, PATHS, 1),
-                "check_weight_bound": lambda: check_weight_bound(
-                    model, cert, policy, i0, 0.5, PATHS, 1)}
-        for name, run in runs.items():
-            _, seconds, peak = measured(run)
-            out[f"m{m}-{name}"] = [seconds, peak]
+        for kind, policy in policies.items():
+            runs = {"mc_value": lambda: mc_value(model, policy, i0, 0, PATHS, 1),
+                    "check_forward_kolmogorov": lambda: check_forward_kolmogorov(
+                        model, policy, i0, [i0 - 1, i0], 0.5, PATHS, 1),
+                    "check_weight_bound": lambda: check_weight_bound(
+                        model, cert, policy, i0, 0.5, PATHS, 1)}
+            for name, run in runs.items():
+                _, seconds, peak = measured(run)
+                out[f"m{m}-{kind}-{name}"] = [seconds, peak]
     print(json.dumps(out))
     return 0
 

@@ -23,6 +23,7 @@ from .model import CtmdpModel, DriftCertificate, MarkovPolicy, _checked_index, _
 STABILITY_CAP = 0.5  # dt * max_i q*(i) must stay below this
 ENVELOPE_SLACK = 1e-6  # relative slack of the value-envelope check
 _ARGMIN_BLOCK = 64  # nodes whose policy argmins solve_backward resolves at once
+_AVERAGE_BLOCK = 64  # cells whose randomized kernel average _plays forms at once
 
 
 class GridStabilityError(RuntimeError):
@@ -92,11 +93,12 @@ class ValueGrid:
         return self.values[0]
 
     def write_csv(self, path) -> None:
-        """Rows (state, t_k, value), state-major, one % call per state column."""
+        """Rows (state, t_k, value), state-major, one % call per state column;
+        one column at a time is turned into Python floats."""
         _write_csv(path, ["state", "t", "value"],
                    _csv_blocks(map(str, range(self.values.shape[1])),
                                [f",{t}," for t in _node_strings(self.grid)], "%.17g",
-                               self.values.T.tolist()))
+                               (column.tolist() for column in self.values.T)))
 
 
 def _node_strings(grid: TimeGrid) -> list[str]:
@@ -124,15 +126,16 @@ def _write_csv(path, header: list[str], texts) -> None:
 
 
 def write_policy_csv(model: CtmdpModel, grid: TimeGrid, policy: MarkovPolicy, path) -> None:
-    """Rows (state, t_k, action components) for a deterministic policy."""
+    """Rows (state, t_k, action components) for a deterministic policy, one
+    state column of pairs at a time."""
     if policy.kind != "deterministic":
         raise ValueError("CSV export is for deterministic policies")
-    pairs = _plays(model, policy, grid).pairs.T.tolist()  # (n_states, n_nodes)
+    pairs = _plays(model, policy, grid).pairs  # (n_nodes, n_states)
     names, points = _action_text(model)
     _write_csv(path, ["state", "t", *names],
                _csv_blocks(map(str, range(model.n_states)),
                            [f",{t}" for t in _node_strings(grid)], "%s",
-                           ([points[ka] for ka in row] for row in pairs)))
+                           ([points[ka] for ka in column.tolist()] for column in pairs.T)))
 
 
 def _stepper(n: int, dt: float, integrator: str):
@@ -269,10 +272,17 @@ def _plays(model: CtmdpModel, policy: MarkovPolicy, grid: TimeGrid | None = None
     n_cells, starts = policy.n_nodes - 1, model.action_offsets[:-1]
     if policy.kind == "randomized":
         kernel = policy.action_probs[:n_cells]
+
+        def average(per_pair):
+            # a block of cells' products at a time; each row's sums are its own
+            out = np.empty((n_cells, model.n_states))
+            for lo in range(0, n_cells, _AVERAGE_BLOCK):
+                rows = slice(lo, lo + _AVERAGE_BLOCK)
+                np.add.reduceat(kernel[rows] * per_pair, starts, axis=1, out=out[rows])
+            return out
+
         return _Plays(np.any(np.diff(kernel != 0.0, axis=0), axis=1),
-                      lambda k: np.flatnonzero(kernel[k]), kernel,
-                      lambda per_pair: np.add.reduceat(kernel * per_pair, starts, axis=1),
-                      None)
+                      lambda k: np.flatnonzero(kernel[k]), kernel, average, None)
     pairs = starts + policy.action_index
     cells = pairs[:n_cells]
 

@@ -103,10 +103,11 @@ def _draw_local(rows: np.ndarray, n_actions, u: np.ndarray) -> np.ndarray:
 def simulate(model: CtmdpModel, policy: MarkovPolicy, i0: int, seed) -> Trajectory:
     """Generate one path by thinning. Identical seeds give identical paths;
     actions and jump targets follow the batch engine's rules (_draw_local,
-    _jump_targets), so neither lands on an entry of no mass."""
+    _jump_targets), so neither lands on an entry of no mass. A faulty policy
+    is refused before i0, as in the batch estimators."""
+    plays = _plays(model, policy)
     i0 = _checked_index(i0, model.n_states, "i0")
     rng = np.random.default_rng(seed)
-    plays = _plays(model, policy)
     n_cells = policy.n_nodes - 1
     dt_cells = model.horizon / n_cells
     T = model.horizon
@@ -176,14 +177,14 @@ def _integral_fn(table: np.ndarray, dt_cells: float, t_end: float, horizon: floa
         part = cell * dt_cells
         np.subtract(u, part, out=part)
         part *= value.take(at)
-        out = pre.take(at)
-        out += part
-        return out
+        part += pre.take(at)  # part + pre has the bits of pre + part
+        return part
 
     return integral
 
 
 _GUIDE = 256  # guide-table buckets per pair; a power of two, so u * _GUIDE is exact
+_GUIDE_BLOCK = 64  # pairs whose guide rows _jump_table builds at once
 
 
 @dataclass(frozen=True, eq=False)
@@ -237,11 +238,14 @@ def _jump_table(model: CtmdpModel) -> _JumpTable:
                        cum=np.ascontiguousarray(cum.T),
                        width=np.ascontiguousarray(np.diff(bounds, axis=1).T))
 
-    # the count and target at every bucket edge b / _GUIDE
-    count = _slot_count(jumps, pairs[:, None], np.arange(_GUIDE + 1) / _GUIDE)
-    target = _target(jumps, pairs[:, None], count[:, :-1])
+    # the count and target at every bucket edge b / _GUIDE, a block of pairs at a time
+    edges = np.arange(_GUIDE + 1) / _GUIDE
     guide = np.full((model.n_pairs, _GUIDE + 1), -1, dtype=np.int64)
-    guide[:, :-1] = np.where(count[:, :-1] == count[:, 1:], target, -1)
+    for lo in range(0, model.n_pairs, _GUIDE_BLOCK):
+        block = pairs[lo:lo + _GUIDE_BLOCK, None]
+        count = _slot_count(jumps, block, edges)
+        guide[lo:lo + _GUIDE_BLOCK, :-1] = np.where(
+            count[:, :-1] == count[:, 1:], _target(jumps, block, count[:, :-1]), -1)
     jumps = replace(jumps, guide=guide.ravel())
     for arr in vars(jumps).values():
         arr.flags.writeable = False
@@ -345,11 +349,14 @@ def _run_batch(model: CtmdpModel, policy: MarkovPolicy, i0: int, n_paths: int,
     ids = np.arange(n_paths)
     t = np.zeros(n_paths)
     state = np.full(n_paths, i0, dtype=np.int64)
-    cell = _cell_of(t, dt_cells, n_cells)
     if F is not None:
         acc = np.zeros(n_paths)
-        start = F(state, t, cell)
+        start = F(state, t, _cell_of(t, dt_cells, n_cells))
 
+    # ids, t, state, acc and start live across rounds; every other array is
+    # dropped after its last read, but for the jump step's jumped and j and the
+    # round's cell: the next round rebinds them, as dropping them at the round's
+    # end hands the heap top back to the allocator (notes/decisions.md)
     for _ in range(_max_rounds(model)):
         if ids.size == 0:
             break
@@ -364,42 +371,56 @@ def _run_batch(model: CtmdpModel, policy: MarkovPolicy, i0: int, n_paths: int,
         if capture_each_round:
             hit = np.flatnonzero((t <= t_check) & (t_check < hi))
             captured[ids.take(hit)] = state.take(hit)
+            del hit
+        t = hi  # the stretch start is read no more
+        del hi
 
-        cell = _cell_of(hi, dt_cells, n_cells)
+        cell = _cell_of(t, dt_cells, n_cells)
         if F is not None:
-            end = F(state, hi, cell)
+            end = F(state, t, cell)
             np.subtract(end, start, out=start)
             acc += start
             start = end
+            del end
 
-        finished = hi >= T
+        finished = t >= T
         done = np.flatnonzero(finished)
         if done.size:
             out = ids.take(done)
             held = captured.take(out)
             captured[out] = np.where(held < 0, state.take(done), held)
-            keep = np.flatnonzero(~finished)
-            ids, t, state, cell = ids.take(keep), hi.take(keep), state.take(keep), cell.take(keep)
             if F is not None:
                 acc_out[out] = acc.take(done)
-                acc, start = acc.take(keep), start.take(keep)
-        else:
-            t = hi
+            del out, held
+            keep = np.flatnonzero(~finished)
+            # one array at a time, so each goes as its compacted copy comes
+            ids = ids.take(keep)
+            t = t.take(keep)
+            state = state.take(keep)
+            cell = cell.take(keep)
+            if F is not None:
+                acc = acc.take(keep)
+                start = start.take(keep)
+            del keep
+        del finished, done
 
         if plays.pairs is None:
             rows = np.where(real[state], plays.weights[cell[:, None], pad[state]], 0.0)
             ka = offsets[state] + _draw_local(rows, n_actions[state], rng.random(ids.size))
+            del rows
         else:
             at = cell * n_states
             at += state
             ka = plays.pairs.take(at)
+            del at
 
         u = rng.random(ids.size)
         u *= q_star.take(state)
         jumped = np.flatnonzero(u < model.exit_rate.take(ka))
-        if jumped.size == 0:
-            continue
-        j = _jump_targets(jumps, ka.take(jumped), rng.random(jumped.size))
+        del u
+        ka = ka.take(jumped)
+        j = _jump_targets(jumps, ka, rng.random(jumped.size))
+        del ka
         state[jumped] = j
         if F is not None:
             start[jumped] = F(j, t.take(jumped), cell.take(jumped))

@@ -13,7 +13,7 @@ from ctmdp.sim import (_GUIDE, _draw_local, _jump_table, _jump_targets, _run_bat
                        check_forward_kolmogorov, check_weight_bound, mc_value, simulate)
 from oracles import (csv_writer_trajectory_table, dense_run_batch, kernel_average_cells,
                      loop_simulate, random_instance, random_policy)
-from test_dp import tiny_and_negative_model
+from test_dp import tiny_and_negative_model, traced_peak
 
 TWO_STATE_EXACT = 0.5 - (1.0 - math.exp(-2.0)) / 4.0
 
@@ -239,6 +239,14 @@ class TestIndexArguments:
             check_weight_bound(model, cert, one_node, 9, t, 1, seed=1)
         with pytest.raises(ValueError, match="need at least 2 replicates, as an integer, got 1"):
             check_weight_bound(model, cert, policy, 9, t, 1, seed=1)
+
+    def test_simulate_refuses_the_policy_before_the_initial_state(self):
+        model, _, _ = self.setup()
+        one_node = MarkovPolicy.deterministic(np.zeros((1, 4)))
+        for call in (lambda: simulate(model, one_node, 9, seed=1),
+                     lambda: mc_value(model, one_node, 9, 0, 100, seed=1)):
+            with pytest.raises(ValueError, match="policy needs at least 2 time nodes"):
+                call()
 
 
 class TestRoundCap:
@@ -580,6 +588,55 @@ class TestJumpTableReuse:
         assert _jump_table(b).normalized.shape == (b.n_pairs, b.n_states)
         assert _jump_table(a) is not table_a
         assert np.array_equal(_jump_table(a).normalized, table_a.normalized)
+
+
+class TestGuideBuild:
+    @pytest.mark.parametrize("block", [1, 7, 64, 10**6])
+    def test_equals_an_unblocked_build(self, monkeypatch, block):
+        # birth-death m = 60 has 534 pairs, so the blocks of 7 and of 64 leave
+        # a short last block
+        monkeypatch.setattr(sim, "_GUIDE_BLOCK", block)
+        edges = np.arange(_GUIDE + 1) / _GUIDE
+        for model in [make_birth_death(1.0, 2.0, m=60, grid=3), *slot_search_models(),
+                      edge_model()]:
+            jumps = _jump_table(model)
+            pairs = np.arange(model.n_pairs)[:, None]
+            count = sim._slot_count(jumps, pairs, edges)
+            want = np.full((model.n_pairs, _GUIDE + 1), -1, dtype=np.int64)
+            want[:, :-1] = np.where(count[:, :-1] == count[:, 1:],
+                                    sim._target(jumps, pairs, count[:, :-1]), -1)
+            assert np.array_equal(jumps.guide, want.ravel())
+
+    def test_build_peak_is_below_twice_the_table(self):
+        # (pairs x 257) temporaries formed for every pair at once would peak
+        # at 4.87 MB traced for a 1.38 MB table
+        model = make_birth_death(1.0, 2.0, m=60, grid=3)
+
+        def build():
+            sim._jumps.clear()
+            return _jump_table(model)
+
+        kept = sum(arr.nbytes for arr in vars(build()).values())
+        peak = traced_peak(build)
+        assert peak < 2 * kept, f"build peak {peak} B, table {kept} B"
+
+
+class TestBatchWorkingSet:
+    """A batch holds its outputs, its live-path arrays and one round's
+    working arrays. Measured on a deterministic policy: 15 eight-byte
+    numbers per path for mc_value and 11 for check_weight_bound (21 and 16
+    if each round's arrays lived into the next)."""
+
+    @pytest.mark.parametrize("route, numbers", [("mc_value", 16), ("check_weight_bound", 12)])
+    def test_peak_per_path(self, route, numbers):
+        model = make_birth_death(1.0, 2.0, m=20, grid=3)
+        _, policy = solve_backward(model, TimeGrid(1.0, 120))
+        cert, n = birth_death_certificate(1.0, 2.0), 20000
+        run = {"mc_value": lambda: mc_value(model, policy, 10, 0, n, seed=1),
+               "check_weight_bound": lambda: check_weight_bound(
+                   model, cert, policy, 10, 0.5, n, seed=1)}[route]
+        peak = traced_peak(run)
+        assert peak < 8 * numbers * n, f"peak {peak / n:.1f} B per path"
 
 
 class TestJumpSlotSearch:
