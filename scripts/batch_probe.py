@@ -12,15 +12,18 @@ optimal policy of ``solve_backward``. Each policy runs through three batch
 estimators: ``mc_value`` of cost 0, ``check_forward_kolmogorov`` of the
 subset {M // 2 - 1, M // 2} at t = 0.5 and ``check_weight_bound`` at
 t = 0.5. Each runs three times untraced, for the best wall time, and once
-more under ``tracemalloc``, for the peak it allocates beyond its inputs. One
-JSON object is printed, keyed ``m<M>-<policy>-<estimator>`` with policy
-``uniform`` or ``optimal``, each value [seconds, peak bytes]. The
-``ctmdp`` package is imported from ``PYTHONPATH``, so running this on two
-trees compares them.
+more under ``tracemalloc``, for the peak it allocates beyond its inputs. The
+thinning jump table's build, ``sim._jump_table``, is measured the same way,
+each call on a fresh shallow copy of the model, which the table map has not
+seen. One JSON object is printed, keyed ``m<M>-jump_table`` and
+``m<M>-<policy>-<estimator>`` with policy ``uniform`` or ``optimal``, each
+value [seconds, peak bytes]. The ``ctmdp`` package is imported from
+``PYTHONPATH``, so running this on two trees compares them.
 """
 
 from __future__ import annotations
 
+import copy
 import json
 import sys
 
@@ -30,7 +33,7 @@ from scale_probe import measured
 
 from ctmdp.dp import TimeGrid, solve_backward
 from ctmdp.model import MarkovPolicy, birth_death_certificate, make_birth_death
-from ctmdp.sim import check_forward_kolmogorov, check_weight_bound, mc_value
+from ctmdp.sim import _jump_table, check_forward_kolmogorov, check_weight_bound, mc_value
 
 PATHS = 20000
 
@@ -40,6 +43,8 @@ def main(argv: list[str]) -> int:
     for m in [int(a) for a in argv] or [60, 150]:
         model = make_birth_death(1.0, 2.0, m=m, grid=3, initial_dist=np.full(m, 1.0 / m))
         grid = TimeGrid(1.0, TimeGrid(1.0, 1).required_steps(model))
+        _, seconds, peak = measured(lambda: _jump_table(copy.copy(model)))
+        out[f"m{m}-jump_table"] = [seconds, peak]
         policies = {"uniform": MarkovPolicy.uniform(model, grid.n_nodes),
                     "optimal": solve_backward(model, grid)[1]}
         cert, i0 = birth_death_certificate(1.0, 2.0), m // 2

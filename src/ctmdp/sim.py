@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import weakref
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -81,6 +81,10 @@ def _cell_of(t, dt_cells: float, n_cells: int):
 
 
 def _max_rounds(model: CtmdpModel) -> int:
+    bad = np.flatnonzero(~np.isfinite(model.q_star))
+    if bad.size:
+        raise ValueError(f"state {bad[0]} has a non-finite exit rate q* = "
+                         f"{model.q_star[bad[0]]}; validate the model before simulating it")
     expected = 20 * model.max_q_star * model.horizon
     if not math.isfinite(expected):
         raise ValueError(f"horizon {model.horizon!r} is too long to simulate: "
@@ -189,28 +193,20 @@ _GUIDE_BLOCK = 64  # pairs whose guide rows _jump_table builds at once
 
 @dataclass(frozen=True, eq=False)
 class _JumpTable:
-    """Per-pair tables for choosing the target of an accepted jump.
+    """Per-pair tables for choosing the target of an accepted jump (_target).
 
-    ``normalized[ka]`` is the off-diagonal row of pair ka divided by
-    |q(i|i,a)| and ``fallback[ka]`` its argmax. The cumulative sum of that row
-    is flat between nonzero entries, so the count of its entries below u is
-    ``lead * (0 < u)`` plus, over the row's nonzero slots s,
-    ``width[s] * (cum[s] < u)`` (_slot_count). ``lead`` is the first nonzero
-    column, ``width[s]`` the number of columns from slot s up to the next
-    slot (or the row end) and ``cum[s]`` the running sum at slot s. Unused
-    slots have width 0.
-
-    ``guide[ka * (_GUIDE + 1) + b]`` is the target of every draw u in
-    [b / _GUIDE, (b + 1) / _GUIDE) when the count is the same at both ends of
-    that bucket, else -1; the last bucket of each pair (u >= 1) is always -1.
+    ``cum[ka]`` is the cumulative off-diagonal row of pair ka over |q(i|i,a)|,
+    ``no_mass[ka]`` marks the entries of that row with no mass and
+    ``fallback[ka]`` is its argmax. ``guide[ka * (_GUIDE + 1) + b]`` is the
+    target of every draw u in [b / _GUIDE, (b + 1) / _GUIDE) when the count is
+    the same at both ends of that bucket, else -1; the last bucket of each
+    pair (u >= 1) is always -1.
     """
 
-    normalized: np.ndarray  # (n_pairs, n_states)
-    fallback: np.ndarray    # (n_pairs,)
-    lead: np.ndarray        # (n_pairs,)
-    cum: np.ndarray         # (n_slots, n_pairs)
-    width: np.ndarray       # (n_slots, n_pairs)
-    guide: np.ndarray | None = None  # (n_pairs * (_GUIDE + 1),)
+    cum: np.ndarray       # (n_pairs, n_states)
+    no_mass: np.ndarray   # (n_pairs, n_states)
+    fallback: np.ndarray  # (n_pairs,)
+    guide: np.ndarray     # (n_pairs * (_GUIDE + 1),)
 
 
 _jumps = weakref.WeakKeyDictionary()  # the last model simulated -> its table
@@ -222,31 +218,26 @@ def _jump_table(model: CtmdpModel) -> _JumpTable:
     jumps = _jumps.get(model)
     if jumps is not None:
         return jumps
-    n = model.n_states
     pairs = np.arange(model.n_pairs)
-    rows = model.rate_rows.copy()
-    rows[pairs, model.pair_state] = 0.0
-    rows /= np.where(model.exit_rate > 0.0, model.exit_rate, 1.0)[:, None]  # 0: never jumps
-    nonzero = rows != 0.0
-    n_slots = int(nonzero.sum(axis=1).max(initial=0))
-    # each row's nonzero columns in order, padded with n
-    cols = np.argsort(~nonzero, axis=1, kind="stable")[:, :n_slots]
-    cols = np.where(np.take_along_axis(nonzero, cols, axis=1), cols, n)
-    bounds = np.column_stack([cols, np.full(model.n_pairs, n)])
-    cum = np.take_along_axis(np.cumsum(rows, axis=1), np.minimum(cols, n - 1), axis=1)
-    jumps = _JumpTable(normalized=rows, fallback=np.argmax(rows, axis=1), lead=bounds[:, 0],
-                       cum=np.ascontiguousarray(cum.T),
-                       width=np.ascontiguousarray(np.diff(bounds, axis=1).T))
-
-    # the count and target at every bucket edge b / _GUIDE, a block of pairs at a time
-    edges = np.arange(_GUIDE + 1) / _GUIDE
+    cum = model.rate_rows.copy()
+    cum[pairs, model.pair_state] = 0.0
+    cum /= np.where(model.exit_rate > 0.0, model.exit_rate, 1.0)[:, None]  # 0: never jumps
+    no_mass, fallback = cum <= 0.0, np.argmax(cum, axis=1)
+    np.cumsum(cum, axis=1, out=cum)
     guide = np.full((model.n_pairs, _GUIDE + 1), -1, dtype=np.int64)
+    jumps = _JumpTable(cum=cum, no_mass=no_mass, fallback=fallback, guide=guide.ravel())
+
+    # the count and target at every bucket edge b / _GUIDE, a block of pairs at a
+    # time: c < edges[b] exactly when searchsorted(edges, c, "right") <= b
+    edges = np.arange(_GUIDE + 1) / _GUIDE
     for lo in range(0, model.n_pairs, _GUIDE_BLOCK):
         block = pairs[lo:lo + _GUIDE_BLOCK, None]
-        count = _slot_count(jumps, block, edges)
+        first = np.searchsorted(edges, cum[lo:lo + _GUIDE_BLOCK], "right")
+        first += (block - lo) * (_GUIDE + 2)
+        count = np.bincount(first.ravel(), minlength=block.size * (_GUIDE + 2))
+        count = count.reshape(block.size, _GUIDE + 2).cumsum(axis=1)
         guide[lo:lo + _GUIDE_BLOCK, :-1] = np.where(
-            count[:, :-1] == count[:, 1:], _target(jumps, block, count[:, :-1]), -1)
-    jumps = replace(jumps, guide=guide.ravel())
+            count[:, :_GUIDE] == count[:, 1:-1], _target(jumps, block, count[:, :_GUIDE]), -1)
     for arr in vars(jumps).values():
         arr.flags.writeable = False
     _jumps.clear()
@@ -254,27 +245,15 @@ def _jump_table(model: CtmdpModel) -> _JumpTable:
     return jumps
 
 
-def _slot_count(jumps: _JumpTable, ka: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Count of the entries of ``cumsum(normalized[ka])`` below u."""
-    count = jumps.lead.take(ka) * (0.0 < u)
-    for cum, width in zip(jumps.cum, jumps.width):
-        count += (cum.take(ka) < u) * width.take(ka)
-    return count
-
-
 def _target(jumps: _JumpTable, ka: np.ndarray, count: np.ndarray) -> np.ndarray:
-    """Target at a slot count: clipped to the last state; argmax if that entry has no mass."""
-    n_states = jumps.normalized.shape[1]
-    j = np.minimum(count, n_states - 1)
-    no_mass = jumps.normalized.take(ka * n_states + j) <= 0.0
-    return np.where(no_mass, jumps.fallback.take(ka), j)
+    """Target at a count: clipped to the last state; argmax if that entry has no mass."""
+    j = np.minimum(count, jumps.cum.shape[1] - 1)
+    return np.where(jumps.no_mass[ka, j], jumps.fallback.take(ka), j)
 
 
 def _jump_targets(jumps: _JumpTable, ka: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Target state of each accepted jump from pair ka at uniform draw u.
-
-    The guide table answers most draws; the rest go to _slot_count and _target.
-    """
+    """Target state of each accepted jump from pair ka at uniform draw u: the
+    guide's, or where it has none, _target of the count on the pair's row."""
     bucket = (u * _GUIDE).astype(np.int64)
     np.minimum(bucket, _GUIDE, out=bucket)
     bucket += ka * (_GUIDE + 1)
@@ -282,7 +261,8 @@ def _jump_targets(jumps: _JumpTable, ka: np.ndarray, u: np.ndarray) -> np.ndarra
     miss = np.flatnonzero(j < 0)
     if miss.size:
         ka = ka.take(miss)
-        j[miss] = _target(jumps, ka, _slot_count(jumps, ka, u.take(miss)))
+        count = (jumps.cum.take(ka, axis=0) < u.take(miss)[:, None]).sum(axis=1)
+        j[miss] = _target(jumps, ka, count)
     return j
 
 

@@ -265,6 +265,20 @@ class TestRoundCap:
         with pytest.raises(RuntimeError, match="batch thinning did not finish"):
             mc_value(model, still_policy(model), 0, 0, 1000, seed=0)
 
+    @pytest.mark.parametrize("diagonal, shown", [(math.nan, "nan"), (-math.inf, "inf")])
+    def test_a_non_finite_exit_rate_is_named_not_the_horizon(self, diagonal, shown):
+        # an unvalidated model: state 1's diagonal is not a finite rate
+        model = CtmdpModel.from_tables(
+            actions_per_state=[[0.0], [0.0], [0.0]],
+            rates=[[[-1.0, 0.5, 0.5]], [[1.0, diagonal, 0.0]], [[0.0, 1.0, -1.0]]],
+            costs=[[[0.0], [1.0], [0.0]]], horizon=1.0)
+        pol = still_policy(model)
+        for call in (lambda: simulate(model, pol, 0, seed=1),
+                     lambda: mc_value(model, pol, 0, 0, 100, seed=1)):
+            with pytest.raises(ValueError,
+                               match=rf"^state 1 has a non-finite exit rate q\* = {shown};"):
+                call()
+
 
 class TestMcValue:
     def test_zero_cost_is_exactly_zero(self):
@@ -516,6 +530,17 @@ def slot_search_models():
         costs=[[[0.0], [0.0, 0.0], [0.0], [0.0], [0.0], [0.0]]], horizon=1.0)
 
 
+def signed_entry_model():
+    """Rows with a NaN off-diagonal entry under a finite exit rate, -0.0
+    entries and -1e-12 entries, in leading, middle and last columns."""
+    return CtmdpModel.from_tables(
+        actions_per_state=[[0.0], [0.0, 1.0], [0.0], [0.0]],
+        rates=[[[-1.0, math.nan, 0.5, -0.0]],
+               [[-0.0, -2.0, -1e-12, 1.0], [0.5, -0.5, -0.0, 0.0]],
+               [[0.25, 0.25, -1.0, 0.5]], [[-1e-12, 0.5, math.nan, -1.0]]],
+        costs=[[[0.0], [0.0, 0.0], [0.0], [0.0]]], horizon=1.0)
+
+
 def edge_model():
     """State 0's normalized row has its breakpoints 0.25 and 0.75 exactly on
     bucket edges and a zero first column; state 1 holds a zero-rate pair next
@@ -585,9 +610,9 @@ class TestJumpTableReuse:
     def test_a_new_model_gets_its_own_table(self):
         a, b = two_state_chain(), make_birth_death(1.0, 2.0, m=4, grid=2)
         table_a = _jump_table(a)
-        assert _jump_table(b).normalized.shape == (b.n_pairs, b.n_states)
+        assert _jump_table(b).cum.shape == (b.n_pairs, b.n_states)
         assert _jump_table(a) is not table_a
-        assert np.array_equal(_jump_table(a).normalized, table_a.normalized)
+        assert np.array_equal(_jump_table(a).cum, table_a.cum)
 
 
 class TestGuideBuild:
@@ -598,10 +623,10 @@ class TestGuideBuild:
         monkeypatch.setattr(sim, "_GUIDE_BLOCK", block)
         edges = np.arange(_GUIDE + 1) / _GUIDE
         for model in [make_birth_death(1.0, 2.0, m=60, grid=3), *slot_search_models(),
-                      edge_model()]:
+                      edge_model(), signed_entry_model()]:
             jumps = _jump_table(model)
             pairs = np.arange(model.n_pairs)[:, None]
-            count = sim._slot_count(jumps, pairs, edges)
+            count = (jumps.cum[:, None, :] < edges[:, None]).sum(axis=2)  # the dense count
             want = np.full((model.n_pairs, _GUIDE + 1), -1, dtype=np.int64)
             want[:, :-1] = np.where(count[:, :-1] == count[:, 1:],
                                     sim._target(jumps, pairs, count[:, :-1]), -1)
@@ -647,7 +672,7 @@ class TestJumpSlotSearch:
         jumps = _jump_table(model)
         ka_all = np.flatnonzero(model.exit_rate > 0.0)
         for ka in ka_all:
-            row = np.cumsum(jumps.normalized[ka])
+            row = jumps.cum[ka]
             us = np.concatenate([[0.0, np.nextafter(0.0, 1.0), 0.5, np.nextafter(1.0, 0.0)],
                                  row, np.nextafter(row, -np.inf), np.nextafter(row, np.inf)])
             us = us[(us >= 0.0) & (us < 1.0)]
@@ -658,20 +683,21 @@ class TestJumpSlotSearch:
         model = list(slot_search_models())[-1]
         jumps = _jump_table(model)
         for ka in np.flatnonzero(model.exit_rate > 0.0):
-            total = np.cumsum(jumps.normalized[ka])[-1]
+            total = jumps.cum[ka, -1]
             us = np.array([0.0, np.nextafter(total, np.inf), 2.0])
             kas = np.full(3, ka)
             assert np.array_equal(_jump_targets(jumps, kas, us), dense_jump_count(model, kas, us))
         # pair 0's row sums below one, so a draw in [0, 1) can pass its end
-        total = np.cumsum(jumps.normalized[0])[-1]
+        total = jumps.cum[0, -1]
         assert total < 1.0
         u = np.array([np.nextafter(total, np.inf)])
         assert u[0] < 1.0
         assert _jump_targets(jumps, np.array([0]), u)[0] == model.n_states - 1
 
-    @pytest.mark.parametrize("model", list(slot_search_models()) + [edge_model()],
+    @pytest.mark.parametrize("model", [*slot_search_models(), edge_model(),
+                                       signed_entry_model()],
                              ids=["birth-death", "absorbing", "random0", "random1",
-                                  "random2", "handmade", "edges"])
+                                  "random2", "handmade", "edges", "signed-entries"])
     def test_equals_the_dense_count_at_every_bucket_edge(self, model):
         jumps = _jump_table(model)
         edges = np.arange(_GUIDE + 1) / _GUIDE
