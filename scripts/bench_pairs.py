@@ -17,7 +17,9 @@ numpy, BLAS and core count); the seeds and run order; every run's metric
 values and verdict; and per metric the median and quartiles of each side,
 the change's wins (ties count for neither side) and whether the claim rule
 holds: wins in at least nine tenths of the pairs and a median gap wider than
-the parent's interquartile range.
+the parent's interquartile range. Each run also records its minor page
+faults, the ``getrusage(RUSAGE_CHILDREN)`` count taken across the child, and
+each workload the median of those counts per side.
 Progress goes to stderr. The script uses the standard library only; it exits
 1 if a run prints no result.
 """
@@ -25,6 +27,7 @@ Progress goes to stderr. The script uses the standard library only; it exits
 from __future__ import annotations
 
 import json
+import resource
 import statistics
 import subprocess
 import sys
@@ -32,9 +35,11 @@ from pathlib import Path
 
 
 def run_once(checkout: Path, command: list, workload: str, seed: int, seconds) -> dict:
+    faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
     proc = subprocess.run(command + ["--workload", workload, "--seed", str(seed),
                                      "--seconds", str(seconds), "--trace", "0"],
                           cwd=checkout, capture_output=True, text=True)
+    faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - faults
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
         sys.exit(f"{checkout}: {workload} seed {seed} exited {proc.returncode}\n{proc.stderr}")
@@ -42,7 +47,7 @@ def run_once(checkout: Path, command: list, workload: str, seed: int, seconds) -
     provenance = next((json.loads(line[len("provenance "):]) for line in lines
                        if line.startswith("provenance ")), {})
     return {"provenance": provenance, "correct": result["correct"],
-            "attempted": result["attempted"], "failed": result["failed"],
+            "attempted": result["attempted"], "failed": result["failed"], "minor_faults": faults,
             "metrics": {name: m["value"] for name, m in result["metrics"].items()}}
 
 
@@ -85,9 +90,13 @@ def main(argv: list) -> int:
             for side, checkout in (sides if i % 2 == 0 else sides[::-1]):
                 pair[side] = run_once(checkout, command, workload, seed, bench["run_seconds"])
                 print(f"{workload} pair {i} {side}: route_p50_s="
-                      f"{pair[side]['metrics'].get('route_p50_s')}", file=sys.stderr)
+                      f"{pair[side]['metrics'].get('route_p50_s')} minor_faults="
+                      f"{pair[side]['minor_faults']}", file=sys.stderr)
             pairs.append(pair)
-        record["workloads"][workload] = {"pairs": pairs, "comparison": compare(pairs, metrics)}
+        faults = {side: statistics.median(p[side]["minor_faults"] for p in pairs)
+                  for side in ("parent", "change")}
+        record["workloads"][workload] = {"pairs": pairs, "comparison": compare(pairs, metrics),
+                                         "median_minor_faults": faults}
     json.dump(record, sys.stdout, indent=1)
     print()
     return 0

@@ -74,10 +74,11 @@ def _estimate(samples: np.ndarray) -> McEstimate:
     return McEstimate(mean=mean, se=se, count=n)
 
 
-def _cell_of(t, dt_cells: float, n_cells: int):
-    """Policy cell of each time t >= 0 (no lower clip: t / dt_cells >= 0)."""
-    cell = (t / dt_cells).astype(np.int64)
-    return np.minimum(cell, n_cells - 1, out=cell)
+def _cell_of(t, dt_cells: float, n_cells: int, out: np.ndarray) -> np.ndarray:
+    """Policy cell of each time t >= 0 (no lower clip: t / dt_cells >= 0), in
+    the int64 buffer out; the unsafe cast truncates as astype does."""
+    np.divide(t, dt_cells, out=out, casting="unsafe")
+    return np.minimum(out, n_cells - 1, out=out)
 
 
 def _max_rounds(model: CtmdpModel) -> int:
@@ -139,7 +140,8 @@ def simulate(model: CtmdpModel, policy: MarkovPolicy, i0: int, seed) -> Trajecto
         ka = pair_at(i, t)
         if rng.random() * qs >= model.exit_rate[ka]:
             continue  # thinned proposal, clock keeps running
-        j = int(_jump_targets(jumps, np.array([ka]), np.array([rng.random()]))[0])
+        j = int(_jump_targets(jumps, np.array([ka]), np.array([rng.random()]),
+                              np.empty(1, np.int64), np.empty(1, np.int64))[0])
         times.append(t)
         states.append(j)
         pairs.append(pair_at(j, t))
@@ -172,17 +174,20 @@ def _integral_fn(table: np.ndarray, dt_cells: float, t_end: float, horizon: floa
     end_cell = min(int(end / dt_cells), n_cells - 1)
     clamp = end < horizon or end_cell < n_cells - 1
 
-    def integral(state: np.ndarray, u: np.ndarray, cell: np.ndarray) -> np.ndarray:
+    def integral(state, u, cell, at, tmp, out):
+        """F into out, with the flat index in the int64 buffer at and tmp as
+        float scratch; at may be cell and out may be u, each read first."""
+        c = np.minimum(cell, end_cell, out=at) if clamp else cell
+        np.multiply(c, dt_cells, tmp)
         if clamp:
-            u = np.minimum(u, end)
-            cell = np.minimum(cell, end_cell)
-        at = state * (n_cells + 1)
-        at += cell
-        part = cell * dt_cells
-        np.subtract(u, part, out=part)
-        part *= value.take(at)
-        part += pre.take(at)  # part + pre has the bits of pre + part
-        return part
+            u = np.minimum(u, end, out=out)
+        np.subtract(u, tmp, out)
+        flat = tmp.view(np.int64)
+        np.multiply(state, n_cells + 1, flat)
+        np.add(c, flat, at)
+        out *= value.take(at, None, tmp, "clip")
+        out += pre.take(at, None, tmp, "clip")  # out + pre has the bits of pre + out
+        return out
 
     return integral
 
@@ -251,19 +256,28 @@ def _target(jumps: _JumpTable, ka: np.ndarray, count: np.ndarray) -> np.ndarray:
     return np.where(jumps.no_mass[ka, j], jumps.fallback.take(ka), j)
 
 
-def _jump_targets(jumps: _JumpTable, ka: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Target state of each accepted jump from pair ka at uniform draw u: the
-    guide's, or where it has none, _target of the count on the pair's row."""
-    bucket = (u * _GUIDE).astype(np.int64)
+def _jump_targets(jumps: _JumpTable, ka: np.ndarray, u: np.ndarray, bucket: np.ndarray,
+                  out: np.ndarray) -> np.ndarray:
+    """Target state of each accepted jump from pair ka at uniform draw u, into
+    the int64 buffer out: the guide's, or where it has none, _target of the
+    count on the pair's row. bucket is int64 scratch of the same length."""
+    np.multiply(u, _GUIDE, out=bucket, casting="unsafe")  # truncates as astype does
     np.minimum(bucket, _GUIDE, out=bucket)
-    bucket += ka * (_GUIDE + 1)
-    j = jumps.guide.take(bucket)
-    miss = np.flatnonzero(j < 0)
+    bucket += np.multiply(ka, _GUIDE + 1, out)  # out is scratch until the gather
+    jumps.guide.take(bucket, None, out, "clip")
+    miss = np.flatnonzero(np.less(out, 0, bucket.view(bool)[:out.size]))
     if miss.size:
         ka = ka.take(miss)
         count = (jumps.cum.take(ka, axis=0) < u.take(miss)[:, None]).sum(axis=1)
-        j[miss] = _target(jumps, ka, count)
-    return j
+        out[miss] = _target(jumps, ka, count)
+    return out
+
+
+def _moved(arr: np.ndarray, keep: np.ndarray, out: np.ndarray, free: list) -> np.ndarray:
+    """arr.take(keep) into out; arr's buffer goes back to free."""
+    arr.take(keep, None, out, "clip")
+    free.append(arr.base)
+    return out
 
 
 def _batch_arguments(model: CtmdpModel, policy: MarkovPolicy, n_paths, i0):
@@ -296,11 +310,11 @@ def _run_batch(model: CtmdpModel, policy: MarkovPolicy, i0: int, n_paths: int,
     carried up to the start of the current stretch, which is the previous
     round's value at the stretch end unless the path jumped. The policy cell
     of each stretch end is computed once per round and shared by the action
-    lookup and the integral. Each round writes into arrays it already owns,
-    and skips, by a choice made once per batch, the work that cannot change
-    a value: the +inf clock when no state has q* = 0, and the per-round
-    capture test when t_check = T. See notes/decisions.md for why this
-    reproduces the full-width loop bit for bit.
+    lookup and the integral. Each round writes into buffers the batch owns
+    until it ends, and skips, by a choice made once per batch, the work that
+    cannot change a value: the +inf clock when no state has q* = 0, and the
+    per-round capture test when t_check = T. See notes/decisions.md for why
+    this reproduces the full-width loop bit for bit.
     """
     plays, n_paths, i0 = _batch_arguments(model, policy, n_paths, i0)
     rng = np.random.default_rng(seed)
@@ -326,84 +340,117 @@ def _run_batch(model: CtmdpModel, policy: MarkovPolicy, i0: int, n_paths: int,
     acc_out = None if F is None else np.zeros(n_paths)
     captured = np.full(n_paths, -1, dtype=np.int64)
 
-    ids = np.arange(n_paths)
-    t = np.zeros(n_paths)
-    state = np.full(n_paths, i0, dtype=np.int64)
-    if F is not None:
-        acc = np.zeros(n_paths)
-        start = F(state, t, _cell_of(t, dt_cells, n_cells))
+    # Three full-width scratch buffers, float64 tmp and int64 at and aux, hold
+    # every array that is read only within one step of a round, and two flag
+    # rows hold the masks. Every other array is lent from the pool: the
+    # full-width float64 buffers not in use, each with its int64 view made once.
+    # A lent array is a prefix view of one and goes back by its base after its
+    # last read; free is a stack, so the next lend takes the buffer given last
+    tmp, (at, aux) = np.empty(n_paths), np.empty((2, n_paths), dtype=np.int64)
+    flag, flag2 = np.empty((2, n_paths), dtype=bool)
+    free, as_int = [], {}
 
-    # ids, t, state, acc and start live across rounds; every other array is
-    # dropped after its last read, but for the jump step's jumped and j and the
-    # round's cell: the next round rebinds them, as dropping them at the round's
-    # end hands the heap top back to the allocator (notes/decisions.md)
+    def grown():
+        buf = np.empty(n_paths)
+        as_int[id(buf)] = buf.view(np.int64)
+        return buf
+
+    def lend(n):
+        return (free.pop() if free else grown())[:n]
+
+    def lend_int(n):
+        return as_int[id(free.pop() if free else grown())][:n]
+
+    ids, t, state = lend_int(n_paths), lend(n_paths), lend_int(n_paths)
+    ids[:] = np.arange(n_paths)
+    t.fill(0.0)
+    state.fill(i0)
+    if F is not None:
+        acc = lend(n_paths)
+        acc.fill(0.0)
+        start = F(state, t, _cell_of(t, dt_cells, n_cells, aux), at, tmp, lend(n_paths))
+
+    # ids, t, state, acc and start live across rounds. Indices are in range by
+    # construction (notes/decisions.md), so every gather clips, which buffers nothing
     for _ in range(_max_rounds(model)):
-        if ids.size == 0:
+        n = ids.size
+        if n == 0:
             break
         # the stretch end min(t + E / q*, T), in one buffer; +inf where q* = 0
-        hi = rng.standard_exponential(ids.size)
-        hi /= clock_rate.take(state)
+        hi = rng.standard_exponential(out=lend(n))
+        hi /= clock_rate.take(state, None, tmp[:n], "clip")
         hi += t
         if any_absorbing:
-            hi[absorbing.take(state)] = np.inf
+            hi[absorbing.take(state, None, flag[:n], "clip")] = np.inf
         np.minimum(hi, T, out=hi)
 
         if capture_each_round:
-            hit = np.flatnonzero((t <= t_check) & (t_check < hi))
-            captured[ids.take(hit)] = state.take(hit)
+            hit = np.flatnonzero(np.logical_and(np.less_equal(t, t_check, flag[:n]),
+                                                np.greater(hi, t_check, flag2[:n]), flag[:n]))
+            captured[ids.take(hit, None, at[:hit.size], "clip")] = state.take(
+                hit, None, aux[:hit.size], "clip")
             del hit
+        free.append(t.base)
         t = hi  # the stretch start is read no more
-        del hi
 
-        cell = _cell_of(t, dt_cells, n_cells)
+        cell = _cell_of(t, dt_cells, n_cells, lend_int(n))
         if F is not None:
-            end = F(state, t, cell)
-            np.subtract(end, start, out=start)
+            end = F(state, t, cell, at[:n], tmp[:n], lend(n))
+            np.subtract(end, start, start)
             acc += start
+            free.append(start.base)
             start = end
-            del end
 
-        finished = t >= T
-        done = np.flatnonzero(finished)
+        done = np.flatnonzero(np.greater_equal(t, T, flag[:n]))
         if done.size:
-            out = ids.take(done)
-            held = captured.take(out)
-            captured[out] = np.where(held < 0, state.take(done), held)
+            keep = np.flatnonzero(np.logical_not(flag[:n], flag[:n]))
+            out, held, last = at[:done.size], aux[:done.size], lend_int(done.size)
+            captured.take(ids.take(done, None, out, "clip"), None, held, "clip")
+            np.copyto(held, state.take(done, None, last, "clip"),
+                      where=np.less(held, 0, flag[:done.size]))
+            captured[out] = held
             if F is not None:
-                acc_out[out] = acc.take(done)
-            del out, held
-            keep = np.flatnonzero(~finished)
-            # one array at a time, so each goes as its compacted copy comes
-            ids = ids.take(keep)
-            t = t.take(keep)
-            state = state.take(keep)
-            cell = cell.take(keep)
+                acc_out[out] = acc.take(done, None, tmp[:done.size], "clip")
+            free.append(last.base)
+            # each live array moves into the buffer the one before it left
+            ids = _moved(ids, keep, lend_int(keep.size), free)
+            t = _moved(t, keep, lend(keep.size), free)
+            state = _moved(state, keep, lend_int(keep.size), free)
+            cell = _moved(cell, keep, lend_int(keep.size), free)
             if F is not None:
-                acc = acc.take(keep)
-                start = start.take(keep)
+                acc = _moved(acc, keep, lend(keep.size), free)
+                start = _moved(start, keep, lend(keep.size), free)
+            n = ids.size
             del keep
-        del finished, done
+        del done
 
         if plays.pairs is None:
             rows = np.where(real[state], plays.weights[cell[:, None], pad[state]], 0.0)
-            ka = offsets[state] + _draw_local(rows, n_actions[state], rng.random(ids.size))
+            ka = np.add(offsets[state], _draw_local(rows, n_actions[state], rng.random(n)),
+                        aux[:n])
             del rows
         else:
-            at = cell * n_states
-            at += state
-            ka = plays.pairs.take(at)
-            del at
+            flat = np.multiply(cell, n_states, at[:n])
+            flat += state
+            ka = plays.pairs.take(flat, None, aux[:n], "clip")
 
-        u = rng.random(ids.size)
-        u *= q_star.take(state)
-        jumped = np.flatnonzero(u < model.exit_rate.take(ka))
-        del u
-        ka = ka.take(jumped)
-        j = _jump_targets(jumps, ka, rng.random(jumped.size))
-        del ka
+        u = rng.random(out=lend(n))
+        u *= q_star.take(state, None, tmp[:n], "clip")
+        jumped = np.flatnonzero(np.less(u, model.exit_rate.take(ka, None, tmp[:n], "clip"),
+                                        flag[:n]))
+        free.append(u.base)
+        k = jumped.size
+        kj = ka.take(jumped, None, lend_int(k), "clip")
+        j = _jump_targets(jumps, kj, rng.random(out=tmp[:k]), at[:k], aux[:k])
+        free.append(kj.base)
         state[jumped] = j
         if F is not None:
-            start[jumped] = F(j, t.take(jumped), cell.take(jumped))
+            # the flat index goes over the gathered cells, the value over the times
+            tj, cj = t.take(jumped, None, lend(k), "clip"), cell.take(jumped, None, at[:k], "clip")
+            start[jumped] = F(j, tj, cj, cj, tmp[:k], tj)
+            free.append(tj.base)
+        free.append(cell.base)
+        del jumped
     if ids.size:
         raise RuntimeError("batch thinning did not finish within the round cap")
     return acc_out, captured

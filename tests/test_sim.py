@@ -499,6 +499,37 @@ class TestBatchMatchesDenseOracle:
         assert_batch_matches_dense(model, pol, 2, 50, 0, 1.0, model.costs[0])
 
 
+class TestBatchEdgesMatchTheDenseOracle:
+    """The buffer plan at its edges: a batch of two paths, and a batch whose
+    every path reaches the horizon in its first round, so the action,
+    acceptance and target steps run on empty prefixes. Each runs an
+    integrand and a capture at t_check < T, so the integral's caps apply."""
+
+    @staticmethod
+    def policy(model, kind):
+        if kind == "uniform":
+            return MarkovPolicy.uniform(model, n_nodes=11)
+        return solve_backward(model, TimeGrid(model.horizon, 200))[1]
+
+    @pytest.mark.parametrize("kind", ["optimal", "uniform"])
+    def test_two_paths(self, kind):
+        model = make_birth_death(1.0, 2.0, m=20, grid=3)
+        policy = self.policy(model, kind)
+        for seed in range(10):
+            assert_batch_matches_dense(model, policy, 10, 2, seed, 0.4, rate_into(model, {9, 10}))
+            assert_batch_matches_dense(model, policy, 10, 2, seed, 1.0, model.costs[0])
+
+    @pytest.mark.parametrize("kind", ["optimal", "uniform"])
+    def test_every_path_finishes_in_its_first_round(self, kind):
+        model = make_birth_death(1.0, 2.0, m=20, grid=3, horizon=1e-3)
+        policy = self.policy(model, kind)
+        i0, n, seed = 10, 100, 24
+        clocks = np.random.default_rng(seed).standard_exponential(n) / model.q_star[i0]
+        assert clocks.min() >= model.horizon  # no proposal falls before the horizon
+        assert_batch_matches_dense(model, policy, i0, n, seed, 0.5 * model.horizon,
+                                   rate_into(model, {9, 10}))
+
+
 def dense_jump_count(model, ka, u):
     """The full-row target choice: count of cumsum(row / diag) entries below u,
     clipped to the last state, argmax where the chosen entry has no mass."""
@@ -511,6 +542,11 @@ def dense_jump_count(model, ka, u):
     bad = rows[np.arange(rows.shape[0]), j] <= 0.0
     j[bad] = np.argmax(rows[bad], axis=1)
     return j
+
+
+def jump_targets(jumps, ka, u):
+    """sim._jump_targets into fresh buffers."""
+    return _jump_targets(jumps, ka, u, np.empty(ka.size, np.int64), np.empty(ka.size, np.int64))
 
 
 def slot_search_models():
@@ -647,19 +683,22 @@ class TestGuideBuild:
 
 
 class TestBatchWorkingSet:
-    """A batch holds its outputs, its live-path arrays and one round's
-    working arrays. Measured on a deterministic policy: 15 eight-byte
-    numbers per path for mc_value and 11 for check_weight_bound (21 and 16
-    if each round's arrays lived into the next)."""
+    """A batch holds its outputs, its scratch buffers and a pool as deep as
+    its busiest step. Measured on a deterministic policy: 14.0 eight-byte
+    numbers per path for mc_value and check_forward_kolmogorov, and 10.8 for
+    check_weight_bound."""
 
-    @pytest.mark.parametrize("route, numbers", [("mc_value", 16), ("check_weight_bound", 12)])
+    @pytest.mark.parametrize("route, numbers", [("mc_value", 16), ("check_weight_bound", 12),
+                                                ("check_forward_kolmogorov", 16)])
     def test_peak_per_path(self, route, numbers):
         model = make_birth_death(1.0, 2.0, m=20, grid=3)
         _, policy = solve_backward(model, TimeGrid(1.0, 120))
         cert, n = birth_death_certificate(1.0, 2.0), 20000
         run = {"mc_value": lambda: mc_value(model, policy, 10, 0, n, seed=1),
                "check_weight_bound": lambda: check_weight_bound(
-                   model, cert, policy, 10, 0.5, n, seed=1)}[route]
+                   model, cert, policy, 10, 0.5, n, seed=1),
+               "check_forward_kolmogorov": lambda: check_forward_kolmogorov(
+                   model, policy, 10, [9, 10], 0.5, n, seed=1)}[route]
         peak = traced_peak(run)
         assert peak < 8 * numbers * n, f"peak {peak / n:.1f} B per path"
 
@@ -677,7 +716,7 @@ class TestJumpSlotSearch:
                                  row, np.nextafter(row, -np.inf), np.nextafter(row, np.inf)])
             us = us[(us >= 0.0) & (us < 1.0)]
             kas = np.full(us.size, ka)
-            assert np.array_equal(_jump_targets(jumps, kas, us), dense_jump_count(model, kas, us))
+            assert np.array_equal(jump_targets(jumps, kas, us), dense_jump_count(model, kas, us))
 
     def test_zero_draw_and_draw_above_the_row_sum(self):
         model = list(slot_search_models())[-1]
@@ -686,13 +725,13 @@ class TestJumpSlotSearch:
             total = jumps.cum[ka, -1]
             us = np.array([0.0, np.nextafter(total, np.inf), 2.0])
             kas = np.full(3, ka)
-            assert np.array_equal(_jump_targets(jumps, kas, us), dense_jump_count(model, kas, us))
+            assert np.array_equal(jump_targets(jumps, kas, us), dense_jump_count(model, kas, us))
         # pair 0's row sums below one, so a draw in [0, 1) can pass its end
         total = jumps.cum[0, -1]
         assert total < 1.0
         u = np.array([np.nextafter(total, np.inf)])
         assert u[0] < 1.0
-        assert _jump_targets(jumps, np.array([0]), u)[0] == model.n_states - 1
+        assert jump_targets(jumps, np.array([0]), u)[0] == model.n_states - 1
 
     @pytest.mark.parametrize("model", [*slot_search_models(), edge_model(),
                                        signed_entry_model()],
@@ -708,7 +747,7 @@ class TestJumpSlotSearch:
         with np.errstate(divide="ignore", invalid="ignore"):
             for ka in range(model.n_pairs):
                 kas = np.full(us.size, ka)
-                assert np.array_equal(_jump_targets(jumps, kas, us),
+                assert np.array_equal(jump_targets(jumps, kas, us),
                                       dense_jump_count(model, kas, us))
 
     def test_only_buckets_holding_a_breakpoint_are_searched(self):
