@@ -77,7 +77,7 @@ def _estimate(samples: np.ndarray) -> McEstimate:
 def _cell_of(t, dt_cells: float, n_cells: int, out: np.ndarray) -> np.ndarray:
     """Policy cell of each time t >= 0 (no lower clip: t / dt_cells >= 0), in
     the int64 buffer out; the unsafe cast truncates as astype does."""
-    np.divide(t, dt_cells, out=out, casting="unsafe")
+    np.divide(t, dt_cells, out, casting="unsafe")
     return np.minimum(out, n_cells - 1, out=out)
 
 
@@ -261,7 +261,7 @@ def _jump_targets(jumps: _JumpTable, ka: np.ndarray, u: np.ndarray, bucket: np.n
     """Target state of each accepted jump from pair ka at uniform draw u, into
     the int64 buffer out: the guide's, or where it has none, _target of the
     count on the pair's row. bucket is int64 scratch of the same length."""
-    np.multiply(u, _GUIDE, out=bucket, casting="unsafe")  # truncates as astype does
+    np.multiply(u, _GUIDE, bucket, casting="unsafe")  # truncates as astype does
     np.minimum(bucket, _GUIDE, out=bucket)
     bucket += np.multiply(ka, _GUIDE + 1, out)  # out is scratch until the gather
     jumps.guide.take(bucket, None, out, "clip")
