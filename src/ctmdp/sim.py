@@ -331,8 +331,8 @@ def _run_batch(model: CtmdpModel, policy: MarkovPolicy, i0: int, n_paths: int,
     capture_each_round = t_check < T
     # a padding slot (pad_index n_pairs) reads pair 0, then is zeroed: a zero-padded
     # kernel copy would outlive every round (notes/decisions.md)
-    real = model.pad_index < model.n_pairs
-    pad, n_actions = np.where(real, model.pad_index, 0), np.diff(offsets)
+    padding = model.pad_index == model.n_pairs
+    pad, n_actions = np.where(padding, 0, model.pad_index), np.diff(offsets)
     jumps = _jump_table(model)
     F = None if per_pair is None else _integral_fn(plays.average(per_pair), dt_cells,
                                                    t_check, T)
@@ -425,7 +425,8 @@ def _run_batch(model: CtmdpModel, policy: MarkovPolicy, i0: int, n_paths: int,
         del done
 
         if plays.pairs is None:
-            rows = np.where(real[state], plays.weights[cell[:, None], pad[state]], 0.0)
+            rows = plays.weights.take(pad[state] + (cell * model.n_pairs)[:, None])
+            rows[padding[state]] = 0.0
             ka = np.add(offsets[state], _draw_local(rows, n_actions[state], rng.random(n)),
                         aux[:n])
             del rows
