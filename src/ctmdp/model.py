@@ -436,7 +436,7 @@ class MarkovPolicy:
         raw = self.action_index if deterministic else self.action_probs
         if raw is None:
             raise ModelFormatError("policy table missing for its kind")
-        arr = np.asarray(raw, dtype=np.int64 if deterministic else float)
+        arr = np.ascontiguousarray(raw, dtype=np.int64 if deterministic else float)
         if arr.ndim != 2:
             raise ModelFormatError("policy table must be 2-d (nodes x states/pairs)")
         arr.flags.writeable = False

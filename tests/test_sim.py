@@ -529,6 +529,15 @@ class TestBatchEdgesMatchTheDenseOracle:
         assert_batch_matches_dense(model, policy, i0, n, seed, 0.5 * model.horizon,
                                    rate_into(model, {9, 10}))
 
+    def test_a_fortran_ordered_kernel_is_stored_c_contiguous(self):
+        # the batch gathers kernel rows by flat index, which would copy a
+        # non-contiguous kernel every round
+        model = make_birth_death(1.0, 2.0, m=20, grid=3)
+        kernel = np.asfortranarray(self.policy(model, "uniform").action_probs)
+        policy = MarkovPolicy.randomized(kernel)
+        assert policy.action_probs.flags.c_contiguous
+        assert_batch_matches_dense(model, policy, 10, 200, 3, 0.4, rate_into(model, {9, 10}))
+
 
 def dense_jump_count(model, ka, u):
     """The full-row target choice: count of cumsum(row / diag) entries below u,
