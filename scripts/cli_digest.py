@@ -2,20 +2,26 @@
 
 Usage (from the root of a source checkout):
 
-    PYTHONPATH=src python3 scripts/cli_digest.py
+    PYTHONPATH=src python3 scripts/cli_digest.py [--keep DIR]
 
 The ``ctmdp`` package is imported from ``PYTHONPATH``, so running this on two
 trees and diffing the outputs shows whether a change altered any CLI byte.
-Each run writes into its own directory under a temporary directory; its
+Each run writes into its own directory under a temporary directory, or under
+DIR, which must not exist yet and is kept, when ``--keep DIR`` is given; its
 stdout is kept as ``stdout.txt`` beside the files it wrote. One line
-``<sha256>  <run>/<file>`` is printed per file, sorted by path. The script
-exits 1, printing the run's stderr, if a run exits with neither 0 nor 1,
-prints a traceback, or writes no ``report.txt`` (for instance when ``ctmdp``
-cannot be imported). It uses the standard library only and takes no flags.
+``<sha256>  <run>/<file>`` is printed per file, sorted by path, with or
+without ``--keep``. Two kept directories can be compared with
+``scripts/cli_prefix.py``, which tells a report key appended by a change from
+a changed byte. The script exits 1, printing the run's stderr, if a run exits
+with neither 0 nor 1, prints a traceback, or writes no ``report.txt`` (for
+instance when ``ctmdp`` cannot be imported), and 2 if DIR exists. It uses the
+standard library only.
 """
 
 from __future__ import annotations
 
+import argparse
+import contextlib
 import hashlib
 import json
 import os
@@ -85,8 +91,18 @@ RUNS = {
 MAIN = "import sys; from ctmdp.cli import main; sys.exit(main(sys.argv[1:]))"
 
 
-def main() -> int:
-    with tempfile.TemporaryDirectory() as tmp:
+def main(argv: list[str]) -> int:
+    parser = argparse.ArgumentParser(description="SHA-256 digests of the standard CLI runs.")
+    parser.add_argument("--keep", metavar="DIR",
+                        help="write the runs under DIR, which must not exist, and keep them")
+    keep = parser.parse_args(argv).keep
+    if keep is not None:
+        try:
+            os.makedirs(keep)
+        except FileExistsError:
+            print(f"--keep {keep}: already exists", file=sys.stderr)
+            return 2
+    with (tempfile.TemporaryDirectory() if keep is None else contextlib.nullcontext(keep)) as tmp:
         models = {}
         for key, doc in (("model", CRITERION7), ("scaled", CRITERION7_SCALED),
                          ("explicit", EXPLICIT), ("mirrored", MIRRORED)):
@@ -119,4 +135,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

@@ -20,8 +20,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dp import (TimeGrid, ValueGrid, _action_text, _csv_blocks, _node_strings, _played_rows,
-                 _plays, _stepper, _write_csv, scalarize_costs, solve_backward)
+from .dp import (_AVERAGE_BLOCK, TimeGrid, ValueGrid, _action_text, _csv_blocks, _node_strings,
+                 _played_rows, _plays, _stepper, _write_csv, scalarize_costs, solve_backward)
 from .model import CtmdpModel, MarkovPolicy, _checked_index
 from . import lp_core
 
@@ -29,32 +29,112 @@ MASS_EPS = 1e-12       # cells below this total mass disintegrate to uniform
 _TIME_BINS = 4         # time bins per state among the default test tables
 
 
-@dataclass(frozen=True, eq=False)
 class OccupationGrid:
     """Nonnegative mass per (time cell, state-action pair), unit per cell.
 
     The continuous measure of a cell is mass * dt / T; expected costs over
     the full horizon are therefore dt * sum_k sum_ka c[ka] y[k, ka].
+    OccupationGrid(grid, masses) holds the (n_cells, n_pairs) table it is
+    given. A Markov policy's measure (occupation_of_policy) holds the state
+    masses p(i, t_k) at each cell start beside the pairs each run of cells
+    plays, or the kernel of a randomized policy; masses forms its table
+    afresh on each access, and the readers form it a block of cells at a
+    time (notes/decisions.md). Records compare by identity.
     """
 
-    grid: TimeGrid
-    masses: np.ndarray  # (n_cells, n_pairs)
+    def __init__(self, grid: TimeGrid, masses: np.ndarray | None):
+        self.grid, self._table = grid, masses
+        self._held = self._pair_state = self._runs = self._kernel = None
+
+    @classmethod
+    def _of_policy(cls, grid: TimeGrid, held: np.ndarray, pair_state: np.ndarray,
+                   runs: list | None, kernel: np.ndarray | None) -> OccupationGrid:
+        """held[k] = p(., t_k); a deterministic policy's runs, [(range of cells,
+        pair per state)], or a randomized policy's (n_cells, n_pairs) kernel."""
+        eta = cls(grid, None)
+        eta._held, eta._pair_state, eta._runs, eta._kernel = held, pair_state, runs, kernel
+        return eta
 
     @property
     def n_cells(self) -> int:
-        return self.masses.shape[0]
+        return len(self._held if self._table is None else self._table)
+
+    @property
+    def masses(self) -> np.ndarray:
+        """The (n_cells, n_pairs) table; a policy's measure forms a new one."""
+        if self._table is not None:
+            return self._table
+        y = np.empty((self.n_cells, len(self._pair_state)))
+        for rows, block in self._cell_blocks():
+            y[rows] = block
+        return y
+
+    def _cell_blocks(self):
+        """(rows, masses) for blocks of at most _AVERAGE_BLOCK cells: views of
+        a dense table, or, for a policy's measure, rows formed in one buffer
+        that the next block overwrites. Row sums and reduceat keep their bits
+        under this split (notes/decisions.md)."""
+        if self._table is not None:
+            for rows in _blocks(range(self.n_cells)):
+                yield rows, self._table[rows]
+            return
+        buffer = np.empty((min(_AVERAGE_BLOCK, self.n_cells), len(self._pair_state)))
+        if self._kernel is None:  # p(i) on state i's played pair, +0.0 elsewhere
+            for cells, s in self._runs:
+                for rows in _blocks(cells):
+                    block = buffer[:rows.stop - rows.start]
+                    block.fill(0.0)
+                    block[:, s] = self._held[rows]
+                    yield rows, block
+            return
+        for rows in _blocks(range(self.n_cells)):  # p(i) kernel(a | i) where played, +0.0 elsewhere
+            block, kernel = buffer[:rows.stop - rows.start], self._kernel[rows]
+            np.take(self._held[rows], self._pair_state, axis=1, out=block, mode="clip")
+            block *= kernel
+            block[kernel == 0.0] = 0.0
+            yield rows, block
+
+    def _rate_product(self, rate_rows: np.ndarray) -> np.ndarray:
+        """masses @ rate_rows: one product of a dense table, whose bits a block
+        of rows would not keep; a policy's measure multiplies a block of cells
+        at a time, a deterministic one by the rows each run plays."""
+        if self._table is not None:
+            return self._table @ rate_rows
+        out = np.empty((self.n_cells, rate_rows.shape[1]))
+        if self._kernel is not None:
+            for rows, block in self._cell_blocks():
+                out[rows] = block @ rate_rows
+            return out
+        for cells, s in self._runs:
+            Rs = None  # the last run's rows go before the next run's are gathered
+            Rs = rate_rows.take(s, axis=0)
+            for rows in _blocks(cells):
+                out[rows] = self._held[rows] @ Rs
+        return out
+
+    def _marginal_blocks(self, model: CtmdpModel):
+        """(rows, the state marginal of those cells), a block of cells at a time."""
+        for rows, block in self._cell_blocks():
+            yield rows, np.add.reduceat(block, model.action_offsets[:-1], axis=1)
 
     def state_marginal(self, model: CtmdpModel) -> np.ndarray:
-        return np.add.reduceat(self.masses, model.action_offsets[:-1], axis=1)
+        out = np.empty((self.n_cells, model.n_states))
+        for rows, marginal in self._marginal_blocks(model):
+            out[rows] = marginal
+        return out
 
     def expected_cost(self, model: CtmdpModel, cost_index: int) -> float:
         """dt * sum_k c . y(k): a first-order left-point sum in time, whatever
-        integrated the masses; evaluate_policy scores continuous-time costs."""
+        integrated the masses; evaluate_policy scores continuous-time costs.
+        The product takes the whole table, whose bits a block would not keep."""
         n = _checked_index(cost_index, model.costs.shape[0], "cost_index", "cost table")
         return float(self.grid.dt * np.sum(self.masses @ model.costs[n]))
 
     def max_cell_norm_error(self) -> float:
-        return float(np.max(np.abs(self.masses.sum(axis=1) - 1.0)))
+        sums = np.empty(self.n_cells)
+        for rows, block in self._cell_blocks():
+            block.sum(axis=1, out=sums[rows])
+        return float(np.max(np.abs(sums - 1.0)))
 
     def write_csv(self, model: CtmdpModel, path) -> None:
         """Rows (cell, t_k, state, action components, mass), cell-major."""
@@ -62,7 +142,14 @@ class OccupationGrid:
         names, points = _action_text(model)
         pairs = [f",{i}{point}," for i, point in zip(model.pair_state.tolist(), points)]
         _write_csv(path, ["cell", "t", "state", *names, "mass"],
-                   _csv_blocks(heads, pairs, "%.17g", (row.tolist() for row in self.masses)))
+                   _csv_blocks(heads, pairs, "%.17g",
+                               (row.tolist() for _, block in self._cell_blocks() for row in block)))
+
+
+def _blocks(cells: range) -> list[slice]:
+    """cells in slices of at most _AVERAGE_BLOCK."""
+    return [slice(lo, min(lo + _AVERAGE_BLOCK, cells.stop))
+            for lo in range(cells.start, cells.stop, _AVERAGE_BLOCK)]
 
 
 def occupation_of_policy(model: CtmdpModel, grid: TimeGrid,
@@ -70,16 +157,21 @@ def occupation_of_policy(model: CtmdpModel, grid: TimeGrid,
     """Discretized occupation measure of a Markov policy.
 
     Integrates the forward equation p' = Qbar(t)^T p from the initial
-    distribution with RK4 (kernel frozen per cell) and sets
+    distribution with RK4 (kernel frozen per cell); the measure is
     y(k, i, a) = p(i, t_k) * kernel(a | i, t_k) on the pairs cell k plays, 0
-    elsewhere. Steps weight those pairs' rate rows, as evaluate_policy does;
-    a deterministic policy's rows, one per state with weight 1, are its Qbar.
+    elsewhere, held as p at each cell start beside the played pairs and the
+    kernel, without a (cells x pairs) table. Steps weight those pairs' rate
+    rows, as evaluate_policy does; a deterministic policy's rows, one per
+    state with weight 1, are its Qbar.
     """
     grid.check_stability(model)
     step = _stepper(model.n_states, grid.dt, "rk4")
     plays = _plays(model, policy, grid)
-    deterministic = plays.pairs is not None
-    if deterministic:
+    firsts = [0, *(np.flatnonzero(plays.changes) + 1).tolist(), grid.n_steps]
+    runs = [(range(lo, end), plays.played(lo).copy()) for lo, end in zip(firsts, firsts[1:])]
+    kernel = plays.weights  # None for a deterministic policy
+    del plays  # with the copies above, a deterministic policy's pair table goes before held
+    if kernel is None:
         def f(v):
             return v @ Rs
     else:
@@ -87,20 +179,19 @@ def occupation_of_policy(model: CtmdpModel, grid: TimeGrid,
             return (v.take(st) * w) @ Rs
 
     p = model.initial_dist.astype(float)
-    y = np.zeros((grid.n_steps, model.n_pairs))
-    for k in range(grid.n_steps):
-        if k == 0 or plays.changes[k - 1]:
-            Rs = None  # the last run's rows go before the next run's are gathered
-            s, _, st, Rs = _played_rows(model, plays.played(k))
-        if deterministic:
-            y[k, s] = p
-        else:
-            w = plays.weights[k].take(s)
-            y[k, s] = p.take(st) * w
-        step(f, p, p)
-        np.maximum(p, 0.0, out=p)
-        p /= p.sum()
-    return OccupationGrid(grid=grid, masses=y)
+    held = np.empty((grid.n_steps, model.n_states))
+    for cells, s in runs:
+        Rs = None  # the last run's rows go before the next run's are gathered
+        _, _, st, Rs = _played_rows(model, s)
+        for k in cells:
+            held[k] = p
+            if kernel is not None:
+                w = kernel[k].take(s)
+            step(f, p, p)
+            np.maximum(p, 0.0, out=p)
+            p /= p.sum()
+    return OccupationGrid._of_policy(grid, held, model.pair_state,
+                                     runs if kernel is None else None, kernel)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a mass that is not finite scores NaN
@@ -109,9 +200,11 @@ def _residual_table(model: CtmdpModel, grid: TimeGrid, eta: OccupationGrid) -> n
     if eta.grid != grid or eta.n_cells != grid.n_steps:
         raise ValueError("occupation grid does not match the time grid")
     dt = grid.dt
-    W = np.cumsum(eta.masses @ model.rate_rows, axis=0)
+    W = np.cumsum(eta._rate_product(model.rate_rows), axis=0)
     W *= dt * dt
-    W -= dt * eta.state_marginal(model)
+    for rows, marginal in eta._marginal_blocks(model):
+        marginal *= dt
+        W[rows] -= marginal
     W += dt * model.initial_dist
     return W
 

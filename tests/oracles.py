@@ -12,7 +12,8 @@ reassociated ones that replaced them: RK4 policy evaluation and forward
 occupation through a dense mean generator per step, the same two through
 every state-action rate row at every stage (pair_level_evaluate_policy,
 pair_level_occupation_of_policy), stepped by the RK4/Euler step that
-returned a new array (_step), the characterization
+returned a new array (_step), the played-rows occupation loop that filled
+a (cells x pairs) table (dense_occupation_of_policy), the characterization
 residual with one tail quadrature per test function, the csv.writer
 exports of the value, policy, occupation, dual-sample and trajectory
 tables, auto_certificate with its own drift sums (sum_auto_certificate),
@@ -36,7 +37,8 @@ import math
 import numpy as np
 from scipy.linalg import expm
 
-from ctmdp.dp import TimeGrid, ValueGrid, _check_finite, solve_backward
+from ctmdp.dp import (TimeGrid, ValueGrid, _check_finite, _played_rows, _plays, _stepper,
+                      solve_backward)
 from ctmdp.lp_core import (DEFAULT_PIVOT_CAP, ENTER_TOL, FEAS_TOL, PIVOT_TOL, _BLAND_AFTER,
                            _REFACTOR_EVERY, LpProblem, LpSolution)
 from ctmdp.model import AUTO_RHO, CtmdpModel, DriftCertificate, MarkovPolicy, certify_drift
@@ -357,6 +359,39 @@ def pair_level_occupation_of_policy(model: CtmdpModel, grid: TimeGrid,
             return (v[model.pair_state] * row) @ R
 
         p = _step(f, p, dt, "rk4")
+        np.maximum(p, 0.0, out=p)
+        p /= p.sum()
+    return OccupationGrid(grid=grid, masses=y)
+
+
+def dense_occupation_of_policy(model: CtmdpModel, grid: TimeGrid,
+                               policy: MarkovPolicy) -> OccupationGrid:
+    """occupation_of_policy as it was while it filled the (cells x pairs)
+    table: y(k, s) = p.take(st) * kernel(s) on the pairs cell k plays, one
+    run of played rows at a time, and 0 elsewhere."""
+    grid.check_stability(model)
+    step = _stepper(model.n_states, grid.dt, "rk4")
+    plays = _plays(model, policy, grid)
+    deterministic = plays.pairs is not None
+    if deterministic:
+        def f(v):
+            return v @ Rs
+    else:
+        def f(v):
+            return (v.take(st) * w) @ Rs
+
+    p = model.initial_dist.astype(float)
+    y = np.zeros((grid.n_steps, model.n_pairs))
+    for k in range(grid.n_steps):
+        if k == 0 or plays.changes[k - 1]:
+            Rs = None
+            s, _, st, Rs = _played_rows(model, plays.played(k))
+        if deterministic:
+            y[k, s] = p
+        else:
+            w = plays.weights[k].take(s)
+            y[k, s] = p.take(st) * w
+        step(f, p, p)
         np.maximum(p, 0.0, out=p)
         p /= p.sum()
     return OccupationGrid(grid=grid, masses=y)

@@ -16,10 +16,10 @@ from ctmdp.occupation import (OccupationGrid, build_constrained_lp, check_charac
                               solve_constrained, uniform_occupation)
 from ctmdp.sim import mc_value
 from oracles import (_dual_value_fn, csv_writer_occupation_table, csv_writer_samples_table,
-                     default_test_functions, dense_occupation_masses, euler_masses_of_kernel,
-                     expm_transient, full_scan_characterization, full_scan_score,
-                     golden_dual_max, pair_level_occupation_of_policy, random_instance,
-                     random_policy, tail_characterization_scores)
+                     default_test_functions, dense_occupation_masses, dense_occupation_of_policy,
+                     euler_masses_of_kernel, expm_transient, full_scan_characterization,
+                     full_scan_score, golden_dual_max, pair_level_occupation_of_policy,
+                     random_instance, random_policy, tail_characterization_scores)
 from test_acceptance import slater_birth_death
 from test_dp import (DETERMINISTIC_CASES, PLAYED_SET_CASES, REASSOCIATION_CASES, played_set_case,
                      reassociation_case, tiny_and_negative_model, traced_peak)
@@ -146,6 +146,26 @@ class TestOccupationOfPolicy:
         want = pair_level_occupation_of_policy(model, grid, policy).masses
         assert np.max(np.abs(got - want)) <= 1e-13
 
+    @pytest.mark.parametrize("case", PLAYED_SET_CASES)
+    def test_matches_the_dense_table_oracle(self, case):
+        # the state masses rebuild the table bit for bit; the row-wise readers
+        # keep their bits under the cell blocks, for a dense table too, while
+        # the rate product of the played rows moves the residual by rounding
+        model, grid, policy = played_set_case(case)
+        eta = occupation_of_policy(model, grid, policy)
+        want = dense_occupation_of_policy(model, grid, policy).masses
+        dense = OccupationGrid(grid, want)
+        assert np.array_equal(eta.masses, want)
+        assert np.array_equal(np.signbit(eta.masses), np.signbit(want))
+        marginal = np.add.reduceat(want, model.action_offsets[:-1], axis=1)
+        assert np.array_equal(dense.state_marginal(model), marginal)
+        assert np.array_equal(eta.state_marginal(model), marginal)
+        norm_error = float(np.max(np.abs(want.sum(axis=1) - 1.0)))
+        assert eta.max_cell_norm_error() == dense.max_cell_norm_error() == norm_error
+        residual = check_characterization(model, grid, dense)
+        assert abs(check_characterization(model, grid, eta) - residual) <= \
+            1e-12 * max(1.0, abs(residual))
+
     @pytest.mark.parametrize("case", DETERMINISTIC_CASES)
     def test_deterministic_masses_have_the_one_hot_bits(self, case):
         model, grid, policy = played_set_case(case)
@@ -172,6 +192,20 @@ class TestOccupationOfPolicy:
         output_bytes = grid.n_steps * model.n_pairs * 8
         peak = traced_peak(occupation_of_policy, model, grid, policy)
         assert peak < 1.25 * output_bytes, f"peak {peak} B, output {output_bytes} B"
+
+    def test_truncation_route_holds_under_half_a_cell_by_pair_table(self):
+        # the measure holds state masses, and its readers form a block of
+        # cells at a time, so the route never holds a (cells x pairs) table
+        model, grid, policy = played_set_case("birth_death60_optimal")
+
+        def route():
+            eta = occupation_of_policy(model, grid, policy)
+            check_characterization(model, grid, eta)
+            eta.max_cell_norm_error()
+
+        bound = grid.n_steps * model.n_pairs * 8 // 2
+        peak = traced_peak(route)
+        assert peak < bound, f"peak {peak} B, half a (cells x pairs) table {bound} B"
 
     @pytest.mark.parametrize("case", [c for c in PLAYED_SET_CASES
                                       if c.startswith("birth_death") or c.endswith("deterministic")])
