@@ -15,17 +15,24 @@ t = 0.5. Each runs three times untraced, for the best wall time, and once
 more under ``tracemalloc``, for the peak it allocates beyond its inputs. The
 thinning jump table's build, ``sim._jump_table``, is measured the same way,
 each call on a fresh shallow copy of the model, which the table map has not
-seen. One JSON object is printed, keyed ``m<M>-jump_table`` and
-``m<M>-<policy>-<estimator>`` with policy ``uniform`` or ``optimal``, each
-value [seconds, peak bytes]. The ``ctmdp`` package is imported from
-``PYTHONPATH``, so running this on two trees compares them.
+seen. Small batches are measured at a fixed size, whatever M is given: the
+optimal policy on the same preset at m = 6, from state 3 with the subset
+{2, 3}, 2000 paths, seed 1, through the same three estimators, taking the
+best of 200 interleaved calls of each (one call of each per pass) and the
+traced peak of one more. One JSON object is printed, keyed
+``m<M>-jump_table``, ``m<M>-<policy>-<estimator>`` with policy ``uniform``
+or ``optimal``, and ``small-m6-optimal-<estimator>``, each value [seconds,
+peak bytes]. The ``ctmdp`` package is imported from ``PYTHONPATH``, so
+running this on two trees compares them.
 """
 
 from __future__ import annotations
 
 import copy
 import json
+import math
 import sys
+import time
 
 import numpy as np
 
@@ -36,6 +43,34 @@ from ctmdp.model import MarkovPolicy, birth_death_certificate, make_birth_death
 from ctmdp.sim import _jump_table, check_forward_kolmogorov, check_weight_bound, mc_value
 
 PATHS = 20000
+SMALL_M, SMALL_PATHS, SMALL_CALLS = 6, 2000, 200
+
+
+def estimators(model, policy, paths: int) -> dict:
+    """The three batch estimators of policy from state m // 2, by name."""
+    cert, i0 = birth_death_certificate(1.0, 2.0), model.n_states // 2
+    return {"mc_value": lambda: mc_value(model, policy, i0, 0, paths, 1),
+            "check_forward_kolmogorov": lambda: check_forward_kolmogorov(
+                model, policy, i0, [i0 - 1, i0], 0.5, paths, 1),
+            "check_weight_bound": lambda: check_weight_bound(
+                model, cert, policy, i0, 0.5, paths, 1)}
+
+
+def small_batches() -> dict:
+    """[best seconds of SMALL_CALLS interleaved calls, traced peak of one
+    more] per estimator, on the m = SMALL_M preset's optimal policy."""
+    model = make_birth_death(1.0, 2.0, m=SMALL_M, grid=3,
+                             initial_dist=np.full(SMALL_M, 1.0 / SMALL_M))
+    grid = TimeGrid(1.0, TimeGrid(1.0, 1).required_steps(model))
+    runs = estimators(model, solve_backward(model, grid)[1], SMALL_PATHS)
+    best = dict.fromkeys(runs, math.inf)
+    for _ in range(SMALL_CALLS):
+        for name, run in runs.items():
+            start = time.perf_counter()
+            run()
+            best[name] = min(best[name], time.perf_counter() - start)
+    return {f"small-m{SMALL_M}-optimal-{name}": [best[name], measured(run, repeats=0)[2]]
+            for name, run in runs.items()}
 
 
 def main(argv: list[str]) -> int:
@@ -47,16 +82,11 @@ def main(argv: list[str]) -> int:
         out[f"m{m}-jump_table"] = [seconds, peak]
         policies = {"uniform": MarkovPolicy.uniform(model, grid.n_nodes),
                     "optimal": solve_backward(model, grid)[1]}
-        cert, i0 = birth_death_certificate(1.0, 2.0), m // 2
         for kind, policy in policies.items():
-            runs = {"mc_value": lambda: mc_value(model, policy, i0, 0, PATHS, 1),
-                    "check_forward_kolmogorov": lambda: check_forward_kolmogorov(
-                        model, policy, i0, [i0 - 1, i0], 0.5, PATHS, 1),
-                    "check_weight_bound": lambda: check_weight_bound(
-                        model, cert, policy, i0, 0.5, PATHS, 1)}
-            for name, run in runs.items():
+            for name, run in estimators(model, policy, PATHS).items():
                 _, seconds, peak = measured(run)
                 out[f"m{m}-{kind}-{name}"] = [seconds, peak]
+    out.update(small_batches())
     print(json.dumps(out))
     return 0
 

@@ -6,16 +6,17 @@ Usage (from the root of a source checkout):
 
 For each truncation level M (default 100 300 600) the script builds the
 birth-death preset (lambda=1, mu=2, grid 3, horizon 1, uniform start) at its
-minimum stable step count and runs four layers in route order:
+minimum stable step count and runs five layers in route order:
 ``solve_backward``, ``evaluate_policy`` of the optimal policy,
-``occupation_of_policy`` of that policy and ``check_characterization`` of
-the resulting measure. Each layer runs three times untraced, for the best
-wall time, and once more under ``tracemalloc``, for the peak it allocates
-beyond its inputs. One markdown table row is printed per M. The ``ctmdp``
-package is imported from ``PYTHONPATH``, so running this on two trees
-compares them. At the largest default level (m=600: 3594 cells, 5394 pairs)
-the rate table alone is 26 MB, and ``evaluate_policy`` peaks at about 57 MB
-traced, the most of the four layers.
+``occupation_of_policy`` of that policy, ``check_characterization`` of
+the resulting measure and its ``expected_cost`` of cost 0. Each layer runs
+three times untraced, for the best wall time, and once more under
+``tracemalloc``, for the peak it allocates beyond its inputs. One markdown
+table row is printed per M. The ``ctmdp`` package is imported from
+``PYTHONPATH``, so running this on two trees compares them. At the largest
+default level (m=600: 3594 cells, 5394 pairs) the rate table alone is 26 MB,
+and ``evaluate_policy`` peaks at about 57 MB traced, the most of the five
+layers.
 """
 
 from __future__ import annotations
@@ -61,13 +62,15 @@ def row(m: int) -> str:
     cells += [f"{cost[0]:.3f} s", f"{cost[1] / 1e6:.0f} MB"]
     _, *cost = measured(check_characterization, model, grid, eta)
     cells += [f"{cost[0]:.3f} s", f"{cost[1] / 1e6:.0f} MB"]
+    _, *cost = measured(eta.expected_cost, model, 0)
+    cells += [f"{cost[0]:.3f} s", f"{cost[1] / 1e6:.0f} MB"]
     return "| " + " | ".join(cells) + " |"
 
 
 def main(argv: list[str]) -> int:
     levels = [int(a) for a in argv] or [100, 300, 600]
     layers = ["solve_backward", "evaluate_policy", "occupation_of_policy",
-              "check_characterization"]
+              "check_characterization", "expected_cost"]
     head = ["m", "Pairs", "Steps"] + [f"{name} {what}" for name in layers
                                       for what in ("time", "peak")]
     print("| " + " | ".join(head) + " |")

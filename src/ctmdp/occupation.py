@@ -95,9 +95,10 @@ class OccupationGrid:
             yield rows, block
 
     def _rate_product(self, rate_rows: np.ndarray) -> np.ndarray:
-        """masses @ rate_rows: one product of a dense table, whose bits a block
-        of rows would not keep; a policy's measure multiplies a block of cells
-        at a time, a deterministic one by the rows each run plays."""
+        """masses @ rate_rows, or @ a cost column: one product of a dense
+        table, whose bits a block of rows would not keep; a policy's measure
+        multiplies a block of cells at a time, a deterministic one by the rows
+        each run plays."""
         if self._table is not None:
             return self._table @ rate_rows
         out = np.empty((self.n_cells, rate_rows.shape[1]))
@@ -125,10 +126,9 @@ class OccupationGrid:
 
     def expected_cost(self, model: CtmdpModel, cost_index: int) -> float:
         """dt * sum_k c . y(k): a first-order left-point sum in time, whatever
-        integrated the masses; evaluate_policy scores continuous-time costs.
-        The product takes the whole table, whose bits a block would not keep."""
+        integrated the masses; evaluate_policy scores continuous-time costs."""
         n = _checked_index(cost_index, model.costs.shape[0], "cost_index", "cost table")
-        return float(self.grid.dt * np.sum(self.masses @ model.costs[n]))
+        return float(self.grid.dt * np.sum(self._rate_product(model.costs[n][:, None])))
 
     def max_cell_norm_error(self) -> float:
         sums = np.empty(self.n_cells)

@@ -176,7 +176,7 @@ def _integral_fn(table: np.ndarray, dt_cells: float, t_end: float, horizon: floa
 
     def integral(state, u, cell, at, tmp, out):
         """F into out, with the flat index in the int64 buffer at and tmp as
-        float scratch; at may be cell and out may be u, each read first."""
+        float scratch."""
         c = np.minimum(cell, end_cell, out=at) if clamp else cell
         np.multiply(c, dt_cells, tmp)
         if clamp:
@@ -306,11 +306,11 @@ def _run_batch(model: CtmdpModel, policy: MarkovPolicy, i0: int, n_paths: int,
     accepted ones.
 
     Only live paths are held, compacted in path-id order; a path's outputs
-    are written once, in the round it reaches the horizon. The integral is
-    carried up to the start of the current stretch, which is the previous
-    round's value at the stretch end unless the path jumped. The policy cell
-    of each stretch end is computed once per round and shared by the action
-    lookup and the integral. Each round writes into buffers the batch owns
+    are written once, in the round it reaches the horizon. Each round adds
+    the integral over its stretch, F at the stretch end minus F at its
+    start. Each path's policy cell lives across rounds: it is updated in
+    place at each stretch end and shared by the action lookup and the
+    integral. Each round writes into buffers the batch owns
     until it ends, and skips, by a choice made once per batch, the work that
     cannot change a value: the +inf clock when no state has q* = 0, and the
     per-round capture test when t_check = T. See notes/decisions.md for why
@@ -365,12 +365,12 @@ def _run_batch(model: CtmdpModel, policy: MarkovPolicy, i0: int, n_paths: int,
     ids[:] = np.arange(n_paths)
     t.fill(0.0)
     state.fill(i0)
+    cell = _cell_of(t, dt_cells, n_cells, lend_int(n_paths))
     if F is not None:
         acc = lend(n_paths)
         acc.fill(0.0)
-        start = F(state, t, _cell_of(t, dt_cells, n_cells, aux), at, tmp, lend(n_paths))
 
-    # ids, t, state, acc and start live across rounds. Indices are in range by
+    # ids, t, state, cell and acc live across rounds. Indices are in range by
     # construction (notes/decisions.md), so every gather clips, which buffers nothing
     for _ in range(_max_rounds(model)):
         n = ids.size
@@ -390,16 +390,15 @@ def _run_batch(model: CtmdpModel, policy: MarkovPolicy, i0: int, n_paths: int,
             captured[ids.take(hit, None, at[:hit.size], "clip")] = state.take(
                 hit, None, aux[:hit.size], "clip")
             del hit
+        if F is not None:  # the stretch holds one state: F at its two ends
+            start = F(state, t, cell, at[:n], tmp[:n], lend(n))
         free.append(t.base)
         t = hi  # the stretch start is read no more
-
-        cell = _cell_of(t, dt_cells, n_cells, lend_int(n))
+        _cell_of(t, dt_cells, n_cells, cell)
         if F is not None:
             end = F(state, t, cell, at[:n], tmp[:n], lend(n))
-            np.subtract(end, start, start)
-            acc += start
-            free.append(start.base)
-            start = end
+            acc += np.subtract(end, start, end)
+            free += start.base, end.base
 
         done = np.flatnonzero(np.greater_equal(t, T, flag[:n]))
         if done.size:
@@ -419,7 +418,6 @@ def _run_batch(model: CtmdpModel, policy: MarkovPolicy, i0: int, n_paths: int,
             cell = _moved(cell, keep, lend_int(keep.size), free)
             if F is not None:
                 acc = _moved(acc, keep, lend(keep.size), free)
-                start = _moved(start, keep, lend(keep.size), free)
             n = ids.size
             del keep
         del done
@@ -445,12 +443,6 @@ def _run_batch(model: CtmdpModel, policy: MarkovPolicy, i0: int, n_paths: int,
         j = _jump_targets(jumps, kj, rng.random(out=tmp[:k]), at[:k], aux[:k])
         free.append(kj.base)
         state[jumped] = j
-        if F is not None:
-            # the flat index goes over the gathered cells, the value over the times
-            tj, cj = t.take(jumped, None, lend(k), "clip"), cell.take(jumped, None, at[:k], "clip")
-            start[jumped] = F(j, tj, cj, cj, tmp[:k], tj)
-            free.append(tj.base)
-        free.append(cell.base)
         del jumped
     if ids.size:
         raise RuntimeError("batch thinning did not finish within the round cap")

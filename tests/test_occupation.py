@@ -165,6 +165,9 @@ class TestOccupationOfPolicy:
         residual = check_characterization(model, grid, dense)
         assert abs(check_characterization(model, grid, eta) - residual) <= \
             1e-12 * max(1.0, abs(residual))
+        for n in range(model.costs.shape[0]):
+            cost = dense.expected_cost(model, n)
+            assert abs(eta.expected_cost(model, n) - cost) <= 1e-12 * abs(cost)
 
     @pytest.mark.parametrize("case", DETERMINISTIC_CASES)
     def test_deterministic_masses_have_the_one_hot_bits(self, case):
@@ -205,6 +208,17 @@ class TestOccupationOfPolicy:
 
         bound = grid.n_steps * model.n_pairs * 8 // 2
         peak = traced_peak(route)
+        assert peak < bound, f"peak {peak} B, half a (cells x pairs) table {bound} B"
+
+    @pytest.mark.parametrize("policy", ["optimal", "uniform"])
+    def test_expected_cost_holds_under_half_a_cell_by_pair_table(self, policy):
+        # one float from the rate product of a cost column, not from the table
+        model, grid, played = played_set_case("birth_death60_optimal")
+        if policy == "uniform":
+            played = MarkovPolicy.uniform(model, grid.n_nodes)
+        eta = occupation_of_policy(model, grid, played)
+        bound = grid.n_steps * model.n_pairs * 8 // 2
+        peak = traced_peak(eta.expected_cost, model, 0)
         assert peak < bound, f"peak {peak} B, half a (cells x pairs) table {bound} B"
 
     @pytest.mark.parametrize("case", [c for c in PLAYED_SET_CASES
