@@ -1,4 +1,4 @@
-"""SHA-256 digests of every file the fourteen standard CLI runs write.
+"""SHA-256 digests of every file the fifteen standard CLI runs write.
 
 Usage (from the root of a source checkout):
 
@@ -61,6 +61,15 @@ MIRRORED = {"states": 4,
                       [[0.0, 1.0], [0.0], [0.0, 1.0], [0.0]]],
             "constraint_bounds": [0.3], "horizon": 1.0, "initial_dist": [0.5, 0.0, 0.5, 0.0]}
 
+# An explicit-table model whose state 2 is absorbing (q* = 0 under its one
+# action), so thinning clocks meet the +inf stretch end; played with a
+# randomized policy and a check time below the horizon.
+ABSORBING = {"states": 3, "actions_per_state": [[[0.0], [1.0]], [[0.0], [1.0]], [[0.0]]],
+             "rates": [[[-1.0, 1.0, 0.0], [-3.0, 2.0, 1.0]],
+                       [[0.5, -1.5, 1.0], [0.0, -2.0, 2.0]], [[0.0, 0.0, 0.0]]],
+             "costs": [[[1.0, 2.0], [0.5, 1.5], [0.0]]], "horizon": 1.0,
+             "weight": [1.0, 2.0, 3.0], "initial_state": 0}
+
 PRESET = ["--preset", "birth-death", "--lam", "1", "--mu", "2"]
 
 RUNS = {
@@ -86,6 +95,9 @@ RUNS = {
     "solve-explicit": ["solve", "--model", "{explicit}", "--steps", "400"],
     "simulate-explicit-uniform": ["simulate", "--model", "{explicit}", "--policy", "uniform",
                                   "--i0", "1", "--subset", "1,2", "--replicates", "20000"],
+    "simulate-absorbing-tcheck": ["simulate", "--model", "{absorbing}", "--policy", "uniform",
+                                  "--t-check", "0.5", "--subset", "1,2",
+                                  "--replicates", "20000"],
 }
 
 MAIN = "import sys; from ctmdp.cli import main; sys.exit(main(sys.argv[1:]))"
@@ -105,7 +117,8 @@ def main(argv: list[str]) -> int:
     with (tempfile.TemporaryDirectory() if keep is None else contextlib.nullcontext(keep)) as tmp:
         models = {}
         for key, doc in (("model", CRITERION7), ("scaled", CRITERION7_SCALED),
-                         ("explicit", EXPLICIT), ("mirrored", MIRRORED)):
+                         ("explicit", EXPLICIT), ("mirrored", MIRRORED),
+                         ("absorbing", ABSORBING)):
             models[key] = os.path.join(tmp, f"{key}.json")
             with open(models[key], "w", encoding="utf-8") as fh:
                 json.dump(doc, fh)

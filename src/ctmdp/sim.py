@@ -158,18 +158,16 @@ def _integral_fn(table: np.ndarray, dt_cells: float, t_end: float, horizon: floa
     """F(state, u, cell): integral of table(., state) over [0, min(u, t_end)], 0 <= u <= horizon.
 
     The table is piecewise constant on the cells, so F is a cumulative sum at
-    the cell boundary plus a partial cell. The cumulative sums and the table
-    share one (state, cell) layout, so one flat index reads both. ``cell``
+    the cell's start plus a partial cell; both are (n_states x n_cells) tables,
+    so one flat index, ``state * n_cells + cell``, reads both. ``cell``
     must be ``_cell_of(u)``; capped at the cell of t_end, it is the cell of
     min(u, t_end) (notes/decisions.md). The caps are skipped when neither can
     bind: the end is at or past the horizon and its cell is the last.
     """
     n_cells, n_states = table.shape
-    pre = np.zeros((n_states, n_cells + 1))
-    pre[:, 1:] = np.cumsum(table.T, axis=1) * dt_cells
-    value = np.zeros((n_states, n_cells + 1))
-    value[:, :n_cells] = table.T
-    pre, value = pre.ravel(), value.ravel()
+    pre = np.zeros((n_states, n_cells))
+    pre[:, 1:] = np.cumsum(table.T[:, :-1], axis=1) * dt_cells
+    pre, value = pre.ravel(), table.T.ravel()
     end = min(max(t_end, 0.0), n_cells * dt_cells)
     end_cell = min(int(end / dt_cells), n_cells - 1)
     clamp = end < horizon or end_cell < n_cells - 1
@@ -183,7 +181,7 @@ def _integral_fn(table: np.ndarray, dt_cells: float, t_end: float, horizon: floa
             u = np.minimum(u, end, out=out)
         np.subtract(u, tmp, out)
         flat = tmp.view(np.int64)
-        np.multiply(state, n_cells + 1, flat)
+        np.multiply(state, n_cells, flat)
         np.add(c, flat, at)
         out *= value.take(at, None, tmp, "clip")
         out += pre.take(at, None, tmp, "clip")  # out + pre has the bits of pre + out
@@ -305,8 +303,9 @@ def _run_batch(model: CtmdpModel, policy: MarkovPolicy, i0: int, n_paths: int,
     policies) and the acceptance draws, then the target draws of the
     accepted ones.
 
-    Only live paths are held, compacted in path-id order; a path's outputs
-    are written once, in the round it reaches the horizon. Each round adds
+    Only live paths are held, compacted in path-id order; a path's integral
+    is written in the round it reaches the horizon, and its state at t_check
+    once: there when t_check = T, else by the capture test. Each round adds
     the integral over its stretch, F at the stretch end minus F at its
     start. Each path's policy cell lives across rounds: it is updated in
     place at each stretch end and shared by the action lookup and the
@@ -403,14 +402,11 @@ def _run_batch(model: CtmdpModel, policy: MarkovPolicy, i0: int, n_paths: int,
         done = np.flatnonzero(np.greater_equal(t, T, flag[:n]))
         if done.size:
             keep = np.flatnonzero(np.logical_not(flag[:n], flag[:n]))
-            out, held, last = at[:done.size], aux[:done.size], lend_int(done.size)
-            captured.take(ids.take(done, None, out, "clip"), None, held, "clip")
-            np.copyto(held, state.take(done, None, last, "clip"),
-                      where=np.less(held, 0, flag[:done.size]))
-            captured[out] = held
+            out = ids.take(done, None, at[:done.size], "clip")
+            if not capture_each_round:
+                captured[out] = state.take(done, None, aux[:done.size], "clip")
             if F is not None:
                 acc_out[out] = acc.take(done, None, tmp[:done.size], "clip")
-            free.append(last.base)
             # each live array moves into the buffer the one before it left
             ids = _moved(ids, keep, lend_int(keep.size), free)
             t = _moved(t, keep, lend(keep.size), free)

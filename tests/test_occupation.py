@@ -190,11 +190,13 @@ class TestOccupationOfPolicy:
             f"peak {peak} B, pair-level oracle {pair_level} B, one run's rows {run_bytes} B"
 
     def test_deterministic_policy_peak_stays_near_its_output(self):
-        # the masses are the one (cells x pairs) table; no kernel sits beside them
+        # the measure holds (cells x states) masses beside the played pairs, about
+        # a sixth of one (cells x pairs) table; the bound is 1.25 such tables
         model, grid, policy = played_set_case("birth_death60_optimal")
-        output_bytes = grid.n_steps * model.n_pairs * 8
+        table_bytes = grid.n_steps * model.n_pairs * 8
         peak = traced_peak(occupation_of_policy, model, grid, policy)
-        assert peak < 1.25 * output_bytes, f"peak {peak} B, output {output_bytes} B"
+        assert peak < 1.25 * table_bytes, \
+            f"peak {peak} B, one (cells x pairs) table {table_bytes} B"
 
     def test_truncation_route_holds_under_half_a_cell_by_pair_table(self):
         # the measure holds state masses, and its readers form a block of
