@@ -1,4 +1,4 @@
-"""SHA-256 digests of every file the fifteen standard CLI runs write.
+"""SHA-256 digests of every file the sixteen standard CLI runs write.
 
 Usage (from the root of a source checkout):
 
@@ -70,12 +70,18 @@ ABSORBING = {"states": 3, "actions_per_state": [[[0.0], [1.0]], [[0.0], [1.0]], 
              "costs": [[[1.0, 2.0], [0.5, 1.5], [0.0]]], "horizon": 1.0,
              "weight": [1.0, 2.0, 3.0], "initial_state": 0}
 
+# The criterion-7 costs on the m = 60 truncation, started at state 5: its
+# characterization residual table has 24 000 entries, more than one chunk of
+# occupation._table_dot, so the run pins the chunked sum's bits.
+CRITERION7_M60_START5 = {**CRITERION7, "m": 60, "grid": 3, "initial_state": 5}
+
 PRESET = ["--preset", "birth-death", "--lam", "1", "--mu", "2"]
 
 RUNS = {
     "constrain-criterion7": ["constrain", "--model", "{model}", "--steps", "500"],
     "constrain-criterion7-scaled": ["constrain", "--model", "{scaled}", "--steps", "500"],
     "constrain-mirrored-tie": ["constrain", "--model", "{mirrored}", "--steps", "500"],
+    "constrain-m60-start5": ["constrain", "--model", "{m60}", "--steps", "400"],
     "constrain-m4-two-bounds": ["constrain", *PRESET, "--m", "4",
                                 "--d", "1=0.5", "--d", "2=0.4"],
     "solve-m150": ["solve", *PRESET, "--m", "150", "--steps", "894"],
@@ -117,8 +123,8 @@ def main(argv: list[str]) -> int:
     with (tempfile.TemporaryDirectory() if keep is None else contextlib.nullcontext(keep)) as tmp:
         models = {}
         for key, doc in (("model", CRITERION7), ("scaled", CRITERION7_SCALED),
-                         ("explicit", EXPLICIT), ("mirrored", MIRRORED),
-                         ("absorbing", ABSORBING)):
+                         ("m60", CRITERION7_M60_START5), ("explicit", EXPLICIT),
+                         ("mirrored", MIRRORED), ("absorbing", ABSORBING)):
             models[key] = os.path.join(tmp, f"{key}.json")
             with open(models[key], "w", encoding="utf-8") as fh:
                 json.dump(doc, fh)

@@ -1,4 +1,5 @@
-"""Wall time and traced peak memory of the truncation layers as m grows.
+"""Wall time, process CPU time and traced peak memory of the truncation
+layers as m grows.
 
 Usage (from the root of a source checkout):
 
@@ -10,8 +11,10 @@ minimum stable step count and runs five layers in route order:
 ``solve_backward``, ``evaluate_policy`` of the optimal policy,
 ``occupation_of_policy`` of that policy, ``check_characterization`` of
 the resulting measure and its ``expected_cost`` of cost 0. Each layer runs
-three times untraced, for the best wall time, and once more under
-``tracemalloc``, for the peak it allocates beyond its inputs. One markdown
+three times untraced, for the best wall time and the process CPU time of
+that run, and once more under ``tracemalloc``, for the peak it allocates
+beyond its inputs. CPU time counts every thread of the process, so a layer
+whose BLAS calls wake a second thread shows CPU above wall. One markdown
 table row is printed per M. The ``ctmdp`` package is imported from
 ``PYTHONPATH``, so running this on two trees compares them. At the largest
 default level (m=600: 3594 cells, 5394 pairs) the rate table alone is 26 MB,
@@ -34,20 +37,26 @@ from ctmdp.occupation import check_characterization, occupation_of_policy
 
 
 def measured(fn, *args, repeats: int = 3):
-    """(result, best wall seconds of ``repeats`` runs, traced peak bytes of
-    one more run) of fn(*args)."""
-    seconds = math.inf
+    """(result, best wall seconds of ``repeats`` runs, process CPU seconds of
+    that run, traced peak bytes of one more run) of fn(*args)."""
+    seconds = cpu = math.inf
     for _ in range(repeats):
-        start = time.perf_counter()
+        start, cpu_start = time.perf_counter(), time.process_time()
         fn(*args)
-        seconds = min(seconds, time.perf_counter() - start)
+        wall = time.perf_counter() - start
+        if wall < seconds:
+            seconds, cpu = wall, time.process_time() - cpu_start
     tracemalloc.start()
     try:
         result = fn(*args)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return result, seconds, peak
+    return result, seconds, cpu, peak
+
+
+def cost_cells(seconds: float, cpu: float, peak: int) -> list[str]:
+    return [f"{seconds:.3f} s", f"{cpu:.3f} s", f"{peak / 1e6:.0f} MB"]
 
 
 def row(m: int) -> str:
@@ -55,15 +64,15 @@ def row(m: int) -> str:
     grid = TimeGrid(1.0, TimeGrid(1.0, 1).required_steps(model))
     cells = [str(m), str(model.n_pairs), str(grid.n_steps)]
     (_, policy), *cost = measured(solve_backward, model, grid)
-    cells += [f"{cost[0]:.3f} s", f"{cost[1] / 1e6:.0f} MB"]
+    cells += cost_cells(*cost)
     _, *cost = measured(evaluate_policy, model, grid, policy)
-    cells += [f"{cost[0]:.3f} s", f"{cost[1] / 1e6:.0f} MB"]
+    cells += cost_cells(*cost)
     eta, *cost = measured(occupation_of_policy, model, grid, policy)
-    cells += [f"{cost[0]:.3f} s", f"{cost[1] / 1e6:.0f} MB"]
+    cells += cost_cells(*cost)
     _, *cost = measured(check_characterization, model, grid, eta)
-    cells += [f"{cost[0]:.3f} s", f"{cost[1] / 1e6:.0f} MB"]
+    cells += cost_cells(*cost)
     _, *cost = measured(eta.expected_cost, model, 0)
-    cells += [f"{cost[0]:.3f} s", f"{cost[1] / 1e6:.0f} MB"]
+    cells += cost_cells(*cost)
     return "| " + " | ".join(cells) + " |"
 
 
@@ -72,7 +81,7 @@ def main(argv: list[str]) -> int:
     layers = ["solve_backward", "evaluate_policy", "occupation_of_policy",
               "check_characterization", "expected_cost"]
     head = ["m", "Pairs", "Steps"] + [f"{name} {what}" for name in layers
-                                      for what in ("time", "peak")]
+                                      for what in ("time", "cpu", "peak")]
     print("| " + " | ".join(head) + " |")
     print("|" + " --- |" * len(head))
     for m in levels:

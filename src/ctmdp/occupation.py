@@ -96,9 +96,10 @@ class OccupationGrid:
 
     def _rate_product(self, rate_rows: np.ndarray) -> np.ndarray:
         """masses @ rate_rows, or @ a cost column: one product of a dense
-        table, whose bits a block of rows would not keep; a policy's measure
-        multiplies a block of cells at a time, a deterministic one by the rows
-        each run plays."""
+        table, whose bits a block of rows would not keep; a randomized
+        policy's measure multiplies a block of cells at a time, and a
+        deterministic one each cell's held row by the rows its run plays (its
+        first RK4 stage's product, which runs on one BLAS thread)."""
         if self._table is not None:
             return self._table @ rate_rows
         out = np.empty((self.n_cells, rate_rows.shape[1]))
@@ -109,8 +110,8 @@ class OccupationGrid:
         for cells, s in self._runs:
             Rs = None  # the last run's rows go before the next run's are gathered
             Rs = rate_rows.take(s, axis=0)
-            for rows in _blocks(cells):
-                out[rows] = self._held[rows] @ Rs
+            for k in cells:
+                np.dot(self._held[k], Rs, out[k])
         return out
 
     def _marginal_blocks(self, model: CtmdpModel):
@@ -209,15 +210,31 @@ def _residual_table(model: CtmdpModel, grid: TimeGrid, eta: OccupationGrid) -> n
     return W
 
 
+# OpenBLAS splits a ddot of more than 10 000 entries across threads, whose
+# partial sums make the result depend on the thread count. A chunk of 8192 runs
+# on one thread and holds whole the residual tables of the small CLI runs
+# (800-2000 entries), whose digests record one whole-table vdot.
+_DOT_CHUNK = 8192
+
+
+def _table_dot(g: np.ndarray, W: np.ndarray) -> float:
+    """<g, W>: np.vdot of consecutive _DOT_CHUNK-entry chunks, summed in order."""
+    g, W = g.ravel(), W.ravel()
+    total = 0.0
+    for lo in range(0, W.size, _DOT_CHUNK):
+        total += float(np.vdot(g[lo:lo + _DOT_CHUNK], W[lo:lo + _DOT_CHUNK]))
+    return total
+
+
 def _default_family_score(W: np.ndarray, weight: np.ndarray) -> float:
-    """max |vdot(g, W)| over the tables of w and w**2 and the indicators of
+    """max |_table_dot(g, W)| over the tables of w and w**2 and the indicators of
     (state, time-bin) blocks; NaN if W is not finite. Every summation order of
     a block lies within 4 N eps sum|block| (N = W.size) of its reduceat sum, so
     only blocks whose bound exceeds the best lower bound are scored, each on
     one indicator table set and cleared in turn (notes/decisions.md)."""
     if not np.isfinite(W).all():
         return np.nan
-    worst = max(abs(float(np.vdot(np.tile(w, (len(W), 1)), W))) for w in (weight, weight ** 2))
+    worst = max(abs(_table_dot(np.tile(w, (len(W), 1)), W)) for w in (weight, weight ** 2))
     edges = np.linspace(0, len(W), _TIME_BINS + 1).astype(int)
     starts, ends = edges[:-1], edges[1:]
     sums = np.abs(np.add.reduceat(W, starts, axis=0))
@@ -227,7 +244,7 @@ def _default_family_score(W: np.ndarray, weight: np.ndarray) -> float:
     g = np.zeros(W.shape)
     for b, i in np.argwhere(sums + slack > best):
         g[starts[b]:ends[b], i] = 1.0
-        worst = max(worst, abs(float(np.vdot(g, W))))
+        worst = max(worst, abs(_table_dot(g, W)))
         g[starts[b]:ends[b], i] = 0.0
     return worst
 

@@ -25,7 +25,8 @@ functions replaced, and the per-pair loops that built the birth-death
 preset's tables and model_to_dict's nested lists. default_test_functions
 builds the default characterization family as one list of fresh tables, and
 full_scan_score scores every table of it, as check_characterization did
-before it screened the indicator blocks by their sums.
+before it screened the indicator blocks by their sums, with the library's
+chunked inner product.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from ctmdp.dp import (TimeGrid, ValueGrid, _check_finite, _played_rows, _plays, 
 from ctmdp.lp_core import (DEFAULT_PIVOT_CAP, ENTER_TOL, FEAS_TOL, PIVOT_TOL, _BLAND_AFTER,
                            _REFACTOR_EVERY, LpProblem, LpSolution)
 from ctmdp.model import AUTO_RHO, CtmdpModel, DriftCertificate, MarkovPolicy, certify_drift
-from ctmdp.occupation import _TIME_BINS, OccupationGrid, _residual_table
+from ctmdp.occupation import _TIME_BINS, OccupationGrid, _residual_table, _table_dot
 from ctmdp.sim import _MAX_ROUNDS_SLACK, Trajectory
 
 
@@ -412,19 +413,20 @@ def default_test_functions(model: CtmdpModel, grid) -> list[np.ndarray]:
 
 
 def full_scan_score(W: np.ndarray, weight: np.ndarray) -> float:
-    """The default family's score before its block screen: |vdot(g, W)| for
+    """The default family's score before its block screen: |<g, W>| for
     every indicator of a (state, time-bin) block, each set and cleared in one
-    buffer, then for the tables of w and w**2; the largest, or 0.0."""
+    buffer, then for the tables of w and w**2; the largest, or 0.0. Each
+    inner product is the library's _table_dot, so the two sum alike."""
     edges = np.linspace(0, len(W), _TIME_BINS + 1).astype(int)
     g = np.zeros(W.shape)
     worst = 0.0
     for i in range(W.shape[1]):
         for b in range(_TIME_BINS):
             g[edges[b]:edges[b + 1], i] = 1.0
-            worst = max(worst, abs(float(np.vdot(g, W))))
+            worst = max(worst, abs(_table_dot(g, W)))
             g[edges[b]:edges[b + 1], i] = 0.0
     for w in (weight, weight ** 2):
-        worst = max(worst, abs(float(np.vdot(np.tile(w, (len(W), 1)), W))))
+        worst = max(worst, abs(_table_dot(np.tile(w, (len(W), 1)), W)))
     return worst
 
 

@@ -64,9 +64,9 @@ CG_CASES = {
 
 
 def table_scores(model, grid, eta, tables):
-    """The residual |<g, W>| of each test table g."""
+    """The residual |<g, W>| of each test table g, summed as the library sums."""
     W = occupation._residual_table(model, grid, eta)
-    return [abs(float(np.vdot(g, W))) for g in tables]
+    return [abs(occupation._table_dot(g, W)) for g in tables]
 
 
 def characterization_case(case):
