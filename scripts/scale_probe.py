@@ -1,5 +1,5 @@
 """Wall time, process CPU time and traced peak memory of the truncation
-layers as m grows.
+layers and of the constrained route as m grows.
 
 Usage (from the root of a source checkout):
 
@@ -20,6 +20,13 @@ table row is printed per M. The ``ctmdp`` package is imported from
 default level (m=600: 3594 cells, 5394 pairs) the rate table alone is 26 MB,
 and ``evaluate_policy`` peaks at about 57 MB traced, the most of the five
 layers.
+
+A second table follows at the fixed levels m = 20, 40 and 80: the
+criterion-7 costs (objective -i, constraint (a1 + lambda) / (2 lambda) <=
+0.3) on the same preset, started at state 5, at its minimum stable step
+count. It times ``solve_constrained`` and then ``lagrangian_dual`` on an
+equal model built apart, so every dual call runs its own column generation
+rather than taking over the primal's run.
 """
 
 from __future__ import annotations
@@ -33,7 +40,10 @@ import numpy as np
 
 from ctmdp.dp import TimeGrid, evaluate_policy, solve_backward
 from ctmdp.model import make_birth_death
-from ctmdp.occupation import check_characterization, occupation_of_policy
+from ctmdp.occupation import (check_characterization, lagrangian_dual, occupation_of_policy,
+                              solve_constrained)
+
+CONSTRAINED_LEVELS = (20, 40, 80)
 
 
 def measured(fn, *args, repeats: int = 3):
@@ -76,16 +86,40 @@ def row(m: int) -> str:
     return "| " + " | ".join(cells) + " |"
 
 
-def main(argv: list[str]) -> int:
-    levels = [int(a) for a in argv] or [100, 300, 600]
-    layers = ["solve_backward", "evaluate_policy", "occupation_of_policy",
-              "check_characterization", "expected_cost"]
+def constrained_model(m: int):
+    """The criterion-7 costs on the m-state preset, started at state 5."""
+    return make_birth_death(1.0, 2.0, m=m, grid=3, initial_dist=np.eye(m)[5],
+                            cost_fns=[lambda i, a1, a2: -float(i),
+                                      lambda i, a1, a2: (a1 + 1.0) / 2.0],
+                            constraint_bounds=[0.3])
+
+
+def constrained_row(m: int) -> str:
+    model = constrained_model(m)
+    grid = TimeGrid(1.0, TimeGrid(1.0, 1).required_steps(model))
+    cells = [str(m), str(model.n_pairs), str(grid.n_steps)]
+    _, *cost = measured(solve_constrained, model, grid)
+    cells += cost_cells(*cost)
+    _, *cost = measured(lagrangian_dual, constrained_model(m), grid)
+    cells += cost_cells(*cost)
+    return "| " + " | ".join(cells) + " |"
+
+
+def table(layers: list[str], rows) -> None:
     head = ["m", "Pairs", "Steps"] + [f"{name} {what}" for name in layers
                                       for what in ("time", "cpu", "peak")]
     print("| " + " | ".join(head) + " |")
     print("|" + " --- |" * len(head))
-    for m in levels:
-        print(row(m), flush=True)
+    for line in rows:
+        print(line, flush=True)
+
+
+def main(argv: list[str]) -> int:
+    levels = [int(a) for a in argv] or [100, 300, 600]
+    table(["solve_backward", "evaluate_policy", "occupation_of_policy",
+           "check_characterization", "expected_cost"], map(row, levels))
+    print()
+    table(["solve_constrained", "lagrangian_dual"], map(constrained_row, CONSTRAINED_LEVELS))
     return 0
 
 

@@ -6,8 +6,9 @@ with classic RK4, re-resolving the min at every stage, and read the argmin
 off each node to get a deterministic Markov policy. A fixed policy is
 evaluated with the min replaced by the policy kernel. One stepper, built by
 _stepper once per loop and writing each step into a row of the caller's
-table, serves both backward loops, the forward loop of occupation_of_policy
-and the LP's Euler masses (occupation._euler_forward_masses).
+table, serves both backward loops and the one forward loop
+(occupation._forward), which steps a policy's RK4 measure and the LP's
+Euler columns. _runs alone finds where a policy's played pairs change.
 """
 
 from __future__ import annotations
@@ -253,19 +254,18 @@ def solve_backward(model: CtmdpModel, grid: TimeGrid, cost_weights=None,
     return ValueGrid(grid=grid, values=g), MarkovPolicy.deterministic(policy)
 
 
-_Plays = namedtuple("_Plays", "changes played weights average pairs")
+_Plays = namedtuple("_Plays", "runs weights average pairs")
 
 
 def _plays(model: CtmdpModel, policy: MarkovPolicy, grid: TimeGrid | None = None) -> _Plays:
-    """A checked policy's cells (its first n_nodes - 1 rows) as played:
-    changes[k] (cell k + 1 plays other pairs than cell k), played(k) (cell k's
-    pairs, ascending, one or more per state), weights (the kernel) and average
-    (per-state kernel average of a per-pair quantity); pairs is a
-    deterministic policy's pair per (node, state), at every node, and None for
-    a randomized one. The one place that reads a policy's tables. A
-    deterministic policy plays its indexed pairs with weight 1: its weights
-    are None and it never forms its one-hot kernel; its average keeps the
-    one-hot sums' bits (notes/decisions.md)."""
+    """A checked policy's cells (its first n_nodes - 1 rows) as played: runs
+    (_runs: each run of cells playing the same pairs, with those pairs),
+    weights (the kernel) and average (per-state kernel average of a per-pair
+    quantity); pairs is a deterministic policy's pair per (node, state), at
+    every node, and None for a randomized one. The one place that reads a
+    policy's tables. A deterministic policy plays its indexed pairs with
+    weight 1: its weights are None and it never forms its one-hot kernel; its
+    average keeps the one-hot sums' bits (notes/decisions.md)."""
     if grid is not None and policy.n_nodes != grid.n_nodes:
         raise ValueError(f"policy has {policy.n_nodes} nodes, grid has {grid.n_nodes}")
     policy._refuse_invalid(model)
@@ -281,8 +281,8 @@ def _plays(model: CtmdpModel, policy: MarkovPolicy, grid: TimeGrid | None = None
                 np.add.reduceat(kernel[rows] * per_pair, starts, axis=1, out=out[rows])
             return out
 
-        return _Plays(np.any(np.diff(kernel != 0.0, axis=0), axis=1),
-                      lambda k: np.flatnonzero(kernel[k]), kernel, average, None)
+        runs = _runs(kernel != 0.0, lambda k: np.flatnonzero(kernel[k]))
+        return _Plays(runs, kernel, average, None)
     pairs = starts + policy.action_index
     cells = pairs[:n_cells]
 
@@ -291,13 +291,22 @@ def _plays(model: CtmdpModel, policy: MarkovPolicy, grid: TimeGrid | None = None
         negative = np.logical_and.reduceat(np.signbit(per_pair), starts)
         return np.where(negative[model.pair_state], per_pair, per_pair + 0.0).take(cells)
 
-    return _Plays(np.any(cells[1:] != cells[:-1], axis=1), pairs.__getitem__, None, average, pairs)
+    return _Plays(_runs(cells, cells.__getitem__), None, average, pairs)
+
+
+def _runs(keys: np.ndarray, played) -> list:
+    """[(range of cells, played(first cell))], one per maximal run of equal
+    rows of keys: a cell's pairs (a deterministic policy or an LP column), or
+    the support of its kernel. The one place that finds where the played
+    pairs change."""
+    firsts = [0, *(np.flatnonzero(np.any(keys[1:] != keys[:-1], axis=1)) + 1).tolist(), len(keys)]
+    return [(range(lo, end), played(lo)) for lo, end in zip(firsts, firsts[1:])]
 
 
 def _played_rows(model: CtmdpModel, s: np.ndarray):
-    """The played pairs s, each state's start in s, s's states and rows."""
+    """Each state's start in the played pairs s, s's states and rate rows."""
     st = model.pair_state.take(s)
-    return s, np.searchsorted(st, np.arange(model.n_states)), st, model.rate_rows.take(s, axis=0)
+    return np.searchsorted(st, np.arange(model.n_states)), st, model.rate_rows.take(s, axis=0)
 
 
 def evaluate_policy(model: CtmdpModel, grid: TimeGrid, policy: MarkovPolicy,
@@ -327,14 +336,14 @@ def evaluate_policy(model: CtmdpModel, grid: TimeGrid, policy: MarkovPolicy,
 
     g = np.zeros((grid.n_nodes, model.n_states))
     with np.errstate(over="ignore", invalid="ignore"):  # caught by _check_finite below
-        for k in range(grid.n_steps - 1, -1, -1):
-            if k == grid.n_steps - 1 or plays.changes[k]:
-                Rs = None  # the last run's rows go before the next run's are gathered
-                s, seg, _, Rs = _played_rows(model, plays.played(k))
-            if not deterministic:
-                w = plays.weights[k].take(s)
-            cb = costs[k]
-            step(f, g[k + 1], g[k])
+        for cells, s in reversed(plays.runs):
+            Rs = None  # the last run's rows go before the next run's are gathered
+            seg, _, Rs = _played_rows(model, s)
+            for k in reversed(cells):
+                if not deterministic:
+                    w = plays.weights[k].take(s)
+                cb = costs[k]
+                step(f, g[k + 1], g[k])
     _check_finite(g, grid.dt)
     return ValueGrid(grid=grid, values=g)
 

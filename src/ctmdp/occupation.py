@@ -21,7 +21,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .dp import (_AVERAGE_BLOCK, TimeGrid, ValueGrid, _action_text, _csv_blocks, _node_strings,
-                 _played_rows, _plays, _stepper, _write_csv, scalarize_costs, solve_backward)
+                 _played_rows, _plays, _runs, _stepper, _write_csv, scalarize_costs,
+                 solve_backward)
 from .model import CtmdpModel, MarkovPolicy, _checked_index
 from . import lp_core
 
@@ -161,38 +162,49 @@ def occupation_of_policy(model: CtmdpModel, grid: TimeGrid,
     distribution with RK4 (kernel frozen per cell); the measure is
     y(k, i, a) = p(i, t_k) * kernel(a | i, t_k) on the pairs cell k plays, 0
     elsewhere, held as p at each cell start beside the played pairs and the
-    kernel, without a (cells x pairs) table. Steps weight those pairs' rate
-    rows, as evaluate_policy does; a deterministic policy's rows, one per
-    state with weight 1, are its Qbar.
+    kernel, without a (cells x pairs) table.
     """
     grid.check_stability(model)
-    step = _stepper(model.n_states, grid.dt, "rk4")
     plays = _plays(model, policy, grid)
-    firsts = [0, *(np.flatnonzero(plays.changes) + 1).tolist(), grid.n_steps]
-    runs = [(range(lo, end), plays.played(lo).copy()) for lo, end in zip(firsts, firsts[1:])]
+    runs = [(cells, s.copy()) for cells, s in plays.runs]
     kernel = plays.weights  # None for a deterministic policy
     del plays  # with the copies above, a deterministic policy's pair table goes before held
+    return OccupationGrid._of_policy(grid, _forward(model, grid, runs, "rk4", kernel),
+                                     model.pair_state, runs if kernel is None else None, kernel)
+
+
+def _forward(model: CtmdpModel, grid: TimeGrid, runs: list, integrator: str,
+             kernel: np.ndarray | None = None) -> np.ndarray:
+    """held[k] = p(., t_k) for every cell k: the forward equation
+    p' = Qbar^T p from the initial distribution, stepped from row k into row
+    k + 1 through the rate rows of the pairs each run of cells plays (_runs),
+    weighted by a randomized policy's kernel; a deterministic policy's rows,
+    one per state with weight 1, are its Qbar. RK4 clips each step at 0 and
+    renormalizes; Euler does neither, so the LP's flow rows hold with
+    equality (notes/decisions.md). No step leaves the last cell."""
+    step = _stepper(model.n_states, grid.dt, integrator)
     if kernel is None:
         def f(v):
-            return v @ Rs
+            return v.dot(Rs)
     else:
         def f(v):  # Qbar^T v: the played pairs' rows weighted by v(i) kernel(a | i)
-            return (v.take(st) * w) @ Rs
+            return (v.take(st) * w).dot(Rs)
 
-    p = model.initial_dist.astype(float)
     held = np.empty((grid.n_steps, model.n_states))
+    held[0] = model.initial_dist
+    rows, last, rk4 = list(held), grid.n_steps - 1, integrator == "rk4"  # a list index is cheaper
     for cells, s in runs:
         Rs = None  # the last run's rows go before the next run's are gathered
-        _, _, st, Rs = _played_rows(model, s)
-        for k in cells:
-            held[k] = p
+        _, st, Rs = _played_rows(model, s)
+        for k in range(cells.start, min(cells.stop, last)):
             if kernel is not None:
                 w = kernel[k].take(s)
-            step(f, p, p)
-            np.maximum(p, 0.0, out=p)
-            p /= p.sum()
-    return OccupationGrid._of_policy(grid, held, model.pair_state,
-                                     runs if kernel is None else None, kernel)
+            p = rows[k + 1]
+            step(f, rows[k], p)
+            if rk4:
+                np.maximum(p, 0.0, out=p)
+                p /= p.sum()
+    return held
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a mass that is not finite scores NaN
@@ -319,29 +331,6 @@ def build_constrained_lp(model: CtmdpModel, grid: TimeGrid) -> lp_core.LpProblem
     return lp_core.LpProblem(c=c, A_eq=A, b_eq=b)
 
 
-def _euler_forward_masses(model: CtmdpModel, grid: TimeGrid, action_index: np.ndarray):
-    """(pairs, held): a deterministic Markov policy's pair per (cell, state),
-    cell k playing action_index[k], and the state masses it holds there under
-    the LP's own Euler flow. Its mass table is held at pairs and 0 elsewhere;
-    the LP's flow rows hold with equality."""
-    pairs = model.action_offsets[:-1] + action_index  # (n_cells, n_states)
-    changes = np.any(pairs[1:] != pairs[:-1], axis=1)
-    step = _stepper(model.n_states, grid.dt, "euler")
-    held = np.empty(pairs.shape)  # p at each cell's start; no step leaves the last cell
-    held[0] = model.initial_dist
-    rows, changes = list(held), changes.tolist()  # a list index is cheaper than an array's
-
-    def f(v):  # v Q_k: the rows cell k plays, weighted by v
-        return v.dot(Rk)
-
-    for k in range(grid.n_steps - 1):
-        if k == 0 or changes[k - 1]:
-            Rk = None  # the last run's rows go before the next run's are gathered
-            Rk = model.rate_rows[pairs[k]]
-        step(f, rows[k], rows[k + 1])
-    return pairs, held
-
-
 # -- column generation over deterministic Markov policies ---------------------
 
 CG_TOL = 1e-10    # stop once gamma.g_u(0) >= v - CG_TOL * (1 + |v|)
@@ -395,7 +384,8 @@ def _column_generation(model: CtmdpModel, grid: TimeGrid) -> _ColumnGeneration:
             status = "infeasible" if phase1 else "optimal"
             break
         seen.add(actions.tobytes())
-        pairs, held = _euler_forward_masses(model, grid, actions)
+        pairs = model.action_offsets[:-1] + actions  # (n_cells, n_states)
+        held = _forward(model, grid, _runs(pairs, pairs.__getitem__), "euler")
         columns.append((pairs, held))
         spent.append(grid.dt * (model.costs @ np.bincount(pairs.ravel(), held.ravel(),
                                                            model.n_pairs)))

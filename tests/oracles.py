@@ -13,7 +13,9 @@ occupation through a dense mean generator per step, the same two through
 every state-action rate row at every stage (pair_level_evaluate_policy,
 pair_level_occupation_of_policy), stepped by the RK4/Euler step that
 returned a new array (_step), the played-rows occupation loop that filled
-a (cells x pairs) table (dense_occupation_of_policy), the characterization
+a (cells x pairs) table (dense_occupation_of_policy), the Euler loop that
+built the LP's columns apart from the policy measure's forward loop, with
+its own run breaks (euler_forward_masses), the characterization
 residual with one tail quadrature per test function, the csv.writer
 exports of the value, policy, occupation, dual-sample and trajectory
 tables, auto_certificate with its own drift sums (sum_auto_certificate),
@@ -383,19 +385,42 @@ def dense_occupation_of_policy(model: CtmdpModel, grid: TimeGrid,
 
     p = model.initial_dist.astype(float)
     y = np.zeros((grid.n_steps, model.n_pairs))
-    for k in range(grid.n_steps):
-        if k == 0 or plays.changes[k - 1]:
-            Rs = None
-            s, _, st, Rs = _played_rows(model, plays.played(k))
-        if deterministic:
-            y[k, s] = p
-        else:
-            w = plays.weights[k].take(s)
-            y[k, s] = p.take(st) * w
-        step(f, p, p)
-        np.maximum(p, 0.0, out=p)
-        p /= p.sum()
+    for cells, s in plays.runs:
+        Rs = None
+        _, st, Rs = _played_rows(model, s)
+        for k in cells:
+            if deterministic:
+                y[k, s] = p
+            else:
+                w = plays.weights[k].take(s)
+                y[k, s] = p.take(st) * w
+            step(f, p, p)
+            np.maximum(p, 0.0, out=p)
+            p /= p.sum()
     return OccupationGrid(grid=grid, masses=y)
+
+
+def euler_forward_masses(model: CtmdpModel, grid: TimeGrid, action_index: np.ndarray):
+    """(pairs, held) of an LP column: a deterministic Markov policy's pair
+    per (cell, state), cell k playing action_index[k], and the state masses
+    it holds there under the LP's own Euler flow, the rows gathered where
+    the pairs change, found here and not by dp._runs."""
+    pairs = model.action_offsets[:-1] + action_index  # (n_cells, n_states)
+    changes = np.any(pairs[1:] != pairs[:-1], axis=1)
+    step = _stepper(model.n_states, grid.dt, "euler")
+    held = np.empty(pairs.shape)  # p at each cell's start; no step leaves the last cell
+    held[0] = model.initial_dist
+    rows, changes = list(held), changes.tolist()
+
+    def f(v):  # v Q_k: the rows cell k plays, weighted by v
+        return v.dot(Rk)
+
+    for k in range(grid.n_steps - 1):
+        if k == 0 or changes[k - 1]:
+            Rk = None
+            Rk = model.rate_rows[pairs[k]]
+        step(f, rows[k], rows[k + 1])
+    return pairs, held
 
 
 def default_test_functions(model: CtmdpModel, grid) -> list[np.ndarray]:

@@ -14,6 +14,7 @@ import pytest
 from ctmdp.dp import TimeGrid, solve_backward
 from ctmdp.model import linear_cost, make_birth_death
 from ctmdp.occupation import CG_TOL, lagrangian_dual, solve_constrained
+from ctmdp.sim import mc_value
 
 SEEDS = range(6)
 
@@ -72,3 +73,18 @@ def test_constrained_primal_and_dual_do_not_depend_on_the_grid(seed):
         assert abs(sol.objective - primal) <= CG_TOL * (1.0 + abs(primal)), G
         got = lagrangian_dual(model, grid).dual_value
         assert abs(got - dual) <= CG_TOL * (1.0 + abs(dual)), G
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_monte_carlo_value_of_each_grids_policy_is_the_corner_value(seed):
+    # thinning plays each grid's optimal policy in continuous time, so its
+    # estimate must cover the 2-point grid's RK4 value from the middle state
+    make, costs, _ = affine_family(seed)
+    corners = make(2, costs[:1])
+    grid = time_grid(corners)
+    i0 = corners.n_states // 2
+    want = float(solve_backward(corners, grid)[0].at_start()[i0])
+    for G in range(2, 10):
+        model = make(G, costs[:1])
+        est = mc_value(model, solve_backward(model, grid)[1], i0, 0, 20_000, seed=100 * seed + G)
+        assert est.within(want), f"G={G}: {est.mean} +- {est.se} against {want}"

@@ -8,21 +8,23 @@ import numpy as np
 import pytest
 
 from ctmdp import lp_core, occupation
-from ctmdp.dp import TimeGrid, solve_backward
+from ctmdp.dp import TimeGrid, _runs, solve_backward
 from ctmdp.lp_core import solve_lp
-from ctmdp.model import CtmdpModel, MarkovPolicy, make_birth_death
+from ctmdp.model import CtmdpModel, MarkovPolicy, make_birth_death, model_from_dict
 from ctmdp.occupation import (OccupationGrid, build_constrained_lp, check_characterization,
                               disintegrate, lagrangian_dual, occupation_of_policy,
                               solve_constrained, uniform_occupation)
 from ctmdp.sim import mc_value
 from oracles import (_dual_value_fn, csv_writer_occupation_table, csv_writer_samples_table,
                      default_test_functions, dense_occupation_masses, dense_occupation_of_policy,
-                     euler_masses_of_kernel, expm_transient, full_scan_characterization,
-                     full_scan_score, golden_dual_max, pair_level_occupation_of_policy,
-                     random_instance, random_policy, tail_characterization_scores)
+                     euler_forward_masses, euler_masses_of_kernel, expm_transient,
+                     full_scan_characterization, full_scan_score, golden_dual_max,
+                     pair_level_occupation_of_policy, random_instance, random_policy,
+                     tail_characterization_scores)
 from test_acceptance import slater_birth_death
 from test_dp import (DETERMINISTIC_CASES, PLAYED_SET_CASES, REASSOCIATION_CASES, played_set_case,
                      reassociation_case, tiny_and_negative_model, traced_peak)
+from test_scripts import cli_digest
 
 
 def two_state_chain(horizon=1.0):
@@ -228,11 +230,52 @@ class TestOccupationOfPolicy:
     def test_euler_masses_match_the_mean_generator_oracle(self, case):
         model, grid, policy = played_set_case(case)
         actions = policy.action_index[:grid.n_steps]
-        pairs, held = occupation._euler_forward_masses(model, grid, actions)
+        pairs = model.action_offsets[:-1] + actions
+        held = occupation._forward(model, grid, _runs(pairs, pairs.__getitem__), "euler")
         got = np.zeros((grid.n_steps, model.n_pairs))
         np.put_along_axis(got, pairs, held, axis=1)
         kernel = MarkovPolicy.deterministic(actions).kernel(model)
         assert np.max(np.abs(got - euler_masses_of_kernel(model, grid.n_steps, kernel))) <= 1e-13
+
+    @pytest.mark.parametrize("case", DETERMINISTIC_CASES)
+    def test_euler_masses_have_the_replaced_loop_bits(self, case):
+        model, grid, policy = played_set_case(case)
+        actions = policy.action_index[:grid.n_steps]
+        pairs = model.action_offsets[:-1] + actions
+        got = occupation._forward(model, grid, _runs(pairs, pairs.__getitem__), "euler")
+        want_pairs, want = euler_forward_masses(model, grid, actions)
+        assert np.array_equal(pairs, want_pairs)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    @pytest.mark.parametrize("case", ["criterion7", "m60_start5"])
+    def test_every_lp_column_has_the_replaced_loop_bits(self, monkeypatch, case):
+        # each column's actions are read off the pricing solve that found it,
+        # so the oracle finds the runs of its pairs on its own
+        if case == "criterion7":
+            model, grid = slater_birth_death(), TimeGrid(1.0, 500)
+        else:
+            model, grid = model_from_dict(cli_digest.CRITERION7_M60_START5)[0], TimeGrid(1.0, 400)
+        priced, held, loop = [], [], occupation._forward
+
+        def pricing(*args, **kwargs):
+            values, policy = solve_backward(*args, **kwargs)
+            priced.append(policy.action_index[1:])
+            return values, policy
+
+        def forward(*args):
+            held.append(loop(*args))
+            return held[-1]
+
+        monkeypatch.setattr(occupation, "solve_backward", pricing)
+        monkeypatch.setattr(occupation, "_forward", forward)
+        result = solve_constrained(model, grid)
+        assert result.solution.status == "optimal"
+        assert len(held) == result.n_columns > 1
+        for actions, got in zip(priced, held):
+            _, want = euler_forward_masses(model, grid, actions)
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 class TestCharacterization:
