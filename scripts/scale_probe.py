@@ -3,7 +3,7 @@ layers and of the constrained route as m grows.
 
 Usage (from the root of a source checkout):
 
-    PYTHONPATH=src python3 scripts/scale_probe.py [M ...]
+    PYTHONPATH=src python3 scripts/scale_probe.py [M ...] [--constrained M [M ...]]
 
 For each truncation level M (default 100 300 600) the script builds the
 birth-death preset (lambda=1, mu=2, grid 3, horizon 1, uniform start) at its
@@ -21,16 +21,19 @@ default level (m=600: 3594 cells, 5394 pairs) the rate table alone is 26 MB,
 and ``evaluate_policy`` peaks at about 57 MB traced, the most of the five
 layers.
 
-A second table follows at the fixed levels m = 20, 40 and 80: the
-criterion-7 costs (objective -i, constraint (a1 + lambda) / (2 lambda) <=
-0.3) on the same preset, started at state 5, at its minimum stable step
-count. It times ``solve_constrained`` and then ``lagrangian_dual`` on an
-equal model built apart, so every dual call runs its own column generation
-rather than taking over the primal's run.
+A second table follows at the levels given after ``--constrained``
+(default m = 20, 40 and 80): the criterion-7 costs (objective -i,
+constraint (a1 + lambda) / (2 lambda) <= 0.3) on the same preset, started
+at state 5, at its minimum stable step count. It times
+``solve_constrained`` and then ``lagrangian_dual`` on an equal model built
+apart, so every dual call runs its own column generation rather than
+taking over the primal's run. At m = 320 (1914 cells, 2874 pairs) one
+cells x pairs table is 44 MB.
 """
 
 from __future__ import annotations
 
+import argparse
 import math
 import sys
 import time
@@ -115,11 +118,16 @@ def table(layers: list[str], rows) -> None:
 
 
 def main(argv: list[str]) -> int:
-    levels = [int(a) for a in argv] or [100, 300, 600]
+    parser = argparse.ArgumentParser(description="Time and trace the layers as m grows.")
+    parser.add_argument("levels", nargs="*", type=int, default=[100, 300, 600], metavar="M",
+                        help="truncation levels of the first table (default 100 300 600)")
+    parser.add_argument("--constrained", nargs="+", type=int, default=list(CONSTRAINED_LEVELS),
+                        metavar="M", help="levels of the constrained table (default 20 40 80)")
+    args = parser.parse_args(argv)
     table(["solve_backward", "evaluate_policy", "occupation_of_policy",
-           "check_characterization", "expected_cost"], map(row, levels))
+           "check_characterization", "expected_cost"], map(row, args.levels))
     print()
-    table(["solve_constrained", "lagrangian_dual"], map(constrained_row, CONSTRAINED_LEVELS))
+    table(["solve_constrained", "lagrangian_dual"], map(constrained_row, args.constrained))
     return 0
 
 

@@ -339,7 +339,8 @@ MAX_SOLVES = 400  # pricing (backward) solves per column-generation run
 
 class _ColumnGeneration(NamedTuple):
     status: str                   # optimal, infeasible, budget_exhausted, pivot_limit
-    masses: np.ndarray | None     # mixed masses of the last feasible master
+    x: np.ndarray | None          # the full LP's x: masses, then the slacks _lp_solution sets
+    masses: np.ndarray | None     # mixed masses of the last feasible master, a view of x
     multipliers: np.ndarray       # u of the last master
     values: ValueGrid | None      # Euler value table of the last pricing solve
     samples: tuple                # (u, D(u), objective of the master that gave u)
@@ -367,7 +368,7 @@ def _column_generation(model: CtmdpModel, grid: TimeGrid) -> _ColumnGeneration:
     u = np.zeros(model.n_constraints)
     v, theta, values, phase1 = None, None, None, False
     objective = np.inf  # of the master that produced u; no master yet
-    columns, spent, samples, seen = [], [], [], set()  # (pairs, held); dt * costs . masses
+    columns, spent, samples, seen = [], [], [], set()  # (runs, held); dt * costs . masses
     pivots = solves = 0
     status = "budget_exhausted"
     while solves < MAX_SOLVES:
@@ -378,15 +379,15 @@ def _column_generation(model: CtmdpModel, grid: TimeGrid) -> _ColumnGeneration:
         price = float(gamma @ values.at_start())
         if not phase1:
             samples.append((tuple(map(float, u)), price - float(u @ bounds), objective))
-        actions = policy.action_index[1:]
-        if v is not None and (price >= v - CG_TOL * (1.0 + abs(v))
-                              or actions.tobytes() in seen):
+        pairs = model.action_offsets[:-1] + policy.action_index[1:]  # (n_cells, n_states)
+        runs = [(cells, s.copy()) for cells, s in _runs(pairs, pairs.__getitem__)]
+        key = tuple((cells.start, s.tobytes()) for cells, s in runs)  # the policy, losslessly
+        if v is not None and (price >= v - CG_TOL * (1.0 + abs(v)) or key in seen):
             status = "infeasible" if phase1 else "optimal"
             break
-        seen.add(actions.tobytes())
-        pairs = model.action_offsets[:-1] + actions  # (n_cells, n_states)
-        held = _forward(model, grid, _runs(pairs, pairs.__getitem__), "euler")
-        columns.append((pairs, held))
+        seen.add(key)
+        held = _forward(model, grid, runs, "euler")
+        columns.append((runs, held))
         spent.append(grid.dt * (model.costs @ np.bincount(pairs.ravel(), held.ravel(),
                                                            model.n_pairs)))
 
@@ -410,13 +411,15 @@ def _column_generation(model: CtmdpModel, grid: TimeGrid) -> _ColumnGeneration:
         v, u = float(sol.y[0]), np.maximum(-sol.y[1:], 0.0)
         if not phase1:
             objective, theta = sol.objective, sol.x
-    masses = None
-    if theta is not None:
-        masses, cells = np.zeros((grid.n_steps, model.n_pairs)), np.arange(grid.n_steps)[:, None]
-        for t, (pairs, held) in zip(theta, columns):
+    x = masses = None
+    if theta is not None:  # each column's runs add theta * held at the pairs they play
+        x = np.zeros(grid.n_steps * model.n_pairs + bounds.size)
+        masses = x[:-bounds.size].reshape(grid.n_steps, model.n_pairs)
+        for t, (runs, held) in zip(theta, columns):
             if t > 0:
-                masses[cells, pairs] += t * held
-    return _ColumnGeneration(status, masses, u, values, tuple(samples),
+                for cells, s in runs:
+                    masses[cells.start:cells.stop, s] += t * held[cells.start:cells.stop]
+    return _ColumnGeneration(status, x, masses, u, values, tuple(samples),
                              solves, len(columns), pivots)
 
 
@@ -435,31 +438,29 @@ class ConstrainedResult(NamedTuple):
 
 
 def disintegrate(model: CtmdpModel, grid: TimeGrid, masses: np.ndarray) -> MarkovPolicy:
-    """Conditional action kernel of a mass table; uniform off the support."""
-    n_cells = masses.shape[0]
-    marginal = np.add.reduceat(masses, model.action_offsets[:-1], axis=1)
-    denom = marginal[:, model.pair_state]
-    fallback = MarkovPolicy.uniform(model, n_cells).action_probs
-    probs = np.where(denom > MASS_EPS, masses / np.where(denom > 0, denom, 1.0), fallback)
-    probs = np.vstack([probs, probs[-1]])  # final node repeats the last cell
-    # re-normalize exactly so the kernel invariant holds to float precision
-    sums = np.add.reduceat(probs, model.action_offsets[:-1], axis=1)
-    probs = probs / sums[:, model.pair_state]
+    """Conditional action kernel of a mass table, by blocks of cells; uniform off the support."""
+    starts, ps = model.action_offsets[:-1], model.pair_state
+    probs = np.empty((len(masses) + 1, model.n_pairs))
+    for rows in _blocks(range(len(masses))):
+        block, denom = probs[rows], np.add.reduceat(masses[rows], starts, axis=1)[:, ps]
+        block[:] = 1.0 / np.diff(model.action_offsets)[ps]
+        np.divide(masses[rows], denom, out=block, where=denom > MASS_EPS)
+        block /= np.add.reduceat(block, starts, axis=1)[:, ps]  # rows sum to 1 to float precision
+    probs[-1] = probs[-2]  # final node repeats the last cell
     return MarkovPolicy.randomized(probs)
 
 
 def _lp_solution(model: CtmdpModel, grid: TimeGrid, cg: _ColumnGeneration) -> lp_core.LpSolution:
     """The full LP's solution from a converged column generation, unassembled.
 
-    x is the mixed masses plus slacks; y is the final Lagrangian's Euler value
-    table on cells 0..n-1, then -u. Residuals come from the Euler flow
+    x is cg.x, the masses and then the slacks set here; y is the final Lagrangian's
+    Euler value table on cells 0..n-1, then -u. Residuals come from the Euler flow
     recurrence and the reduced costs dt (c_0 + u.c) + (I + dt q) g(k+1) - g(k).
     """
-    dt, R, u, y = grid.dt, model.rate_rows, cg.multipliers, cg.masses
+    dt, R, u, x, y = grid.dt, model.rate_rows, cg.multipliers, cg.x, cg.masses
     bounds = model.constraint_bounds
     spent = dt * (model.costs[1:] @ y.sum(axis=0))
-    slack = np.maximum(bounds - spent, 0.0)
-    x = np.concatenate([y.ravel(), slack])
+    x[y.size:] = slack = np.maximum(bounds - spent, 0.0)
     eta = OccupationGrid(grid, y)
     objective = eta.expected_cost(model, 0)
 
@@ -470,11 +471,13 @@ def _lp_solution(model: CtmdpModel, grid: TimeGrid, cg: _ColumnGeneration) -> lp
                           float(np.max(np.abs(spent + slack - bounds))),
                           float(np.max(-x)))
 
-    g = cg.values.values
-    cbar = scalarize_costs(model, np.concatenate([[1.0], u]))
-    reduced = dt * cbar + g[1:, model.pair_state] + dt * (g[1:] @ R.T) - g[:-1, model.pair_state]
+    g, ps, worst = cg.values.values, model.pair_state, 0.0  # max |reduced cost * mass|
+    cbar = dt * scalarize_costs(model, np.concatenate([[1.0], u]))
+    for rows in _blocks(range(len(y))):  # a block of cells' reduced costs at a time
+        reduced = cbar + g[1:][rows, ps] + dt * (g[1:][rows] @ R.T) - g[:-1][rows, ps]
+        worst = max(worst, float(np.max(np.abs(reduced * y[rows]))))
     dual_objective = float(model.initial_dist @ g[0] - u @ bounds)
-    complementarity = max(float(np.max(np.abs(reduced * y))), float(np.max(u * slack)))
+    complementarity = max(worst, float(np.max(u * slack)))
     return lp_core.LpSolution(
         "optimal", x, np.concatenate([g[:-1].ravel(), -u]), objective, cg.n_pivots,
         primal_residual, abs(objective - dual_objective), complementarity)
@@ -483,25 +486,25 @@ def _lp_solution(model: CtmdpModel, grid: TimeGrid, cg: _ColumnGeneration) -> lp
 def solve_constrained(model: CtmdpModel, grid: TimeGrid) -> ConstrainedResult:
     """Solve the constrained LP by column generation and disintegrate the optimum.
 
-    The LpSolution is that of the full LP (build_constrained_lp), which is
-    never assembled; its n_pivots sums the master pivots over rounds.
-    Non-optimal statuses (infeasible, budget_exhausted, pivot_limit) are
-    passed through with empty occupation and policy.
+    The LpSolution is that of the full LP (build_constrained_lp), never
+    assembled; n_pivots sums the master pivots over rounds, and the read-only x
+    holds the occupation's masses. Other statuses come with no occupation or policy.
 
     The loop always runs here. The finished run, with its arrays made
     read-only, is left for the next lagrangian_dual on the same model object
     and grid, which certifies it without repeating the loop.
     """
     cg = _column_generation(model, grid)
-    for arr in (cg.masses, cg.multipliers, None if cg.values is None else cg.values.values):
+    sol = (_lp_solution(model, grid, cg) if cg.status == "optimal"
+           else lp_core.LpSolution(cg.status, None, None, None, cg.n_pivots))
+    for arr in (cg.x, cg.masses, cg.multipliers, None if cg.values is None else cg.values.values):
         if arr is not None:
             arr.flags.writeable = False
     _handoff.clear()
     _handoff[model] = (grid, cg)
     if cg.status != "optimal":
-        sol = lp_core.LpSolution(cg.status, None, None, None, cg.n_pivots)
         return ConstrainedResult(sol, None, None, cg.n_columns)
-    return ConstrainedResult(_lp_solution(model, grid, cg), OccupationGrid(grid, cg.masses),
+    return ConstrainedResult(sol, OccupationGrid(grid, cg.masses),
                              disintegrate(model, grid, cg.masses), cg.n_columns)
 
 
@@ -513,8 +516,9 @@ class DualCertificate:
     """Outcome of the dual maximization, with the duality gap report.
 
     dual_value is D(u) = gamma.g_u(0) - u.d from an Euler pricing solve, the
-    scheme the LP's flow rows encode, so weak duality against the LP optimum
-    holds by construction and gap measures only the column-generation stop.
+    scheme the LP's flow rows encode, so gap measures only the column-generation
+    stop. Weak duality against the LP optimum holds up to the rounding of two
+    summation orders, about 8 n eps (1 + |V|) for n cells and value V.
     dual_value_continuum re-evaluates the maximizer with the RK4 stepping;
     gap_continuum therefore carries the O(dt) discretization of the LP and
     shrinks under grid refinement. samples holds, per phase-2 pricing solve,

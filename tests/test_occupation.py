@@ -11,7 +11,7 @@ from ctmdp import lp_core, occupation
 from ctmdp.dp import TimeGrid, _runs, solve_backward
 from ctmdp.lp_core import solve_lp
 from ctmdp.model import CtmdpModel, MarkovPolicy, make_birth_death, model_from_dict
-from ctmdp.occupation import (OccupationGrid, build_constrained_lp, check_characterization,
+from ctmdp.occupation import (CG_TOL, OccupationGrid, build_constrained_lp, check_characterization,
                               disintegrate, lagrangian_dual, occupation_of_policy,
                               solve_constrained, uniform_occupation)
 from ctmdp.sim import mc_value
@@ -25,6 +25,7 @@ from test_acceptance import slater_birth_death
 from test_dp import (DETERMINISTIC_CASES, PLAYED_SET_CASES, REASSOCIATION_CASES, played_set_case,
                      reassociation_case, tiny_and_negative_model, traced_peak)
 from test_scripts import cli_digest
+from test_shadow_price import case_model
 
 
 def two_state_chain(horizon=1.0):
@@ -719,6 +720,19 @@ class TestLagrangianDual:
             lagrangian_dual(model, TimeGrid(1.0, 8))
 
 
+def m40_start5():
+    """(model, grid, bytes of one cells x pairs table): the criterion-7 costs
+    on the m = 40, grid-5 preset from state 5, at the least stable step count."""
+    init = np.zeros(40)
+    init[5] = 1.0
+    model = make_birth_death(1.0, 2.0, m=40, grid=5, initial_dist=init,
+                             cost_fns=[lambda i, a1, a2: -float(i),
+                                       lambda i, a1, a2: (a1 + 1.0) / 2.0],
+                             constraint_bounds=[0.3])
+    grid = TimeGrid(1.0, TimeGrid(1.0, 1).required_steps(model))
+    return model, grid, grid.n_steps * model.n_pairs * 8
+
+
 class TestColumnGeneration:
     @pytest.mark.parametrize("case", sorted(CG_CASES))
     def test_matches_the_dense_simplex(self, case):
@@ -771,17 +785,35 @@ class TestColumnGeneration:
     def test_no_column_is_held_as_a_mass_table(self):
         # criterion-7 costs at m = 40 from state 5 price ten columns; held as
         # (cells x pairs) mass tables they alone would take ten tables
-        init = np.zeros(40)
-        init[5] = 1.0
-        model = make_birth_death(1.0, 2.0, m=40, grid=5, initial_dist=init,
-                                 cost_fns=[lambda i, a1, a2: -float(i),
-                                           lambda i, a1, a2: (a1 + 1.0) / 2.0],
-                                 constraint_bounds=[0.3])
-        grid = TimeGrid(1.0, TimeGrid(1.0, 1).required_steps(model))
-        table_bytes = grid.n_steps * model.n_pairs * 8
+        model, grid, table_bytes = m40_start5()
         peak = traced_peak(solve_constrained, model, grid)
         assert solve_constrained(model, grid).n_columns == 10
         assert peak < 10 * table_bytes, f"peak {peak} B, one mass table {table_bytes} B"
+
+    @pytest.mark.usefixtures("empty_handoff")
+    def test_the_mix_and_its_kernel_hold_one_table_each(self):
+        # the mix is added into the LP's x and disintegrated a block of cells
+        # at a time: x and the kernel are one table each, beside small blocks
+        model, grid, table_bytes = m40_start5()
+        peak = traced_peak(solve_constrained, model, grid)
+        assert peak < 4 * table_bytes, f"peak {peak} B, one mass table {table_bytes} B"
+        masses = solve_constrained(model, grid).occupation.masses
+        peak = traced_peak(disintegrate, model, grid, masses)
+        assert peak < 2.5 * table_bytes, f"peak {peak} B, one mass table {table_bytes} B"
+
+    @pytest.mark.usefixtures("empty_handoff")
+    def test_a_repeated_policy_stops_the_loop(self):
+        # on this model the pricing solve after the eleventh column returns a
+        # policy already among the columns while the price test is unmet
+        model, grid = case_model("m20_start5", [0.5])
+        res = solve_constrained(model, grid)
+        cert = lagrangian_dual(model, grid)  # takes over the run
+        assert res.solution.status == "optimal"
+        assert (cert.n_solves, res.n_columns) == (12, 11)
+        u, dual, _ = cert.samples[-1]
+        v = res.solution.objective + float(np.dot(u, model.constraint_bounds))
+        price = dual + float(np.dot(u, model.constraint_bounds))
+        assert price < v - CG_TOL * (1.0 + abs(v))
 
     @pytest.mark.parametrize("case", ["criterion7", "random_n2"])
     def test_iterates_keep_weak_duality_and_master_descent(self, case):
@@ -879,8 +911,10 @@ class TestColumnGenerationHandoff:
         model, grid = CG_CASES["random_n1"]()
         result = solve_constrained(model, grid)
         cg = occupation._handoff[model][1]
-        for arr in (cg.masses, cg.multipliers, cg.values.values, result.occupation.masses):
+        for arr in (cg.masses, cg.multipliers, cg.values.values, result.occupation.masses,
+                    result.solution.x):
             assert not arr.flags.writeable
+        assert np.shares_memory(result.solution.x, result.occupation.masses)
         with pytest.raises(ValueError):
             cg.masses[0, 0] = 1.0
 

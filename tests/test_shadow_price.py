@@ -132,6 +132,7 @@ def test_partial_differences_of_the_value_are_minus_the_multipliers(case, bounds
     model, grid = case_model(case, bounds)
     value, u, gap, support = run(model, grid)
     assert np.all(u > 0)  # both bounds bind
+    assert gap >= -rounding(grid, value)  # weak duality, up to two summation orders
     for n, step in enumerate(H * np.eye(2)):
         up, down = (run(*case_model(case, np.add(bounds, sign * step))) for sign in (1, -1))
         assert np.array_equal(up[3], support) and np.array_equal(down[3], support)
